@@ -10,12 +10,12 @@ import (
 // function that can reach the virtual-time blocking primitive
 // ((*Proc).park — everything Sleep, Join, Event.Wait, Resource.Acquire
 // and Queue.Get funnel into) must not be called from a context that runs
-// on the engine goroutine or whose execution order is nondeterministic:
+// in the engine's event loop or whose execution order is nondeterministic:
 //
 //   - engine callbacks (function literals or method values handed to
-//     Engine.At/After/schedule or Schedule.OnCrash) — parking there
-//     deadlocks the clock, because the goroutine that would advance
-//     virtual time is the one that just parked;
+//     Engine.At/After/schedule or Schedule.OnCrash) — there is no process
+//     to suspend there, only the loop that advances virtual time, and the
+//     kernel panics at run time ("parked outside its own process");
 //   - functions marked `//iocheck:nonblocking` (the GM dispatch switch
 //     and the deposed pump's serve path declare themselves);
 //   - map-range bodies — if an iteration can park, wake order follows

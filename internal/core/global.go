@@ -337,6 +337,15 @@ func (gm *GlobalManager) closeBridges() {
 // run is the global manager process: pump monitoring/control traffic and
 // tick the policy at each interval.
 func (gm *GlobalManager) run(p *sim.Proc) {
+	// Messages still queued at shutdown are drained after closeBridges,
+	// and one may open a new bridge (a DemoteNotice back to a stale
+	// peer). Close the bridges again on the way out so no courier
+	// outlives the run.
+	defer func() {
+		if gm.ctl.Closed() {
+			gm.closeBridges()
+		}
+	}()
 	for {
 		if gm.dead {
 			return // the primary died silently

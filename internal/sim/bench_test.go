@@ -2,6 +2,34 @@ package sim
 
 import "testing"
 
+// switchCounter is a counting Tracer for the kernel benches. Every event
+// that is not a plain callback resumes exactly one process (its start or
+// a wake; these benches arm no timeouts), so it counts process switches
+// as well as events.
+type switchCounter struct{ events, switches int }
+
+// Event implements Tracer.
+func (c *switchCounter) Event(_ Time, what string) {
+	c.events++
+	if what != "callback" {
+		c.switches++
+	}
+}
+
+// countSwitches installs a switchCounter on e.
+func countSwitches(e *Engine) *switchCounter {
+	c := &switchCounter{}
+	e.SetTracer(c)
+	return c
+}
+
+// report emits the per-op kernel counts under the names the run reports
+// share: events/op and switches/op.
+func (c *switchCounter) report(b *testing.B) {
+	b.ReportMetric(float64(c.events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(c.switches)/float64(b.N), "switches/op")
+}
+
 // BenchmarkEventThroughput measures raw scheduler throughput: how many
 // events the kernel executes per second of wall time.
 func BenchmarkEventThroughput(b *testing.B) {
@@ -24,10 +52,12 @@ func BenchmarkEventThroughput(b *testing.B) {
 }
 
 // BenchmarkProcContextSwitch measures the park/unpark handshake cost of
-// the coroutine-style process scheduler.
+// the coroutine process scheduler: one Sleep is one event and one switch
+// into the process and back.
 func BenchmarkProcContextSwitch(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(1)
+	c := countSwitches(e)
 	e.Go("sleeper", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(Second)
@@ -35,6 +65,23 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 	})
 	b.ResetTimer()
 	e.Run()
+	c.report(b)
+}
+
+// BenchmarkProcSpawn measures a process's whole life, from Go through its
+// start event to its return. Creating a coroutine costs more than a
+// switch, and a fan-out run spawns thousands of processes per scenario.
+func BenchmarkProcSpawn(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine(1)
+	c := countSwitches(e)
+	fn := func(*Proc) {}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Go("spawn", fn)
+		e.Run()
+	}
+	c.report(b)
 }
 
 // BenchmarkQueueHandoff measures producer/consumer handoff through a
@@ -42,6 +89,7 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 func BenchmarkQueueHandoff(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(1)
+	c := countSwitches(e)
 	q := NewQueue[int](e, 4)
 	e.Go("producer", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
@@ -58,6 +106,7 @@ func BenchmarkQueueHandoff(b *testing.B) {
 	})
 	b.ResetTimer()
 	e.Run()
+	c.report(b)
 }
 
 // BenchmarkResourceAcquireRelease measures semaphore churn under
@@ -65,6 +114,7 @@ func BenchmarkQueueHandoff(b *testing.B) {
 func BenchmarkResourceAcquireRelease(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(1)
+	c := countSwitches(e)
 	r := NewResource(e, 2)
 	for w := 0; w < 4; w++ {
 		e.Go("worker", func(p *Proc) {
@@ -77,4 +127,5 @@ func BenchmarkResourceAcquireRelease(b *testing.B) {
 	}
 	b.ResetTimer()
 	e.Run()
+	c.report(b)
 }

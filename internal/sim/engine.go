@@ -9,10 +9,11 @@
 // Two styles of simulated activity are supported:
 //
 //   - plain callbacks scheduled with [Engine.At] / [Engine.After], and
-//   - processes ([Proc]) — goroutines run under a cooperative scheduler,
-//     in the style of SimPy. A process blocks with [Proc.Sleep],
-//     [Queue.Get], [Event.Wait] and friends; exactly one process (or the
-//     engine loop) runs at any instant, so process code needs no locking.
+//   - processes ([Proc]) — coroutines (iter.Pull) resumed by the event
+//     loop, in the style of SimPy. A process blocks with [Proc.Sleep],
+//     [Queue.Get], [Event.Wait] and friends, which yield back to the
+//     loop; exactly one process (or the engine loop) runs at any instant,
+//     so process code needs no locking.
 package sim
 
 import "sort"
@@ -25,11 +26,9 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	queue   eventHeap
-	baton   chan struct{} // handed back to the engine when a proc parks
 	rng     *Rand
 	procs   map[*Proc]struct{}
-	stopped bool
-	panicV  any // panic propagated out of a process
+	running *Proc // the process executing right now; nil in the event loop
 	tracer  Tracer
 	free    *event // recycled events, chained through event.next
 }
@@ -170,7 +169,6 @@ func (h eventHeap) down(i int) {
 // deterministic random source derived from seed.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		baton: make(chan struct{}),
 		rng:   NewRand(seed),
 		procs: make(map[*Proc]struct{}),
 	}
@@ -242,16 +240,12 @@ func (e *Engine) Step() bool {
 	ev.fn, ev.what, ev.next = nil, "", e.free
 	e.free = ev
 	fn()
-	if e.panicV != nil {
-		v := e.panicV
-		e.panicV = nil
-		panic(v)
-	}
 	return true
 }
 
 // Run executes events until none remain. Processes blocked on queues or
-// events that will never fire are left parked; use [Engine.Blocked] to
+// events that will never fire are left parked, each a suspended coroutine
+// that keeps what it references reachable; use [Engine.Blocked] to
 // inspect them.
 func (e *Engine) Run() {
 	for e.Step() {
@@ -273,7 +267,8 @@ func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 
 // Blocked returns the names of processes that are alive but currently
 // parked (waiting on a queue, event, or resource). Useful in tests to
-// assert clean shutdown.
+// assert clean shutdown: after a clean run it is empty and no process
+// coroutine is left suspended.
 func (e *Engine) Blocked() []string {
 	var out []string
 	for p := range e.procs {

@@ -178,6 +178,35 @@ func TestProcPanicPropagates(t *testing.T) {
 	t.Fatal("expected panic")
 }
 
+// TestParkOutsideOwnProcessPanics pins the runtime twin of the vtblock
+// rule: blocking a process from anywhere but its own body — an engine
+// callback, or another process — fails loudly instead of wedging the run.
+func TestParkOutsideOwnProcessPanics(t *testing.T) {
+	const want = `sim: proc "victim" parked outside its own process`
+	cases := map[string]func(e *Engine, victim *Proc){
+		"callback": func(e *Engine, victim *Proc) {
+			e.At(Second, func() { victim.Sleep(Second) })
+		},
+		"other process": func(e *Engine, victim *Proc) {
+			e.Go("intruder", func(p *Proc) { victim.Sleep(Second) })
+		},
+	}
+	for name, misuse := range cases {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine(1)
+			victim := e.Go("victim", func(p *Proc) { p.Sleep(Minute) })
+			misuse(e, victim)
+			defer func() {
+				if v := recover(); v != want {
+					t.Fatalf("recovered %v, want %q", v, want)
+				}
+			}()
+			e.Run()
+			t.Fatal("expected panic")
+		})
+	}
+}
+
 func TestEventBroadcast(t *testing.T) {
 	e := NewEngine(1)
 	ev := NewEvent(e)

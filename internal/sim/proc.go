@@ -1,14 +1,21 @@
 package sim
 
-// Proc is a simulated process: a goroutine scheduled cooperatively by the
-// engine. At most one process runs at a time; a process relinquishes
-// control by blocking in one of the kernel primitives (Sleep, Queue.Get,
-// Event.Wait, Resource.Acquire, ...). Because execution is strictly
+import (
+	"iter"
+	"strconv"
+)
+
+// Proc is a simulated process: a coroutine (iter.Pull) the engine resumes
+// from its event loop. At most one process runs at a time; a process
+// relinquishes control by blocking in one of the kernel primitives
+// (Sleep, Queue.Get, Event.Wait, Resource.Acquire, ...), which yields
+// back to the event that resumed it. Because execution is strictly
 // interleaved, process code may freely share data without locks.
 type Proc struct {
 	eng      *Engine
 	name     string
-	resume   chan struct{}
+	next     func() (struct{}, bool) // resumes the coroutine until it parks or ends
+	yield    func(struct{}) bool     // parks the coroutine; valid inside it only
 	parked   bool
 	done     bool
 	onDone   *Event // lazily created join event
@@ -24,49 +31,44 @@ func (e *Engine) Go(name string, fn func(*Proc)) *Proc {
 
 // GoAt starts fn as a new process at virtual time t.
 func (e *Engine) GoAt(t Time, name string, fn func(*Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{}, 1)}
+	p := &Proc{eng: e, name: name}
 	p.wakeWhat = "wake " + name
 	p.unparkFn = p.unpark
 	p.w.proc = p
 	e.procs[p] = struct{}{}
 	e.schedule(t, "start "+name, func() {
-		go p.run(fn)
+		p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
+			fn(p)
+			p.done = true
+			delete(e.procs, p)
+			if p.onDone != nil {
+				p.onDone.Fire()
+			}
+		})
 		p.unpark()
 	})
 	return p
 }
 
-func (p *Proc) run(fn func(*Proc)) {
-	<-p.resume
-	defer func() {
-		if v := recover(); v != nil {
-			p.eng.panicV = v
-		}
-		p.done = true
-		delete(p.eng.procs, p)
-		if p.onDone != nil {
-			p.onDone.Fire()
-		}
-		p.eng.baton <- struct{}{}
-	}()
-	fn(p)
-}
-
-// park suspends the process and returns control to the engine loop. The
-// process resumes when something sends on p.resume (always via unpark).
+// park suspends the process and returns control to whoever resumed it
+// (always unpark). A panic inside the process is re-raised by iter.Pull
+// in unpark's caller, so it surfaces from [Engine.Step].
 func (p *Proc) park() {
+	if p.eng.running != p {
+		panic("sim: proc " + strconv.Quote(p.name) + " parked outside its own process")
+	}
 	p.parked = true
-	p.eng.baton <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	p.parked = false
 }
 
-// unpark transfers the baton to the process and waits for it to park again
-// (or finish). Must be called from the engine loop's goroutine, i.e. from
-// inside an executed event.
+// unpark runs the process until it parks again (or finishes). Must be
+// called from the engine loop, i.e. from inside an executed event.
 func (p *Proc) unpark() {
-	p.resume <- struct{}{}
-	<-p.eng.baton
+	p.eng.running = p
+	p.next()
+	p.eng.running = nil
 }
 
 // wake schedules the process to resume at the current virtual time.
