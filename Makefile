@@ -91,6 +91,8 @@ trace-smoke:
 # race-smoke runs the chaos worker pool (the iochaos -seeds 16 -workers 4
 # configuration) under the race detector: verdicts must be byte-identical
 # across worker counts, and any cross-worker sharing in the engine is a
-# race report.
+# race report. It also runs two concurrent loads (the module and a
+# fixture) through one shared stdlib importer memo.
 race-smoke:
 	$(GO) test -race -run 'TestWorkerPoolVerdictsIdentical|TestSearchByteDeterministic' ./internal/chaos
+	$(GO) test -race -run 'TestConcurrentLoads' ./internal/analysis

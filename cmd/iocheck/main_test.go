@@ -137,6 +137,28 @@ func Stamp() int64 { return time.Now().UnixNano() }
 	}
 }
 
+// TestUnresolvableImportExitsTwo: an import that is neither in the module
+// nor in GOROOT is a load error (exit 2) whose message names the path,
+// not a finding and not a silently skipped package.
+func TestUnresolvableImportExitsTwo(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod": "module badimport\n\ngo 1.22\n",
+		"internal/use/use.go": `package use
+
+import "example.invalid/nosuch"
+
+var _ = nosuch.Value
+`,
+	})
+	var out, errOut strings.Builder
+	if code := run([]string{root + "/..."}, &out, &errOut); code != 2 {
+		t.Fatalf("exit = %d, want 2; stdout=%q stderr=%q", code, out.String(), errOut.String())
+	}
+	if !strings.Contains(errOut.String(), "example.invalid/nosuch") {
+		t.Errorf("load error does not name the import path: %q", errOut.String())
+	}
+}
+
 // TestDeterministicOutput runs the binary twice over a module with
 // several findings and requires byte-identical stdout.
 func TestDeterministicOutput(t *testing.T) {
