@@ -52,6 +52,7 @@ var hotRootTable = map[string][]string{
 		"(*Writer).Write", "(*Writer).WriteTraced", "(*Writer).writeALO",
 		"(*Reader).Fetch", "(*Reader).FetchTimeout", "(*Reader).pull",
 		"(*Channel).redeliverDue", "(*Channel).reemit", "(*Channel).RedeliverLost",
+		"(*Subscriber).Fetch", "(*SubHub).Publish",
 	},
 	"internal/evpath": {
 		"(*bridge).run", "(*bridge).forward",

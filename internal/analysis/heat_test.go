@@ -111,3 +111,34 @@ func TestHeatPropagation(t *testing.T) {
 		t.Errorf("leaf witness chain = %q, want %q", got, want)
 	}
 }
+
+// TestFanOutReclaimIsHot pins the subscriber fan-out path into the heat
+// set over the real module: reclaim runs on every subscriber delivery, so
+// it must be hot via Fetch, or the perf rules cannot see a per-delivery
+// cost there.
+func TestFanOutReclaimIsHot(t *testing.T) {
+	root, err := ModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := LoadModule(root)
+	if err != nil {
+		t.Fatalf("loading module: %v", err)
+	}
+	prog := NewProgram(pkgs)
+	prog.ensureHeat()
+	for _, c := range []struct{ fn, chain string }{
+		{"(*SubHub).reclaim", "(*Subscriber).Fetch → (*SubHub).reclaim"},
+		{"(*Subscriber).advance", "(*Subscriber).Fetch → (*Subscriber).advance"},
+		{"(*SubHub).evict", "(*SubHub).Publish → (*SubHub).evict"},
+	} {
+		n := findNode(t, prog, c.fn)
+		if !n.Hot {
+			t.Errorf("%s is not hot", c.fn)
+			continue
+		}
+		if got := n.HotChain(); got != c.chain {
+			t.Errorf("%s witness chain = %q, want %q", c.fn, got, c.chain)
+		}
+	}
+}

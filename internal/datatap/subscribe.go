@@ -81,6 +81,10 @@ type SubHubStats struct {
 	// Resumes / Replays count served SubResume / SubReplay rounds.
 	Resumes int64
 	Replays int64
+	// WatermarkScans counts full rescans of the subscriber cursors to
+	// recompute the reclaim watermark. Each rescan raises the watermark
+	// by at least one sequence, so it never exceeds Published.
+	WatermarkScans int64
 	// PublishStall is the virtual time Publish ever parked a writer.
 	// Publish takes no process handle, so this is structurally zero; the
 	// chaos SLA oracle asserts it stays that way.
@@ -109,6 +113,12 @@ type SubHub struct {
 
 	subs  map[string]*Subscriber
 	order []*Subscriber // join order; all iteration goes through this
+
+	// low caches the lowest cursor over order (crashed subscribers
+	// included) and nLow how many subscribers sit on it. Cursors only
+	// rise, so low moves only when its last occupant advances.
+	low  int64
+	nLow int
 
 	stats  SubHubStats
 	closed bool
@@ -164,7 +174,10 @@ type Subscriber struct {
 	bufHead int
 	bufLen  int
 
+	// wake is the subscriber's reusable park event; parked is set while
+	// its process waits on it.
 	wake    *sim.Event
+	parked  bool
 	crashed bool
 	// gen counts reconnect generations: each Crash bumps it, and a
 	// SubNotice carries it so stale reconnect rounds are deduped.
@@ -189,9 +202,18 @@ func (h *SubHub) Subscribe(id string, node int) *Subscriber {
 		return s
 	}
 	s := &Subscriber{hub: h, id: id, node: node, joinSeq: h.pubSeq,
-		cursor: h.pubSeq + 1, buf: make([]*Meta, h.cfg.BufCap)}
+		cursor: h.pubSeq + 1, buf: make([]*Meta, h.cfg.BufCap),
+		wake: sim.NewEvent(h.ch.eng)}
 	h.subs[id] = s
 	h.order = append(h.order, s)
+	// Every existing cursor is at most pubSeq+1, so the joiner never
+	// lowers the watermark; it only joins the subscribers sitting on it.
+	switch {
+	case len(h.order) == 1:
+		h.low, h.nLow = s.cursor, 1
+	case s.cursor == h.low:
+		h.nLow++
+	}
 	return s
 }
 
@@ -263,13 +285,35 @@ func (s *Subscriber) stage() {
 // minCursor returns the lowest cursor over every subscriber, crashed ones
 // included — the watermark below which no sequence can be owed.
 func (h *SubHub) minCursor() int64 {
-	min := h.pubSeq + 1
-	for _, s := range h.order {
-		if s.cursor < min {
-			min = s.cursor
+	if len(h.order) == 0 {
+		return h.pubSeq + 1
+	}
+	return h.low
+}
+
+// advance moves the subscriber's cursor past one sequence and keeps the
+// hub's watermark cache current. Only the last subscriber leaving the
+// watermark triggers a rescan, and every rescan raises the watermark, so
+// rescans total at most one per published sequence.
+func (s *Subscriber) advance() {
+	h := s.hub
+	s.cursor++
+	if s.cursor-1 != h.low {
+		return
+	}
+	if h.nLow--; h.nLow > 0 {
+		return
+	}
+	h.stats.WatermarkScans++
+	h.low, h.nLow = h.pubSeq+1, 0
+	for _, o := range h.order {
+		switch {
+		case o.cursor < h.low:
+			h.low, h.nLow = o.cursor, 1
+		case o.cursor == h.low:
+			h.nLow++
 		}
 	}
-	return min
 }
 
 // evict trims the tail to its bound. An evicted sequence some subscriber
@@ -315,9 +359,8 @@ func (h *SubHub) spillToStore(seq int64, m *Meta) {
 		Container(h.ch.name).Step(m.Step).AttrInt("seq", seq).End()
 }
 
-// reclaim retires spill entries no subscriber can need any more.
-//
-//iocheck:cold
+// reclaim retires spill entries no subscriber can need any more. It runs
+// on every delivery, so the watermark lookup must stay O(1).
 func (h *SubHub) reclaim() {
 	min := h.minCursor()
 	for seq := h.spillLow; seq < min; seq++ {
@@ -333,18 +376,17 @@ func (h *SubHub) reclaim() {
 
 // park blocks the subscriber's process until the hub wakes it.
 func (s *Subscriber) park(p *sim.Proc) {
-	if s.wake == nil {
-		s.wake = sim.NewEvent(s.hub.ch.eng)
-	}
+	s.parked = true
+	s.wake.Rearm()
 	s.wake.Wait(p)
 }
 
-// wakeUp releases a parked subscriber (one-shot event, recreated on the
-// next park).
+// wakeUp releases a parked subscriber (the event is rearmed on the next
+// park).
 func (s *Subscriber) wakeUp() {
-	if s.wake != nil {
+	if s.parked {
+		s.parked = false
 		s.wake.Fire()
-		s.wake = nil
 	}
 }
 
@@ -377,7 +419,7 @@ func (s *Subscriber) Fetch(p *sim.Proc) (*Meta, bool) {
 			s.buf[s.bufHead] = nil
 			s.bufHead = (s.bufHead + 1) % len(s.buf)
 			s.bufLen--
-			s.cursor++
+			s.advance()
 			h.reclaim()
 			if !ok {
 				// The source node died with the payload unread: a knowing
@@ -410,12 +452,12 @@ func (s *Subscriber) Fetch(p *sim.Proc) (*Meta, bool) {
 						// Seeded bug (tests only): skip the sequence without
 						// delivering or counting — the conservation oracle
 						// must catch this.
-						s.cursor++
+						s.advance()
 						sp.Attr("fail", "cursor-skip").End()
 						continue
 					}
 				}
-				s.cursor++
+				s.advance()
 				s.delivered++
 				s.spillReads++
 				h.stats.Delivered++
@@ -425,7 +467,7 @@ func (s *Subscriber) Fetch(p *sim.Proc) (*Meta, bool) {
 				return m, true
 			}
 			// Evicted without spill: already counted dropped at evict time.
-			s.cursor++
+			s.advance()
 			continue
 		}
 		s.stage()

@@ -160,7 +160,8 @@ func (p *Proc) newWait(n int) waiterRef {
 }
 
 // Event is a one-shot broadcast: processes wait until someone fires it.
-// Waiting on an already-fired event returns immediately.
+// Waiting on an already-fired event returns immediately. Rearm makes a
+// fired event reusable.
 type Event struct {
 	eng     *Engine
 	fired   bool
@@ -187,6 +188,14 @@ func (ev *Event) Fire() {
 		}
 	}
 	ev.waiters = nil
+}
+
+// Rearm returns a fired event to the unfired state so it can be waited on
+// and fired again. It is a no-op while the event still has waiters.
+func (ev *Event) Rearm() {
+	if len(ev.waiters) == 0 {
+		ev.fired = false
+	}
 }
 
 // Wait blocks p until the event fires.
