@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 // dashboardsFleet loads scenarios/dashboards.json with its subscriber
@@ -25,8 +26,8 @@ func dashboardsFleet(b *testing.B, n int) core.Config {
 // runFanoutSLA builds and runs one fan-out scenario and fails the
 // benchmark outright if a writer parked for even one tick of virtual
 // time, if Publish ever blocked, or if any subscriber's conservation
-// ledger has a hole.
-func runFanoutSLA(b *testing.B, cfg core.Config) *core.Result {
+// ledger has a hole. It returns the result and the engine's counters.
+func runFanoutSLA(b *testing.B, cfg core.Config) (*core.Result, sim.Stats) {
 	b.Helper()
 	rt, err := core.Build(cfg)
 	if err != nil {
@@ -49,7 +50,7 @@ func runFanoutSLA(b *testing.B, cfg core.Config) *core.Result {
 	if unaccounted != 0 {
 		b.Fatalf("%d sequences unaccounted across the fleet", unaccounted)
 	}
-	return res
+	return res, rt.Engine().Stats()
 }
 
 // BenchmarkStreamingFanout pins the fan-out subsystem's SLA: a
@@ -63,7 +64,7 @@ func BenchmarkStreamingFanout(b *testing.B) {
 	cfg := dashboardsFleet(b, 1000)
 	var last *core.Result
 	for i := 0; i < b.N; i++ {
-		last = runFanoutSLA(b, cfg)
+		last, _ = runFanoutSLA(b, cfg)
 	}
 	b.ReportMetric(float64(last.SubHub.Delivered), "delivered")
 	b.ReportMetric(float64(last.SubHub.SpillReads), "spill-reads")
@@ -74,20 +75,25 @@ func BenchmarkStreamingFanout(b *testing.B) {
 // linearly with the fleet, so a flat ns/delivery across the sub-benches
 // means the fan-out tier stays cheap per reader as readers are added;
 // watermark-scans/op (full rescans of the subscriber cursors) stays at or
-// below the published sequence count at every size.
+// below the published sequence count at every size. spawns/op stays flat:
+// subscribers are event chains, not processes; events/op is the kernel
+// work, which grows with the deliveries.
 func BenchmarkStreamingFanoutScaling(b *testing.B) {
 	for _, n := range []int{500, 1000, 2000} {
 		b.Run(fmt.Sprintf("subs=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			cfg := dashboardsFleet(b, n)
 			var last *core.Result
+			var kern sim.Stats
 			var delivered int64
 			for i := 0; i < b.N; i++ {
-				last = runFanoutSLA(b, cfg)
+				last, kern = runFanoutSLA(b, cfg)
 				delivered += last.SubHub.Delivered
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(delivered), "ns/delivery")
 			b.ReportMetric(float64(last.SubHub.WatermarkScans), "watermark-scans/op")
+			b.ReportMetric(float64(kern.Spawns), "spawns/op")
+			b.ReportMetric(float64(kern.Events), "events/op")
 		})
 	}
 }

@@ -46,13 +46,14 @@ var hotRootTable = map[string][]string{
 		"(*Queue).Get", "(*Queue).GetTimeout", "(*Queue).TryGet",
 		"(*Queue).Put", "(*Queue).TryPut",
 		"(*Event).Wait", "(*Event).WaitTimeout", "(*Event).Fire",
-		"(*Resource).Acquire", "(*Resource).TryAcquire", "(*Resource).Release",
+		"(*Resource).Acquire", "(*Resource).AcquireThen", "(*Resource).TryAcquire",
+		"(*Resource).Release",
 	},
 	"internal/datatap": {
 		"(*Writer).Write", "(*Writer).WriteTraced", "(*Writer).writeALO",
 		"(*Reader).Fetch", "(*Reader).FetchTimeout", "(*Reader).pull",
 		"(*Channel).redeliverDue", "(*Channel).reemit", "(*Channel).RedeliverLost",
-		"(*Subscriber).Fetch", "(*SubHub).Publish",
+		"(*Subscriber).step", "(*SubHub).Publish",
 	},
 	"internal/evpath": {
 		"(*bridge).run", "(*bridge).forward",
@@ -62,7 +63,7 @@ var hotRootTable = map[string][]string{
 		"(*Writer).Append", "encodePG",
 	},
 	"internal/cluster": {
-		"(*Machine).Send", "(*Machine).RDMAGet",
+		"(*Machine).Send", "(*Machine).RDMAGet", "(*Transfer).step",
 	},
 }
 

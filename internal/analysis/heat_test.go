@@ -114,8 +114,8 @@ func TestHeatPropagation(t *testing.T) {
 
 // TestFanOutReclaimIsHot pins the subscriber fan-out path into the heat
 // set over the real module: reclaim runs on every subscriber delivery, so
-// it must be hot via Fetch, or the perf rules cannot see a per-delivery
-// cost there.
+// it must be hot via the subscriber's event step, or the perf rules
+// cannot see a per-delivery cost there.
 func TestFanOutReclaimIsHot(t *testing.T) {
 	root, err := ModuleRoot(".")
 	if err != nil {
@@ -128,8 +128,11 @@ func TestFanOutReclaimIsHot(t *testing.T) {
 	prog := NewProgram(pkgs)
 	prog.ensureHeat()
 	for _, c := range []struct{ fn, chain string }{
-		{"(*SubHub).reclaim", "(*Subscriber).Fetch → (*SubHub).reclaim"},
-		{"(*Subscriber).advance", "(*Subscriber).Fetch → (*Subscriber).advance"},
+		{"(*SubHub).reclaim", "(*Subscriber).step → (*SubHub).reclaim"},
+		{"(*Subscriber).advance", "(*Subscriber).step → (*Subscriber).advance"},
+		{"(*Subscriber).finish", "(*Subscriber).step → (*Subscriber).finish"},
+		{"(*Transfer).finish", "(*Transfer).step → (*Transfer).finish"},
+		{"(*Machine).arrives", "(*Machine).Send → (*Machine).arrives"},
 		{"(*SubHub).evict", "(*SubHub).Publish → (*SubHub).evict"},
 	} {
 		n := findNode(t, prog, c.fn)

@@ -57,11 +57,11 @@ func (m *Machine) transferTime(size int64) sim.Time {
 // full transfer duration. Intra-node sends cost only a memcpy-scale time.
 // It reports whether the message was delivered: a dead sender sends
 // nothing, and a message bound for a dead or partitioned node is lost at
-// the wire after the sender has paid for injection.
+// the wire after the sender has paid for injection. [Transfer] walks the
+// same phases as a chain of engine events, for callers without a process.
 func (m *Machine) Send(p *sim.Proc, from, to int, size int64) bool {
 	start := m.eng.Now()
-	if !m.faults.NodeUp(from) {
-		m.faults.NoteSendFailed()
+	if !m.senderUp(from) {
 		return false
 	}
 	if from == to {
@@ -75,9 +75,7 @@ func (m *Machine) Send(p *sim.Proc, from, to int, size int64) bool {
 	p.Sleep(m.transferTime(size))
 	src.tx.Release(1)
 	p.Sleep(m.latencyBetween(from, to))
-	if !m.faults.NodeUp(to) || m.faults.Partitioned(from, to) {
-		m.account(size, m.eng.Now()-start)
-		m.faults.NoteSendFailed()
+	if !m.arrives(from, to, size, start) {
 		return false
 	}
 	dst.rx.Acquire(p, 1)
@@ -94,8 +92,7 @@ func (m *Machine) Send(p *sim.Proc, from, to int, size int64) bool {
 // serve the buffer, and the reader learns after the request latency.
 func (m *Machine) RDMAGet(p *sim.Proc, reader, target int, size int64) bool {
 	start := m.eng.Now()
-	if !m.faults.NodeUp(reader) {
-		m.faults.NoteSendFailed()
+	if !m.senderUp(reader) {
 		return false
 	}
 	if reader == target {
@@ -105,9 +102,7 @@ func (m *Machine) RDMAGet(p *sim.Proc, reader, target int, size int64) bool {
 	}
 	// Request message (64-byte descriptor).
 	p.Sleep(m.latencyBetween(reader, target) + m.transferTime(64))
-	if !m.faults.NodeUp(target) || m.faults.Partitioned(reader, target) {
-		m.account(64, m.eng.Now()-start)
-		m.faults.NoteSendFailed()
+	if !m.arrives(reader, target, 64, start) {
 		return false
 	}
 	// Response: serialized on target's tx port and reader's rx port.
@@ -121,6 +116,29 @@ func (m *Machine) RDMAGet(p *sim.Proc, reader, target int, size int64) bool {
 	dst.rx.Release(1)
 	m.account(size+64, m.eng.Now()-start)
 	return true
+}
+
+// senderUp reports whether node from can send at all; a dead sender's
+// attempt is counted as a failed send.
+func (m *Machine) senderUp(from int) bool {
+	if m.faults.NodeUp(from) {
+		return true
+	}
+	m.faults.NoteSendFailed()
+	return false
+}
+
+// arrives reports whether a message of size bytes that left `from` at
+// start, and has now crossed the wire, reaches `to`. A message for a dead
+// or partitioned node is lost here: it is accounted (the wire time was
+// spent) and counted as a failed send.
+func (m *Machine) arrives(from, to int, size int64, start sim.Time) bool {
+	if m.faults.NodeUp(to) && !m.faults.Partitioned(from, to) {
+		return true
+	}
+	m.account(size, m.eng.Now()-start)
+	m.faults.NoteSendFailed()
+	return false
 }
 
 // EstimateSend returns the uncontended time a Send of size bytes between

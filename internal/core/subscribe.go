@@ -234,10 +234,11 @@ type SubscribersConfig struct {
 	InjectCursorSkip int
 }
 
-// buildSubscribers attaches the hub and spawns the fleet: one paced
-// reader process per subscriber, the crash/reconnect supervisor for the
-// fault schedule's SubCrashes, and the host-container wiring that lets
-// the manager serve SubResume/SubReplay rounds.
+// buildSubscribers attaches the hub and starts the fleet: one paced
+// dashboard per subscriber (an event chain, not a process), the
+// crash/reconnect supervisor for the fault schedule's SubCrashes, and the
+// host-container wiring that lets the manager serve SubResume/SubReplay
+// rounds.
 func (rt *Runtime) buildSubscribers(cfg Config) error {
 	sc := cfg.Subscribers
 	if sc == nil || sc.Count <= 0 {
@@ -275,8 +276,10 @@ func (rt *Runtime) buildSubscribers(cfg Config) error {
 		id := fmt.Sprintf("dash-%04d", i)
 		s := hub.Subscribe(id, node)
 		subs[i] = s
-		interval := sim.Time(float64(base) * math.Pow(float64(i+1), zipfS))
-		rt.eng.Go("sub-"+id, func(p *sim.Proc) { rt.subscriberLoop(p, s, interval) })
+		d := &dashboard{eng: rt.eng, sub: s,
+			interval: sim.Time(float64(base) * math.Pow(float64(i+1), zipfS))}
+		d.fetchFn, d.readFn = d.fetch, d.read
+		rt.eng.At(rt.eng.Now(), d.fetchFn)
 	}
 	if rt.cfg.Faults != nil {
 		for _, f := range rt.cfg.Faults.SubCrashes {
@@ -297,16 +300,23 @@ func (rt *Runtime) buildSubscribers(cfg Config) error {
 	return nil
 }
 
-// subscriberLoop is one dashboard: fetch the next descriptor (parking on
+// dashboard is one paced reader: fetch the next descriptor (parked on
 // the hub — never a writer — when nothing is pending), then dwell for the
-// subscriber's read period. Exits when the hub closes and the backlog is
-// drained.
-func (rt *Runtime) subscriberLoop(p *sim.Proc, s *datatap.Subscriber, interval sim.Time) {
-	for {
-		if _, ok := s.Fetch(p); !ok {
-			return
-		}
-		p.Sleep(interval)
+// read period, until the hub closes and the backlog is drained. It runs
+// as engine events; fetchFn and readFn are its methods, bound once.
+type dashboard struct {
+	eng      *sim.Engine
+	sub      *datatap.Subscriber
+	interval sim.Time
+	fetchFn  func()
+	readFn   func(*datatap.Meta, bool)
+}
+
+func (d *dashboard) fetch() { d.sub.FetchThen(d.readFn) }
+
+func (d *dashboard) read(_ *datatap.Meta, ok bool) {
+	if ok {
+		d.eng.After(d.interval, d.fetchFn)
 	}
 }
 

@@ -24,6 +24,10 @@
 //     subscriber from spill or tail; the rounds ride the manager's
 //     retry/backoff/dedupe machinery so redelivery is idempotent.
 //
+// Subscribers are not processes. A fetch (FetchThen) is a chain of engine
+// events: a transfer from the source node, a spill read, or a park that
+// the hub ends by scheduling the subscriber's next step.
+//
 // Accounting is exact and per subscriber: every published sequence past a
 // subscriber's join point is delivered, knowingly dropped, staged in its
 // buffer, pending in the shared tail, or resident in the spill store.
@@ -31,7 +35,9 @@
 package datatap
 
 import (
+	"repro/internal/cluster"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // SubConfig tunes a channel's subscriber hub.
@@ -174,11 +180,20 @@ type Subscriber struct {
 	bufHead int
 	bufLen  int
 
-	// wake is the subscriber's reusable park event; parked is set while
-	// its process waits on it.
-	wake    *sim.Event
-	parked  bool
-	crashed bool
+	// The delivery chain (see FetchThen). done is the pending fetch's
+	// callback; parked is set while it waits for the hub to wake it;
+	// phase says what the next step completes, and inflight and span are
+	// that phase's descriptor and catch-up span. The fields are reused on
+	// every delivery, so a delivery allocates nothing.
+	done     func(*Meta, bool)
+	stepFn   func() // s.step, bound once
+	parked   bool
+	phase    subPhase
+	inflight *Meta
+	span     *trace.Span
+	xfer     *cluster.Transfer // nil without a machine
+	xferOK   bool
+	crashed  bool
 	// gen counts reconnect generations: each Crash bumps it, and a
 	// SubNotice carries it so stale reconnect rounds are deduped.
 	gen int64
@@ -202,8 +217,11 @@ func (h *SubHub) Subscribe(id string, node int) *Subscriber {
 		return s
 	}
 	s := &Subscriber{hub: h, id: id, node: node, joinSeq: h.pubSeq,
-		cursor: h.pubSeq + 1, buf: make([]*Meta, h.cfg.BufCap),
-		wake: sim.NewEvent(h.ch.eng)}
+		cursor: h.pubSeq + 1, buf: make([]*Meta, h.cfg.BufCap)}
+	s.stepFn = s.step
+	if h.ch.mach != nil {
+		s.xfer = h.ch.mach.NewTransfer(s.sent)
+	}
 	h.subs[id] = s
 	h.order = append(h.order, s)
 	// Every existing cursor is at most pubSeq+1, so the joiner never
@@ -374,41 +392,59 @@ func (h *SubHub) reclaim() {
 	}
 }
 
-// park blocks the subscriber's process until the hub wakes it.
-func (s *Subscriber) park(p *sim.Proc) {
-	s.parked = true
-	s.wake.Rearm()
-	s.wake.Wait(p)
-}
+// subPhase names what a subscriber's next step completes.
+type subPhase uint8
 
-// wakeUp releases a parked subscriber (the event is rearmed on the next
-// park).
+const (
+	subIdle    subPhase = iota
+	subSending          // the transfer of the buffer's head
+	subReading          // the spill catch-up read of the cursor
+)
+
+// wakeUp schedules a parked subscriber's next step.
 func (s *Subscriber) wakeUp() {
 	if s.parked {
 		s.parked = false
-		s.wake.Fire()
+		eng := s.hub.ch.eng
+		eng.At(eng.Now(), s.stepFn)
 	}
 }
 
-// Fetch delivers the next descriptor past the subscriber's cursor,
-// blocking the *subscriber's* process — never a writer — until one is
-// available. Buffered descriptors are charged as a transfer from the
-// source node; catch-up from the spill store is charged at disk
-// bandwidth. ok is false once the hub is closed and the subscriber has
-// drained. A crashed subscriber parks until Resume.
-func (s *Subscriber) Fetch(p *sim.Proc) (*Meta, bool) {
+// FetchThen asks for the next descriptor past the subscriber's cursor and
+// calls done once with it, or with ok=false once the hub is closed and
+// the subscriber has drained. done may run before FetchThen returns,
+// when a descriptor is ready without any transfer cost, and may call
+// FetchThen again. Until then the fetch runs as a chain of engine
+// events, never a process, and never on a writer's clock: buffered
+// descriptors are charged as a transfer from the source node, catch-up
+// from the spill store at disk bandwidth, and with nothing to deliver —
+// or while crashed, until Resume — the subscriber parks until the hub
+// wakes it. One fetch at a time: asking again before done has run panics.
+func (s *Subscriber) FetchThen(done func(m *Meta, ok bool)) {
+	if s.done != nil {
+		panic("datatap: FetchThen on subscriber " + s.id + " with a fetch pending")
+	}
+	s.done = done
+	s.step()
+}
+
+// sent is the transfer's completion callback.
+func (s *Subscriber) sent(ok bool) {
+	s.xferOK = ok
+	s.step()
+}
+
+// step advances the pending fetch: it completes the phase in flight, if
+// any, then runs the delivery ladder until it delivers, drains, parks, or
+// starts a transfer or spill read that takes virtual time.
+func (s *Subscriber) step() {
 	h := s.hub
 	for {
-		if s.crashed {
-			s.park(p)
-			continue
-		}
-		if s.bufLen > 0 {
-			m := s.buf[s.bufHead]
-			ok := true
-			if h.ch.mach != nil && m.SrcNode != s.node {
-				ok = h.ch.mach.Send(p, m.SrcNode, s.node, m.Size)
-			}
+		switch s.phase {
+		case subSending:
+			s.phase = subIdle
+			m := s.inflight
+			s.inflight = nil
 			if s.crashed {
 				// Crashed mid-transfer: the buffer was cleared under us and
 				// the sequence stays owed (tail or spill keeps it). Park.
@@ -421,7 +457,7 @@ func (s *Subscriber) Fetch(p *sim.Proc) (*Meta, bool) {
 			s.bufLen--
 			s.advance()
 			h.reclaim()
-			if !ok {
+			if !s.xferOK {
 				// The source node died with the payload unread: a knowing
 				// drop, not silent loss.
 				s.dropped++
@@ -431,40 +467,64 @@ func (s *Subscriber) Fetch(p *sim.Proc) (*Meta, bool) {
 			s.delivered++
 			h.stats.Delivered++
 			s.stage()
-			return m, true
+			s.finish(m, true)
+			return
+		case subReading:
+			s.phase = subIdle
+			m, sp := s.inflight, s.span
+			s.inflight, s.span = nil, nil
+			if s.crashed {
+				// Crashed mid-read; the entry stays resident (the
+				// reclaim watermark cannot pass our cursor).
+				sp.Attr("fail", "crashed").End()
+				continue
+			}
+			if n := int64(h.cfg.InjectCursorSkip); n > 0 {
+				s.skipTick++
+				if s.skipTick%n == 0 {
+					// Seeded bug (tests only): skip the sequence without
+					// delivering or counting — the conservation oracle
+					// must catch this.
+					s.advance()
+					sp.Attr("fail", "cursor-skip").End()
+					continue
+				}
+			}
+			s.advance()
+			s.delivered++
+			s.spillReads++
+			h.stats.Delivered++
+			h.stats.SpillReads++
+			h.reclaim()
+			sp.End()
+			s.finish(m, true)
+			return
+		}
+		if s.crashed {
+			s.parked = true
+			return
+		}
+		if s.bufLen > 0 {
+			m := s.buf[s.bufHead]
+			s.phase, s.inflight, s.xferOK = subSending, m, true
+			if h.ch.mach != nil && m.SrcNode != s.node {
+				if s.xfer.Start(m.SrcNode, s.node, m.Size) {
+					return // sent resumes the chain
+				}
+				s.xferOK = false // the source is down: nothing was sent
+			}
+			continue
 		}
 		if s.cursor < h.baseSeq {
 			// Behind the tail: catch up through the spill store.
 			if m, ok := h.spillRes[s.cursor]; ok {
-				sp := h.ch.tracer.Begin(m.Span, "datatap", "sub.catchup").
+				s.phase, s.inflight = subReading, m
+				s.span = h.ch.tracer.Begin(m.Span, "datatap", "sub.catchup").
 					Container(h.ch.name).Node(s.node).Step(m.Step).
 					AttrInt("lag", s.Lag())
-				p.Sleep(spillTime(m.Size))
-				if s.crashed {
-					// Crashed mid-read; the entry stays resident (the
-					// reclaim watermark cannot pass our cursor).
-					sp.Attr("fail", "crashed").End()
-					continue
-				}
-				if n := int64(h.cfg.InjectCursorSkip); n > 0 {
-					s.skipTick++
-					if s.skipTick%n == 0 {
-						// Seeded bug (tests only): skip the sequence without
-						// delivering or counting — the conservation oracle
-						// must catch this.
-						s.advance()
-						sp.Attr("fail", "cursor-skip").End()
-						continue
-					}
-				}
-				s.advance()
-				s.delivered++
-				s.spillReads++
-				h.stats.Delivered++
-				h.stats.SpillReads++
-				h.reclaim()
-				sp.End()
-				return m, true
+				eng := h.ch.eng
+				eng.At(eng.Now()+spillTime(m.Size), s.stepFn)
+				return
 			}
 			// Evicted without spill: already counted dropped at evict time.
 			s.advance()
@@ -475,15 +535,25 @@ func (s *Subscriber) Fetch(p *sim.Proc) (*Meta, bool) {
 			continue
 		}
 		if h.closed {
-			return nil, false
+			s.finish(nil, false)
+			return
 		}
-		s.park(p)
+		s.parked = true
+		return
 	}
+}
+
+// finish ends the pending fetch. The subscriber is idle before done runs,
+// so done may fetch again at once.
+func (s *Subscriber) finish(m *Meta, ok bool) {
+	done := s.done
+	s.done = nil
+	done(m, ok)
 }
 
 // Crash marks the subscriber crashed: its staged buffer is discarded (the
 // tail and spill tiers keep every sequence recoverable), its durable
-// cursor survives, and its process parks on the next Fetch. Idempotent —
+// cursor survives, and its fetch parks at its next step until Resume. Idempotent —
 // a double crash within one step reports false and changes nothing.
 func (h *SubHub) Crash(id string) bool {
 	s := h.subs[id]
@@ -558,8 +628,8 @@ func (h *SubHub) Replay(id string, from int64) (staged int64, ok bool) {
 	return int64(s.bufLen), true
 }
 
-// Close wakes every parked subscriber; Fetch drains what remains and then
-// reports ok=false. Called from Channel.Close (nil-safe).
+// Close wakes every parked subscriber; each pending fetch drains what
+// remains and then reports ok=false. Called from Channel.Close (nil-safe).
 func (h *SubHub) Close() {
 	if h == nil || h.closed {
 		return

@@ -1,6 +1,7 @@
 package datatap
 
 import (
+	"math"
 	"strconv"
 	"testing"
 
@@ -29,11 +30,13 @@ const fuzzMaxSubs = 8
 
 // FuzzSubHubCursors drives a SubHub on a bare engine (no cluster, so no
 // transfer costs) through decoded Subscribe / Publish / Fetch / Crash /
-// Resume / Replay / Close sequences, with spill on and off. Each
-// subscriber's process fetches one descriptor per Fetch grant. After
-// every operation and every engine event it checks that the cached
-// reclaim watermark matches a brute-force minimum over all cursors and
-// that every subscriber's conservation ledger balances.
+// Resume / Replay / Close sequences, with spill on and off. Each Fetch op
+// grants its subscriber one more fetch; grants are consumed one at a
+// time, the next from the previous fetch's done callback. After every
+// operation and every engine event it checks that the cached reclaim
+// watermark matches a brute-force minimum over all cursors and that
+// every subscriber's conservation ledger balances. The teardown then
+// drains every subscriber and checks that each ends at the live edge.
 //
 // Config byte: bits 0-1 BufCap-1, bits 2-4 TailCap-1, bit 7 DisableSpill.
 // The seed corpus lives in testdata/fuzz/FuzzSubHubCursors.
@@ -54,15 +57,15 @@ func runSubHubOps(t *testing.T, data []byte) {
 	eng := sim.NewEngine(1)
 	ch := NewChannel(eng, nil, "fuzz", Config{})
 	h := ch.AttachHub(cfg)
-	var grants []*sim.Queue[struct{}]
+	var fetchers []*fuzzFetcher
 	var step int64
 	for i := 1; i+1 < len(data); i += 2 {
 		op, arg := data[i]%8, data[i+1]
 		var sub *Subscriber
-		var grant *sim.Queue[struct{}]
+		var f *fuzzFetcher
 		if len(h.order) > 0 {
 			k := int(arg&7) % len(h.order)
-			sub, grant = h.order[k], grants[k]
+			sub, f = h.order[k], fetchers[k]
 		}
 		what := "op " + strconv.Itoa(i/2)
 		switch op {
@@ -71,24 +74,14 @@ func runSubHubOps(t *testing.T, data []byte) {
 				break
 			}
 			s := h.Subscribe("s"+strconv.Itoa(len(h.order)), 0)
-			g := sim.NewQueue[struct{}](eng, 0)
-			grants = append(grants, g)
-			eng.Go(s.ID(), func(p *sim.Proc) {
-				for {
-					if _, ok := g.Get(p); !ok {
-						return
-					}
-					if _, ok := s.Fetch(p); !ok {
-						return
-					}
-				}
-			})
+			fetchers = append(fetchers, &fuzzFetcher{s: s})
 		case fuzzPublish:
 			step++
 			h.Publish(&Meta{Step: step, Size: 1 << 10})
 		case fuzzFetch:
-			if grant != nil {
-				grant.TryPut(struct{}{})
+			if f != nil {
+				f.pending++
+				f.next()
 			}
 		case fuzzCrash:
 			if sub != nil {
@@ -114,20 +107,58 @@ func runSubHubOps(t *testing.T, data []byte) {
 			checkSubHubInvariants(t, h, what+" step")
 		}
 	}
-	// Tear down so no process coroutine outlives the input: closing
-	// the hub and reviving crashed subscribers lets every Fetch
-	// drain, and closing the grant queues ends the fetch loops.
+	// Tear down: close the hub, revive crashed subscribers and grant
+	// every subscriber fetches until it drains. Each must end at the live
+	// edge with nothing staged, parked or in flight.
 	ch.Close()
 	for i, s := range h.order {
 		h.Resume(s.ID())
-		grants[i].Close()
+		fetchers[i].pending = math.MaxInt
+		fetchers[i].next()
 	}
 	for eng.Step() {
 		checkSubHubInvariants(t, h, "teardown")
 	}
+	for i, s := range h.order {
+		if !fetchers[i].drained {
+			t.Fatalf("subscriber %s never drained", s.ID())
+		}
+		if s.cursor != h.pubSeq+1 || s.bufLen != 0 || s.parked || s.phase != subIdle || s.done != nil {
+			t.Fatalf("subscriber %s left undrained: cursor %d of %d published, %d staged, parked %v, phase %d",
+				s.ID(), s.cursor, h.pubSeq, s.bufLen, s.parked, s.phase)
+		}
+	}
 	if b := eng.Blocked(); len(b) != 0 {
 		t.Fatalf("processes still parked after close: %v", b)
 	}
+}
+
+// fuzzFetcher holds one subscriber's pending fetch grants and spends them
+// one at a time.
+type fuzzFetcher struct {
+	s       *Subscriber
+	pending int
+	busy    bool // a fetch is outstanding
+	drained bool // a fetch reported the hub closed and drained
+}
+
+// next spends one pending grant on a fetch, unless one is outstanding.
+func (f *fuzzFetcher) next() {
+	if f.busy || f.drained || f.pending == 0 {
+		return
+	}
+	f.pending--
+	f.busy = true
+	f.s.FetchThen(f.fetched)
+}
+
+func (f *fuzzFetcher) fetched(_ *Meta, ok bool) {
+	f.busy = false
+	if !ok {
+		f.drained = true
+		return
+	}
+	f.next()
 }
 
 // checkSubHubInvariants asserts the cached watermark against a brute-force

@@ -20,23 +20,11 @@ func TestSubscribeFanOutConservation(t *testing.T) {
 		}
 		ch.Close()
 	})
-	drain := func(name string, s *Subscriber, want int64) {
-		eng.Go(name, func(p *sim.Proc) {
-			var got int64
-			for {
-				if _, ok := s.Fetch(p); !ok {
-					break
-				}
-				got++
-			}
-			if got != want {
-				t.Errorf("%s delivered %d, want %d", name, got, want)
-			}
-		})
-	}
-	drain("a", a, 10)
-	drain("b", b, 10)
+	gotA, gotB := fetchAll(a), fetchAll(b)
 	eng.Run()
+	if !gotA.drained || !gotB.drained || gotA.n != 10 || gotB.n != 10 {
+		t.Errorf("delivered a=%+v b=%+v, want 10 each and drained", *gotA, *gotB)
+	}
 	for _, snap := range h.Snapshots() {
 		if u := snap.Unaccounted(); u != 0 {
 			t.Errorf("subscriber %s unaccounted %d: %+v", snap.ID, u, snap)
@@ -48,7 +36,7 @@ func TestSubscribeFanOutConservation(t *testing.T) {
 }
 
 // Edge case: a subscriber joining after the channel has closed is legal
-// and owed nothing — its first Fetch reports drained immediately instead
+// and owed nothing — its first fetch reports drained immediately instead
 // of parking forever.
 func TestLateJoinerOnClosedChannel(t *testing.T) {
 	eng, _, ch := newTestChannel(0, 0)
@@ -58,8 +46,15 @@ func TestLateJoinerOnClosedChannel(t *testing.T) {
 		w.Write(p, 0, 1<<16, nil)
 		ch.Close()
 		late := h.Subscribe("late", 2)
-		if m, ok := late.Fetch(p); ok || m != nil {
-			t.Errorf("late joiner fetched %v after close, want drained", m)
+		called := false
+		late.FetchThen(func(m *Meta, ok bool) {
+			called = true
+			if ok || m != nil {
+				t.Errorf("late joiner fetched %v after close, want drained", m)
+			}
+		})
+		if !called {
+			t.Error("late joiner's fetch did not report drained at once")
 		}
 		snap := late.Snapshot()
 		if snap.Published != 0 || snap.Unaccounted() != 0 {
@@ -96,19 +91,11 @@ func TestReconnectCursorBehindTailFloorResumesFromSpill(t *testing.T) {
 		}
 		ch.Close()
 	})
-	eng.Go("dash", func(p *sim.Proc) {
-		var got int64
-		for {
-			if _, ok := sub.Fetch(p); !ok {
-				break
-			}
-			got++
-		}
-		if got != 12 {
-			t.Errorf("delivered %d, want 12", got)
-		}
-	})
+	got := fetchAll(sub)
 	eng.Run()
+	if !got.drained || got.n != 12 {
+		t.Errorf("delivered %+v, want 12 and drained", *got)
+	}
 	snap := sub.Snapshot()
 	// Tail cap 4 over 12 writes evicts sequences 1-8 to the spill store;
 	// catch-up must have read exactly those from disk.
@@ -118,6 +105,29 @@ func TestReconnectCursorBehindTailFloorResumesFromSpill(t *testing.T) {
 	if snap.Resumes != 1 || snap.Unaccounted() != 0 {
 		t.Errorf("resume ledger: %+v", snap)
 	}
+}
+
+// fetchCount tallies one fetchAll chain.
+type fetchCount struct {
+	n       int64
+	drained bool
+}
+
+// fetchAll keeps one fetch pending on s, the next started from each
+// delivery's callback, until the subscriber drains.
+func fetchAll(s *Subscriber) *fetchCount {
+	c := &fetchCount{}
+	var next func(*Meta, bool)
+	next = func(_ *Meta, ok bool) {
+		if !ok {
+			c.drained = true
+			return
+		}
+		c.n++
+		s.FetchThen(next)
+	}
+	s.FetchThen(next)
+	return c
 }
 
 // Edge case: a double crash of the same subscriber within one step is a

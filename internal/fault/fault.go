@@ -57,7 +57,7 @@ type Config struct {
 	// Stalls lists windows during which a node is frozen: resident
 	// processes make no progress but are not dead.
 	Stalls []Stall
-	// SubCrashes lists streaming-subscriber crashes (a dashboard process
+	// SubCrashes lists streaming-subscriber crashes (a dashboard client
 	// dying, not a machine node): the subscriber's staged buffer is lost,
 	// its durable cursor survives, and — when ReconnectAt is set — it
 	// reconnects and catches up through the manager's SubResume rounds.

@@ -6,14 +6,22 @@
 // time, so scenarios spanning thousands of virtual seconds execute in
 // milliseconds and are exactly reproducible from a seed.
 //
-// Two styles of simulated activity are supported:
+// Three styles of simulated activity are supported:
 //
-//   - plain callbacks scheduled with [Engine.At] / [Engine.After], and
+//   - plain callbacks scheduled with [Engine.At] / [Engine.After];
 //   - processes ([Proc]) — coroutines (iter.Pull) resumed by the event
 //     loop, in the style of SimPy. A process blocks with [Proc.Sleep],
 //     [Queue.Get], [Event.Wait] and friends, which yield back to the
 //     loop; exactly one process (or the engine loop) runs at any instant,
-//     so process code needs no locking.
+//     so process code needs no locking;
+//   - continuation waiters: [Resource.AcquireThen] queues a callback in
+//     the same FIFO as parked processes, and the grant schedules it at
+//     exactly the point where it would wake a process. Activities that
+//     only wait for units and time — network transfers, subscriber
+//     deliveries — run as chains of such callbacks and need no process.
+//
+// [Engine.Stats] counts executed events, process spawns, process wakes
+// and timeouts, always on and without a tracer.
 package sim
 
 import "sort"
@@ -31,6 +39,22 @@ type Engine struct {
 	running *Proc // the process executing right now; nil in the event loop
 	tracer  Tracer
 	free    *event // recycled events, chained through event.next
+	stats   Stats
+}
+
+// Stats counts the kernel's work since the engine was created.
+type Stats struct {
+	// Events counts executed events.
+	Events int64
+	// Spawns counts processes started with [Engine.Go] / [Engine.GoAt].
+	Spawns int64
+	// Wakes counts resumptions of a parked process by a sleep ending,
+	// an event firing, a queue hand-off or a resource grant. Process
+	// starts and timeouts are not wakes.
+	Wakes int64
+	// Timeouts counts executed deadline events of timed waits, whether
+	// or not the wait was still pending.
+	Timeouts int64
 }
 
 // Time is virtual time: nanoseconds since the start of the simulation.
@@ -180,6 +204,9 @@ func (e *Engine) Now() Time { return e.now }
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *Rand { return e.rng }
 
+// Stats returns the kernel's work counters.
+func (e *Engine) Stats() Stats { return e.stats }
+
 // SetTracer installs a kernel tracer (may be nil to remove).
 func (e *Engine) SetTracer(t Tracer) { e.tracer = t }
 
@@ -231,6 +258,7 @@ func (e *Engine) Step() bool {
 	}
 	ev := e.queue.pop()
 	e.now = ev.at
+	e.stats.Events++
 	if e.tracer != nil {
 		e.tracer.Event(ev.at, ev.what)
 	}

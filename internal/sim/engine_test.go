@@ -245,33 +245,6 @@ func TestEventWaitAfterFire(t *testing.T) {
 	}
 }
 
-// Rearm makes a fired event block again until the next Fire.
-func TestEventRearm(t *testing.T) {
-	e := NewEngine(1)
-	ev := NewEvent(e)
-	var wokeAt []Time
-	e.Go("waiter", func(p *Proc) {
-		for i := 0; i < 2; i++ {
-			ev.Rearm()
-			ev.Wait(p)
-			wokeAt = append(wokeAt, p.Now())
-		}
-	})
-	e.At(3*Second, ev.Fire)
-	e.At(5*Second, ev.Fire)
-	e.Run()
-	if len(wokeAt) != 2 || wokeAt[0] != 3*Second || wokeAt[1] != 5*Second {
-		t.Fatalf("woke at %v, want [3s 5s]", wokeAt)
-	}
-	if !ev.Fired() {
-		t.Fatal("event not marked fired after the second Fire")
-	}
-	ev.Rearm()
-	if ev.Fired() {
-		t.Fatal("Rearm with no waiters left the event fired")
-	}
-}
-
 func TestEventWaitTimeout(t *testing.T) {
 	e := NewEngine(1)
 	ev := NewEvent(e)

@@ -36,6 +36,7 @@ func (e *Engine) GoAt(t Time, name string, fn func(*Proc)) *Proc {
 	p.unparkFn = p.unpark
 	p.w.proc = p
 	e.procs[p] = struct{}{}
+	e.stats.Spawns++
 	e.schedule(t, "start "+name, func() {
 		p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 			p.yield = yield
@@ -46,7 +47,7 @@ func (e *Engine) GoAt(t Time, name string, fn func(*Proc)) *Proc {
 				p.onDone.Fire()
 			}
 		})
-		p.unpark()
+		p.resume()
 	})
 	return p
 }
@@ -63,9 +64,15 @@ func (p *Proc) park() {
 	p.parked = false
 }
 
-// unpark runs the process until it parks again (or finishes). Must be
-// called from the engine loop, i.e. from inside an executed event.
+// unpark wakes the parked process: it counts the wake and resumes it.
 func (p *Proc) unpark() {
+	p.eng.stats.Wakes++
+	p.resume()
+}
+
+// resume runs the process until it parks again (or finishes). Must be
+// called from the engine loop, i.e. from inside an executed event.
+func (p *Proc) resume() {
 	p.eng.running = p
 	p.next()
 	p.eng.running = nil
@@ -133,7 +140,7 @@ type waiter struct {
 	proc      *Proc
 	cancelled bool
 	woken     bool
-	n         int    // units requested (Resource) — unused elsewhere
+	n         int    // a Queue putter's delivered mark (see putWaiter)
 	seq       uint64 // wait generation, bumped by newWait
 }
 
@@ -151,17 +158,15 @@ func (r waiterRef) valid() bool { return r.seq == r.w.seq }
 // newWait readies the proc's embedded waiter for one blocking wait and
 // returns a reference to enlist in a wait list. Bumping the generation
 // invalidates any stale references from previous waits.
-func (p *Proc) newWait(n int) waiterRef {
+func (p *Proc) newWait() waiterRef {
 	p.w.seq++
 	p.w.cancelled = false
 	p.w.woken = false
-	p.w.n = n
 	return waiterRef{w: &p.w, seq: p.w.seq}
 }
 
 // Event is a one-shot broadcast: processes wait until someone fires it.
-// Waiting on an already-fired event returns immediately. Rearm makes a
-// fired event reusable.
+// Waiting on an already-fired event returns immediately.
 type Event struct {
 	eng     *Engine
 	fired   bool
@@ -190,20 +195,12 @@ func (ev *Event) Fire() {
 	ev.waiters = nil
 }
 
-// Rearm returns a fired event to the unfired state so it can be waited on
-// and fired again. It is a no-op while the event still has waiters.
-func (ev *Event) Rearm() {
-	if len(ev.waiters) == 0 {
-		ev.fired = false
-	}
-}
-
 // Wait blocks p until the event fires.
 func (ev *Event) Wait(p *Proc) {
 	if ev.fired {
 		return
 	}
-	ev.waiters = append(ev.waiters, p.newWait(0))
+	ev.waiters = append(ev.waiters, p.newWait())
 	p.park()
 }
 
@@ -217,13 +214,14 @@ func (ev *Event) WaitTimeout(p *Proc, d Time) bool {
 	if d <= 0 {
 		return false
 	}
-	r := p.newWait(0)
+	r := p.newWait()
 	ev.waiters = append(ev.waiters, r)
 	//iocheck:allow hotbox timer closures arm only on the blocking path, not per event
 	p.eng.schedule(p.eng.now+d, "event timeout", func() {
+		p.eng.stats.Timeouts++
 		if r.valid() && !r.w.woken {
 			r.w.cancelled = true
-			p.unpark()
+			p.resume()
 		}
 	})
 	p.park()
@@ -231,13 +229,22 @@ func (ev *Event) WaitTimeout(p *Proc, d Time) bool {
 }
 
 // Resource is a counting semaphore over abstract units (cores, buffer
-// slots, link tokens). Acquire blocks until the units are available;
-// waiters are served FIFO.
+// slots, link tokens). Acquire blocks until the units are available and
+// AcquireThen queues a continuation instead; both kinds of waiter share
+// one FIFO.
 type Resource struct {
 	eng      *Engine
 	capacity int
 	inUse    int
-	waiters  []waiterRef
+	waiters  []resWait
+}
+
+// resWait is one Resource wait-list entry: a parked process's wait, or
+// (fn non-nil) a continuation to schedule at the grant.
+type resWait struct {
+	ref waiterRef
+	fn  func()
+	n   int
 }
 
 // NewResource returns a resource with the given number of units.
@@ -268,8 +275,21 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	if r.TryAcquire(n) {
 		return
 	}
-	r.waiters = append(r.waiters, p.newWait(n))
+	r.waiters = append(r.waiters, resWait{ref: p.newWait(), n: n})
 	p.park()
+}
+
+// AcquireThen acquires n units for a continuation. It reports true when
+// the units were free and are held now; fn is then not called. Otherwise
+// fn joins the same FIFO as parked processes, and the grant schedules it
+// at the current instant, holding the units, exactly where it would
+// schedule a parked process's wake.
+func (r *Resource) AcquireThen(n int, fn func()) bool {
+	if r.TryAcquire(n) {
+		return true
+	}
+	r.waiters = append(r.waiters, resWait{fn: fn, n: n})
+	return false
 }
 
 // Release returns n units and wakes waiters whose requests now fit.
@@ -290,17 +310,21 @@ func (r *Resource) Grow(n int) {
 
 func (r *Resource) dispatch() {
 	for len(r.waiters) > 0 {
-		ref := r.waiters[0]
-		if !ref.valid() || ref.w.cancelled {
+		w := r.waiters[0]
+		if w.fn == nil && (!w.ref.valid() || w.ref.w.cancelled) {
 			r.waiters = r.waiters[1:]
 			continue
 		}
-		if r.inUse+ref.w.n > r.capacity {
+		if r.inUse+w.n > r.capacity {
 			return
 		}
 		r.waiters = r.waiters[1:]
-		r.inUse += ref.w.n
-		ref.w.woken = true
-		ref.w.proc.wake("resource grant")
+		r.inUse += w.n
+		if w.fn != nil {
+			r.eng.schedule(r.eng.now, "callback", w.fn)
+			continue
+		}
+		w.ref.w.woken = true
+		w.ref.w.proc.wake("resource grant")
 	}
 }

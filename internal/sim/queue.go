@@ -155,7 +155,7 @@ func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 
 // await parks p as a getter until an item or close wakes it.
 func (q *Queue[T]) await(p *Proc) {
-	q.getters = append(q.getters, p.newWait(0))
+	q.getters = append(q.getters, p.newWait())
 	p.park()
 }
 
@@ -199,13 +199,14 @@ func (q *Queue[T]) GetTimeout(p *Proc, d Time) (v T, ok bool) {
 // the timer (rather than an item or close) ended the wait. A stale timer
 // from an earlier round finds its generation bumped and does nothing.
 func (q *Queue[T]) awaitTimeout(p *Proc, deadline Time) bool {
-	r := p.newWait(0)
+	r := p.newWait()
 	q.getters = append(q.getters, r)
 	//iocheck:allow hotbox timer closures arm only on the blocking path, not per event
 	q.eng.schedule(deadline, "queue get timeout", func() {
+		q.eng.stats.Timeouts++
 		if r.valid() && !r.w.woken {
 			r.w.cancelled = true
-			p.unpark()
+			p.resume()
 		}
 	})
 	p.park()
