@@ -18,7 +18,8 @@
 //	//iocheck:allow <rule> <reason>
 //
 // The reason is mandatory; an allow comment without one is itself a
-// diagnostic.
+// diagnostic, and so is an allow that covers no finding of its rule on a
+// run where that rule checked the package.
 package analysis
 
 import (
@@ -94,15 +95,18 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var out []Diagnostic
 	for _, pkg := range pkgs {
 		allows := collectAllows(pkg)
+		ran := make(map[string]bool, len(analyzers))
 		for _, a := range analyzers {
 			if a.Applies != nil && !a.Applies(pkg) {
 				continue
 			}
+			ran[a.Name] = true
 			pass := &Pass{Analyzer: a, Pkg: pkg, Prog: prog}
 			a.Run(pass)
 			out = append(out, applyAllows(pass.diags, allows)...)
 		}
 		out = append(out, allows.malformed...)
+		out = append(out, allows.dead(ran)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -141,8 +145,18 @@ type allowKey struct {
 	rule string
 }
 
+// allowSite is one well-formed allow comment; used is set once it
+// suppresses a diagnostic.
+type allowSite struct {
+	pos    token.Position
+	rule   string
+	reason string
+	used   bool
+}
+
 type allowSet struct {
-	entries map[allowKey]string // -> reason
+	entries map[allowKey][]*allowSite // the allows covering a line
+	sites   []*allowSite              // in comment order
 	// malformed collects allow comments with no reason; they are
 	// diagnostics in their own right so audits cannot silently erode.
 	malformed []Diagnostic
@@ -155,7 +169,7 @@ const allowMarker = "iocheck:allow"
 // immediately below it (the usual "comment above the flagged statement"
 // placement, including the last line of a doc comment).
 func collectAllows(pkg *Package) *allowSet {
-	as := &allowSet{entries: make(map[allowKey]string)}
+	as := &allowSet{entries: make(map[allowKey][]*allowSite)}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -177,9 +191,12 @@ func collectAllows(pkg *Package) *allowSet {
 					continue
 				}
 				rule := fields[0]
-				reason := strings.TrimSpace(strings.TrimPrefix(rest, rule))
+				site := &allowSite{pos: pos, rule: rule,
+					reason: strings.TrimSpace(strings.TrimPrefix(rest, rule))}
+				as.sites = append(as.sites, site)
 				for _, line := range []int{pos.Line, pos.Line + 1} {
-					as.entries[allowKey{pos.Filename, line, rule}] = reason
+					key := allowKey{pos.Filename, line, rule}
+					as.entries[key] = append(as.entries[key], site)
 				}
 			}
 		}
@@ -190,12 +207,30 @@ func collectAllows(pkg *Package) *allowSet {
 func applyAllows(diags []Diagnostic, as *allowSet) []Diagnostic {
 	for i := range diags {
 		d := &diags[i]
-		if reason, ok := as.entries[allowKey{d.Pos.Filename, d.Pos.Line, d.Rule}]; ok {
+		for _, site := range as.entries[allowKey{d.Pos.Filename, d.Pos.Line, d.Rule}] {
+			site.used = true
 			d.Suppressed = true
-			d.SuppressReason = reason
+			d.SuppressReason = site.reason
 		}
 	}
 	return diags
+}
+
+// dead reports every allow whose rule ran on the package (ran) yet
+// covered none of its diagnostics: an audit that outlived its reason.
+func (as *allowSet) dead(ran map[string]bool) []Diagnostic {
+	var out []Diagnostic
+	for _, site := range as.sites {
+		if ran[site.rule] && !site.used {
+			out = append(out, Diagnostic{
+				Pos:  site.pos,
+				Rule: "allow",
+				Message: "//iocheck:allow " + site.rule + " suppresses no " +
+					site.rule + " finding; delete it",
+			})
+		}
+	}
+	return out
 }
 
 // enclosingFuncs returns every function declaration in the file, used by

@@ -192,7 +192,7 @@ func (n *FuncNode) String() string {
 }
 
 // BlockChain renders the witness path from this function to the blocking
-// primitive, e.g. "(*Stone).Submit → (*Stone).handle → (*Proc).Sleep →
+// primitive, e.g. "(*Mailbox).Recv → (*Queue).Get → (*Queue).await →
 // (*Proc).park".
 func (n *FuncNode) BlockChain() string {
 	var parts []string

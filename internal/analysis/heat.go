@@ -56,7 +56,7 @@ var hotRootTable = map[string][]string{
 		"(*Subscriber).step", "(*SubHub).Publish",
 	},
 	"internal/evpath": {
-		"(*bridge).run", "(*bridge).forward",
+		"(*bridge).forward", "(*bridge).drain", "(*bridge).transferred",
 		"(*Stone).handle", "(*Stone).fanOut",
 	},
 	"internal/bp": {

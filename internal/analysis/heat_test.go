@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -142,6 +144,40 @@ func TestFanOutReclaimIsHot(t *testing.T) {
 		}
 		if got := n.HotChain(); got != c.chain {
 			t.Errorf("%s witness chain = %q, want %q", c.fn, got, c.chain)
+		}
+	}
+}
+
+// TestHotRootsNameModuleFuncs pins hotRootTable to the code: a root left
+// behind by a rename or a deletion names no function and silently seeds
+// nothing, so every entry must match a function in the loaded module.
+func TestHotRootsNameModuleFuncs(t *testing.T) {
+	root, err := ModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := LoadModule(root)
+	if err != nil {
+		t.Fatalf("loading module: %v", err)
+	}
+	prog := NewProgram(pkgs)
+	suffixes := make([]string, 0, len(hotRootTable))
+	for suffix := range hotRootTable {
+		suffixes = append(suffixes, suffix)
+	}
+	sort.Strings(suffixes)
+	for _, suffix := range suffixes {
+		for _, want := range hotRootTable[suffix] {
+			found := false
+			for _, n := range prog.nodes {
+				if strings.HasSuffix(n.Pkg.PkgPath, suffix) && n.String() == want {
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Errorf("hot root %s %s names no function in the module", suffix, want)
+			}
 		}
 	}
 }

@@ -35,3 +35,13 @@ func audited() {
 	//iocheck:allow simtime fixture demonstrating an audited exception
 	_ = time.Now()
 }
+
+// deadAllows: an allow covering no finding of its rule is itself a
+// finding, but only where that rule ran — maprange does not run on this
+// fixture, so its allow is not judged here.
+func deadAllows() {
+	//iocheck:allow simtime nothing here reads the clock // want "//iocheck:allow simtime suppresses no simtime finding"
+	_ = 1
+	//iocheck:allow maprange judged only on runs where maprange checks this package
+	_ = 2
+}

@@ -240,51 +240,51 @@ func (c *Container) start() {
 		c.addReplica(n)
 	}
 	c.rt.eng.Go(c.spec.Name+"-mgr", c.managerLoop)
-	c.rt.eng.Go(c.spec.Name+"-heartbeat", c.heartbeatLoop)
+	c.every(func() bool { return c.rt.managerFor(c).ctl.Closed() }, c.heartbeat)
 }
 
-// heartbeatLoop reports queue pressure even while every replica is stuck
+// every runs tick once per policy interval as a chain of engine
+// callbacks, until the container goes offline or closed reports true.
+func (c *Container) every(closed func() bool, tick func()) {
+	var step func()
+	step = func() {
+		if c.state == StateOffline || closed() {
+			return
+		}
+		tick()
+		c.rt.eng.After(c.rt.cfg.Policy.Interval, step)
+	}
+	c.rt.eng.After(c.rt.cfg.Policy.Interval, step)
+}
+
+// heartbeat reports queue pressure even while every replica is stuck
 // in a long computation: without it, a badly under-provisioned container
 // would emit no samples at all and the global manager would be blind to
 // exactly the situations it must act on (paper §III-E: monitoring
 // captures metrics "at the container boundaries").
-func (c *Container) heartbeatLoop(p *sim.Proc) {
-	interval := c.rt.cfg.Policy.Interval
-	for {
-		p.Sleep(interval)
-		if c.state == StateOffline || c.rt.managerFor(c).ctl.Closed() {
-			return
-		}
-		if !c.Active() || c.input == nil {
-			continue
-		}
-		if q := c.input.QueueLen(); q > 0 {
-			c.report(p, monitor.Sample{
-				Container: c.spec.Name,
-				Step:      -1, // pressure sample, not a completion
-				Latency:   c.input.HeadAge(p.Now()),
-				Service:   c.lastService,
-				QueueLen:  q,
-				At:        p.Now(),
-			})
-		}
+func (c *Container) heartbeat() {
+	if !c.Active() || c.input == nil || c.input.QueueLen() == 0 {
+		return
 	}
+	now := c.rt.eng.Now()
+	c.report(monitor.Sample{
+		Container: c.spec.Name,
+		Step:      -1, // pressure sample, not a completion
+		Latency:   c.input.HeadAge(now),
+		Service:   c.lastService,
+		QueueLen:  c.input.QueueLen(),
+		At:        now,
+	})
 }
 
-// replicaWatchLoop is the local manager's crash detector, spawned only
-// under fault injection with self-healing enabled. It heartbeats the
-// container's replica nodes once per policy interval; when a node stops
-// answering (crashed), it submits a HealReq to the container's own
-// mailbox so that the repair serializes with resizes and offline
+// watchReplicas arms the local manager's crash detector (only under
+// fault injection with self-healing enabled): once per policy interval,
+// a newly crashed replica node submits a HealReq to the container's own
+// mailbox, so the repair serializes with resizes and offline
 // transitions in the manager loop.
-func (c *Container) replicaWatchLoop(p *sim.Proc) {
-	interval := c.rt.cfg.Policy.Interval
+func (c *Container) watchReplicas() {
 	reported := map[int]bool{}
-	for {
-		p.Sleep(interval)
-		if c.state == StateOffline || c.mailbox.Closed() {
-			return
-		}
+	c.every(c.mailbox.Closed, func() {
 		crashed := false
 		for _, r := range c.replicas {
 			if !r.node.Up() && !reported[r.node.ID] {
@@ -293,9 +293,9 @@ func (c *Container) replicaWatchLoop(p *sim.Proc) {
 			}
 		}
 		if crashed {
-			c.mailbox.Stone.Submit(p, &evpath.Event{Type: msgHeal, Data: &HealReq{}})
+			c.mailbox.Stone.Submit(&evpath.Event{Type: msgHeal, Data: &HealReq{}})
 		}
-	}
+	})
 }
 
 // addReplica creates and starts a replica on node n.
@@ -417,7 +417,7 @@ func (r *replica) process(p *sim.Proc, m *datatap.Meta) {
 	}
 	if fi.Crack && !c.crackSeen {
 		c.crackSeen = true
-		c.notifyCrack(p)
+		c.notifyCrack()
 	}
 	st := c.spec.Cost.ServiceTime(fi.Atoms, c.spec.Model, len(c.replicas), fi.Crack)
 	r.curMeta = m
@@ -442,7 +442,7 @@ func (r *replica) process(p *sim.Proc, m *datatap.Meta) {
 	latency := p.Now() - m.Created
 	spID := sp.ID() // before End: spans recycle once ended
 	sp.End()
-	c.report(p, monitor.Sample{
+	c.report(monitor.Sample{
 		Container: c.spec.Name,
 		Step:      m.Step,
 		Latency:   latency,
@@ -530,7 +530,7 @@ func (r *replica) forward(p *sim.Proc, m *datatap.Meta, pg *bp.ProcessGroup, fi 
 
 // report sends a monitoring sample to the global manager over the
 // monitoring overlay, through the configured probe when one is set.
-func (c *Container) report(p *sim.Proc, s monitor.Sample) {
+func (c *Container) report(s monitor.Sample) {
 	c.samples++
 	c.rt.recordSample(s)
 	if s.Step >= 0 && s.Latency > c.SLAPeriod() {
@@ -538,10 +538,10 @@ func (c *Container) report(p *sim.Proc, s monitor.Sample) {
 		c.rt.tracer.Trigger("sla:" + c.spec.Name)
 	}
 	if c.probe != nil {
-		c.probe.Offer(p, s)
+		c.probe.Offer(s)
 		return
 	}
-	c.toGM.Submit(p, monitor.Event(s))
+	c.toGM.Submit(monitor.Event(s))
 }
 
 // MonitoringTraffic reports how many monitoring events this container
@@ -556,8 +556,8 @@ func (c *Container) MonitoringTraffic() (captured, sent int64) {
 
 // notifyCrack tells the global manager crack formation was observed (the
 // pipeline's dynamic-branch trigger).
-func (c *Container) notifyCrack(p *sim.Proc) {
-	c.toGM.Submit(p, &evpath.Event{Type: msgCrackDetected, Size: ctlMsgBytes,
+func (c *Container) notifyCrack() {
+	c.toGM.Submit(&evpath.Event{Type: msgCrackDetected, Size: ctlMsgBytes,
 		Data: &CrackNotice{From: c.spec.Name, Step: c.stepsProcessed}})
 }
 
@@ -565,10 +565,10 @@ func (c *Container) notifyCrack(p *sim.Proc) {
 // which answers with a ResendReq round to the upstream container. It is
 // installed as the input channel's gap handler under at-least-once
 // delivery; the channel rate-limits invocations.
-func (c *Container) noteGap(p *sim.Proc, missing int64) {
+func (c *Container) noteGap(missing int64) {
 	if c.state == StateOffline || c.toGM == nil {
 		return
 	}
-	c.toGM.Submit(p, &evpath.Event{Type: msgGap, Size: ctlMsgBytes,
+	c.toGM.Submit(&evpath.Event{Type: msgGap, Size: ctlMsgBytes,
 		Data: &GapNotice{From: c.spec.Name, Channel: c.input.Name(), Missing: missing}})
 }

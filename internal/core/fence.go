@@ -162,9 +162,8 @@ func (gm *GlobalManager) depose(p *sim.Proc, higher int64, how string) {
 		Detail: fmt.Sprintf("epoch %d fenced by %d (%s)", gm.epoch, higher, how)})
 }
 
-// runDeposed is the demoted manager's terminal state: pump the control
-// mailbox (so couriers never wedge on it) without beating, ticking, or
-// granting anything.
+// runDeposed is the demoted manager's terminal state: keep pumping the
+// control mailbox without beating, ticking, or granting anything.
 func (gm *GlobalManager) runDeposed(p *sim.Proc) {
 	for {
 		ev, ok := gm.ctl.Recv(p)
@@ -236,7 +235,7 @@ func (c *Container) ManagerNode() int { return c.mgrEV.Node() }
 // the stale manager can demote itself. The refusal travels the bridge
 // the round arrived on — after a rehome that is the *previous* upward
 // bridge, which still points at the stale manager's inbox.
-func (c *Container) fence(p *sim.Proc, seq, stale int64, parent trace.SpanID) {
+func (c *Container) fence(seq, stale int64, parent trace.SpanID) {
 	c.rt.tracer.Trigger("fence:" + c.spec.Name)
 	c.rt.tracer.Instant(parent, "ctl", "fence").
 		Container(c.spec.Name).Node(c.mgrEV.Node()).
@@ -247,5 +246,5 @@ func (c *Container) fence(p *sim.Proc, seq, stale int64, parent trace.SpanID) {
 	if c.staleGM != nil {
 		out = c.staleGM
 	}
-	out.Submit(p, &evpath.Event{Type: msgResp, Size: ctlMsgBytes, Data: resp})
+	out.Submit(&evpath.Event{Type: msgResp, Size: ctlMsgBytes, Data: resp})
 }

@@ -309,8 +309,8 @@ func (gm *GlobalManager) connect(c *Container) {
 // inbox returns the stone containers bridge their upward traffic to.
 func (gm *GlobalManager) inbox() *evpath.Stone { return gm.root }
 
-// closeBridges drains and stops the manager's courier processes, in
-// sorted container order so shutdown releases couriers deterministically.
+// closeBridges closes the manager's outgoing bridges at shutdown, in
+// sorted container order: their backlogs still drain, later submits drop.
 func (gm *GlobalManager) closeBridges() {
 	names := make([]string, 0, len(gm.toContainer))
 	for name := range gm.toContainer {
@@ -337,15 +337,6 @@ func (gm *GlobalManager) closeBridges() {
 // run is the global manager process: pump monitoring/control traffic and
 // tick the policy at each interval.
 func (gm *GlobalManager) run(p *sim.Proc) {
-	// Messages still queued at shutdown are drained after closeBridges,
-	// and one may open a new bridge (a DemoteNotice back to a stale
-	// peer). Close the bridges again on the way out so no courier
-	// outlives the run.
-	defer func() {
-		if gm.ctl.Closed() {
-			gm.closeBridges()
-		}
-	}()
 	for {
 		if gm.dead {
 			return // the primary died silently
@@ -356,7 +347,7 @@ func (gm *GlobalManager) run(p *sim.Proc) {
 			return
 		}
 		if gm.toStandby != nil {
-			gm.toStandby.Submit(p, &evpath.Event{Type: msgGMHeartbeat,
+			gm.toStandby.Submit(&evpath.Event{Type: msgGMHeartbeat,
 				Size: ctlMsgBytes,
 				Data: &GMHeartbeat{At: p.Now(), Epoch: gm.epoch, Inbox: gm.root}})
 		}
@@ -403,12 +394,11 @@ func (gm *GlobalManager) run(p *sim.Proc) {
 
 // dispatch routes one monitoring/notice event (responses never reach this
 // path; the overlay split sends them to the response mailbox). It runs on
-// both the primary's pump and the deposed pump, which must never wedge on
-// a courier — handling an event must not park the manager process.
+// both the primary's pump and the deposed pump, and handling an event
+// must not park the manager process.
 //
 //iocheck:nonblocking
 func (gm *GlobalManager) dispatch(p *sim.Proc, ev *evpath.Event) {
-	//iocheck:allow vtblock shardDispatch submits only over peer bridges (courier path); see its own audit
 	if gm.shardDispatch(p, ev) {
 		return
 	}
@@ -425,8 +415,7 @@ func (gm *GlobalManager) dispatch(p *sim.Proc, ev *evpath.Event) {
 	case *CrackNotice:
 		gm.crackSeen = true
 		gm.lastHeard[data.From] = p.Now()
-		//iocheck:allow vtblock relayCrack submits over the toMeta bridge (courier path); see its own audit
-		gm.relayCrack(p, data)
+		gm.relayCrack(data)
 	case *GapNotice:
 		gm.lastHeard[data.From] = p.Now()
 		if up, ok := gm.resendRoute[data.From]; ok {
@@ -434,8 +423,7 @@ func (gm *GlobalManager) dispatch(p *sim.Proc, ev *evpath.Event) {
 				// Cross-shard gap: the upstream container belongs to
 				// another shard, so the writer-side manager must issue the
 				// ResendReq round. Relay through the meta-manager.
-				//iocheck:allow vtblock relayGap submits over the toMeta bridge (courier path); see its own audit
-				gm.relayGap(p, up)
+				gm.relayGap(up)
 			} else {
 				// Defer the round to the tick: dispatch must not park, and
 				// a synchronous round does.
@@ -454,8 +442,7 @@ func (gm *GlobalManager) dispatch(p *sim.Proc, ev *evpath.Event) {
 			if gm.toDeposed == nil {
 				gm.toDeposed = gm.ev.NewBridge(data.Inbox, 0)
 			}
-			//iocheck:allow vtblock toDeposed is a bridge stone: handle() takes the forward() courier path, which enqueues without parking
-			gm.toDeposed.Submit(p, &evpath.Event{Type: msgDemote,
+			gm.toDeposed.Submit(&evpath.Event{Type: msgDemote,
 				Size: ctlMsgBytes, Data: &DemoteNotice{Epoch: gm.epoch}})
 			if !gm.fencedPeer {
 				gm.fencedPeer = true
@@ -480,8 +467,7 @@ func (gm *GlobalManager) dispatch(p *sim.Proc, ev *evpath.Event) {
 			gm.pendingSubs[data.SubID] = data
 		}
 	case *SpareReq:
-		//iocheck:allow vtblock grantSpare submits only to container control bridges (courier path); see its own audit
-		gm.grantSpare(p, data)
+		gm.grantSpare(data)
 		gm.lastHeard[data.From] = p.Now()
 	case *HealNotice:
 		gm.lastHeard[data.From] = p.Now()
@@ -503,7 +489,7 @@ func (gm *GlobalManager) dispatch(p *sim.Proc, ev *evpath.Event) {
 // dispatch, so it inherits the pump's must-not-park obligation.
 //
 //iocheck:nonblocking
-func (gm *GlobalManager) grantSpare(p *sim.Proc, req *SpareReq) {
+func (gm *GlobalManager) grantSpare(req *SpareReq) {
 	if gm.deposed {
 		return // a fenced manager's pool is no longer authoritative
 	}
@@ -524,11 +510,9 @@ func (gm *GlobalManager) grantSpare(p *sim.Proc, req *SpareReq) {
 		// The pool could not cover the request. Ask the meta-manager for
 		// nodes from another shard so the next heal can be served in full
 		// (fire-and-forget; no-op on legacy runs).
-		//iocheck:allow vtblock requestSteal submits over the toMeta bridge (courier path); see its own audit
-		gm.requestSteal(p, req.N-take)
+		gm.requestSteal(req.N - take)
 	}
-	//iocheck:allow vtblock toContainer stones are control bridges: handle() takes the forward() courier path, which enqueues without parking
-	stone.Submit(p, &evpath.Event{Type: msgSpareGrant, Size: ctlMsgBytes,
+	stone.Submit(&evpath.Event{Type: msgSpareGrant, Size: ctlMsgBytes,
 		Data: &SpareGrant{Seq: req.Seq, Nodes: grant}})
 }
 
@@ -599,7 +583,7 @@ func (gm *GlobalManager) callRound(p *sim.Proc, target string, mk func(seq int64
 		gm.rt.noteRound(RoundRecord{T: p.Now(), Epoch: gm.epoch, Seq: gm.seq,
 			Node: gm.node, Target: target, Kind: kind, Retry: attempt,
 			Shard: gm.shard})
-		stone.Submit(p, ev)
+		stone.Submit(ev)
 		deadline := p.Now() + timeout
 		for {
 			if v := gm.takePending(match); v != nil {
@@ -983,7 +967,7 @@ func (gm *GlobalManager) gather(p *sim.Proc, bneck *Container, want int, unattai
 	if want > 0 && !unattainable {
 		// Replenish from another shard's pool for later ticks
 		// (fire-and-forget; no-op on legacy runs).
-		gm.requestSteal(p, want)
+		gm.requestSteal(want)
 	}
 	if want <= 0 || unattainable || gm.policy.DisableStealing {
 		return grant

@@ -101,7 +101,7 @@ func (mm *MetaManager) run(p *sim.Proc) {
 			if mm.dead {
 				return
 			}
-			mm.dispatch(p, ev)
+			mm.dispatch(ev)
 		}
 		if mm.ctl.Closed() || mm.dead {
 			return
@@ -114,7 +114,7 @@ func (mm *MetaManager) run(p *sim.Proc) {
 // pump, handling an event must never park the meta-manager process.
 //
 //iocheck:nonblocking
-func (mm *MetaManager) dispatch(p *sim.Proc, ev *evpath.Event) {
+func (mm *MetaManager) dispatch(ev *evpath.Event) {
 	switch data := ev.Data.(type) {
 	case *ShardBeat:
 		mm.lastBeat[data.Shard] = data.At
@@ -126,14 +126,11 @@ func (mm *MetaManager) dispatch(p *sim.Proc, ev *evpath.Event) {
 			mm.shardInbox[data.Shard] = data.Inbox
 		}
 	case *StealReq:
-		//iocheck:allow vtblock brokerSteal submits over meta peer bridges (courier path); see its own audit
-		mm.brokerSteal(p, data)
+		mm.brokerSteal(data)
 	case *GapRelay:
-		//iocheck:allow vtblock routeGap submits over meta peer bridges (courier path); see its own audit
-		mm.routeGap(p, ev, data)
+		mm.routeGap(data)
 	case *CrackRelay:
-		//iocheck:allow vtblock broadcastCrack submits over meta peer bridges (courier path); see its own audit
-		mm.broadcastCrack(p, data)
+		mm.broadcastCrack(data)
 	}
 }
 
@@ -143,15 +140,14 @@ func (mm *MetaManager) dispatch(p *sim.Proc, ev *evpath.Event) {
 // straight back so the requester's pending-steal latch clears.
 //
 //iocheck:nonblocking
-func (mm *MetaManager) brokerSteal(p *sim.Proc, req *StealReq) {
+func (mm *MetaManager) brokerSteal(req *StealReq) {
 	if req.Epoch < mm.shardEpoch[req.Shard] || req.Inbox == nil {
 		return // a deposed shard manager's request; its successor re-asks
 	}
 	donor := shardmgr.PickDonor(mm.shardSpare, req.Shard)
 	seq, _ := shardMsgSeq(req)
 	if donor < 0 || mm.shardInbox[donor] == nil {
-		//iocheck:allow vtblock meta bridges take the forward() courier path, which enqueues without parking
-		mm.bridgeTo(req.Inbox).Submit(p, &evpath.Event{Type: msgStealGrant,
+		mm.bridgeTo(req.Inbox).Submit(&evpath.Event{Type: msgStealGrant,
 			Size: ctlMsgBytes,
 			Data: &StealGrant{Seq: req.Seq, Epoch: req.Epoch, Shard: -1}})
 		mm.rt.tracer.Instant(0, "ctl", "steal-dry").Node(mm.node).
@@ -165,14 +161,13 @@ func (mm *MetaManager) brokerSteal(p *sim.Proc, req *StealReq) {
 		mm.shardSpare[donor] = 0
 	}
 	mm.stealsBrokered++
-	mm.record(p, Action{T: p.Now(), Kind: "steal-broker",
+	mm.record(Action{T: mm.rt.eng.Now(), Kind: "steal-broker",
 		Target: fmt.Sprintf("shard-%d", req.Shard), N: req.N,
 		Detail: fmt.Sprintf("donor shard %d", donor)})
 	mm.rt.tracer.Instant(0, "ctl", "steal-broker").Node(mm.node).
 		AttrInt("shard", int64(req.Shard)).AttrInt("donor", int64(donor)).
 		AttrInt("seq", seq).End()
-	//iocheck:allow vtblock meta bridges take the forward() courier path, which enqueues without parking
-	mm.bridgeTo(mm.shardInbox[donor]).Submit(p, &evpath.Event{
+	mm.bridgeTo(mm.shardInbox[donor]).Submit(&evpath.Event{
 		Type: msgStealNotice, Size: ctlMsgBytes,
 		Data: &StealNotice{Seq: req.Seq, Epoch: req.Epoch, Shard: req.Shard,
 			N: req.N, Inbox: req.Inbox}})
@@ -184,16 +179,14 @@ func (mm *MetaManager) brokerSteal(p *sim.Proc, req *StealReq) {
 // notice again.
 //
 //iocheck:nonblocking
-func (mm *MetaManager) routeGap(p *sim.Proc, ev *evpath.Event, data *GapRelay) {
+func (mm *MetaManager) routeGap(data *GapRelay) {
 	s := mm.rt.dir.ShardOf(data.Upstream)
 	if s < 0 || mm.shardInbox[s] == nil {
 		return
 	}
 	mm.relays++
-	//iocheck:allow vtblock meta bridges take the forward() courier path, which enqueues without parking
-	mm.bridgeTo(mm.shardInbox[s]).Submit(p, &evpath.Event{Type: msgGapRelay,
+	mm.bridgeTo(mm.shardInbox[s]).Submit(&evpath.Event{Type: msgGapRelay,
 		Size: ctlMsgBytes, Data: data})
-	_ = ev
 }
 
 // broadcastCrack fans the first crack relay out to every shard (acting
@@ -201,7 +194,7 @@ func (mm *MetaManager) routeGap(p *sim.Proc, ev *evpath.Event, data *GapRelay) {
 // relays are duplicates and are dropped.
 //
 //iocheck:nonblocking
-func (mm *MetaManager) broadcastCrack(p *sim.Proc, data *CrackRelay) {
+func (mm *MetaManager) broadcastCrack(data *CrackRelay) {
 	if mm.crackSeen {
 		return
 	}
@@ -210,13 +203,11 @@ func (mm *MetaManager) broadcastCrack(p *sim.Proc, data *CrackRelay) {
 		fwd := &CrackRelay{Seq: data.Seq, Epoch: data.Epoch, Shard: s,
 			From: data.From, Step: data.Step}
 		if inbox := mm.shardInbox[s]; inbox != nil {
-			//iocheck:allow vtblock meta bridges take the forward() courier path, which enqueues without parking
-			mm.bridgeTo(inbox).Submit(p, &evpath.Event{Type: msgCrackRelay,
+			mm.bridgeTo(inbox).Submit(&evpath.Event{Type: msgCrackRelay,
 				Size: ctlMsgBytes, Data: fwd})
 		}
 		if inbox := mm.standbyInbox[s]; inbox != nil {
-			//iocheck:allow vtblock meta bridges take the forward() courier path, which enqueues without parking
-			mm.bridgeTo(inbox).Submit(p, &evpath.Event{Type: msgCrackRelay,
+			mm.bridgeTo(inbox).Submit(&evpath.Event{Type: msgCrackRelay,
 				Size: ctlMsgBytes, Data: fwd})
 		}
 	}
@@ -240,14 +231,13 @@ func (mm *MetaManager) tick(p *sim.Proc) {
 			continue
 		}
 		mm.promoted[s] = true
-		mm.record(p, Action{T: p.Now(), Kind: "promote",
+		mm.record(Action{T: p.Now(), Kind: "promote",
 			Target: fmt.Sprintf("shard-%d", s),
 			Detail: fmt.Sprintf("primary silent for %s; promoting standby", grace)})
 		mm.rt.tracer.Instant(0, "ctl", "promote").Node(mm.node).
 			AttrInt("shard", int64(s)).End()
 		mm.seq++
-		//iocheck:allow vtblock meta bridges take the forward() courier path, which enqueues without parking
-		mm.bridgeTo(inbox).Submit(p, &evpath.Event{Type: msgPromote,
+		mm.bridgeTo(inbox).Submit(&evpath.Event{Type: msgPromote,
 			Size: ctlMsgBytes,
 			Data: &PromoteNotice{Seq: mm.seq, Epoch: mm.shardEpoch[s], Shard: s}})
 	}
@@ -265,7 +255,7 @@ func (mm *MetaManager) bridgeTo(inbox *evpath.Stone) *evpath.Stone {
 	return b
 }
 
-func (mm *MetaManager) record(p *sim.Proc, a Action) {
+func (mm *MetaManager) record(a Action) {
 	if mm.dead {
 		return
 	}
@@ -273,7 +263,7 @@ func (mm *MetaManager) record(p *sim.Proc, a Action) {
 	mm.rt.rec.Mark(a.T, fmt.Sprintf("%s %s %d %s", a.Kind, a.Target, a.N, a.Detail))
 }
 
-// close drains the meta-manager's couriers and mailbox at shutdown.
+// close closes the meta-manager's bridges and mailbox at shutdown.
 func (mm *MetaManager) close() {
 	for _, b := range mm.bridgeOrder {
 		b.CloseBridge()

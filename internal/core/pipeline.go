@@ -410,8 +410,7 @@ func Build(cfg Config) (*Runtime, error) {
 		if c.input == nil {
 			continue
 		}
-		c := c
-		c.input.SetGapHandler(func(p *sim.Proc, missing int64) { c.noteGap(p, missing) })
+		c.input.SetGapHandler(c.noteGap)
 		if up := rt.upstreamOf(c); up != nil {
 			rt.gm.resendRoute[c.Name()] = up.Name()
 			if rt.standby != nil {
@@ -426,8 +425,7 @@ func Build(cfg Config) (*Runtime, error) {
 			rt.standby.connect(c)
 		}
 		if rt.faults != nil && !cfg.Policy.DisableSelfHealing {
-			c := c
-			rt.eng.Go(c.spec.Name+"-watch", c.replicaWatchLoop)
+			c.watchReplicas()
 		}
 	}
 	if err := rt.buildSubscribers(cfg); err != nil {
@@ -633,8 +631,7 @@ func (rt *Runtime) buildSharded(cfg Config, stagingNodes []*cluster.Node) error 
 		if c.input == nil {
 			continue
 		}
-		c := c
-		c.input.SetGapHandler(func(p *sim.Proc, missing int64) { c.noteGap(p, missing) })
+		c.input.SetGapHandler(c.noteGap)
 		if up := rt.upstreamOf(c); up != nil {
 			rt.shardPrimary[c.shard].resendRoute[c.Name()] = up.Name()
 			if sb := rt.shardStandby[c.shard]; sb != nil {
@@ -649,8 +646,7 @@ func (rt *Runtime) buildSharded(cfg Config, stagingNodes []*cluster.Node) error 
 			sb.connect(c)
 		}
 		if rt.faults != nil && !cfg.Policy.DisableSelfHealing {
-			c := c
-			rt.eng.Go(c.spec.Name+"-watch", c.replicaWatchLoop)
+			c.watchReplicas()
 		}
 	}
 	if err := rt.buildSubscribers(cfg); err != nil {

@@ -246,7 +246,7 @@ func (c *Container) managerLoop(p *sim.Proc) {
 				// A round from a deposed manager epoch. Refuse it — even a
 				// cached one: serving (or re-serving) it would let a stale
 				// primary keep mutating the pipeline after a failover.
-				c.fence(p, seq, e, ev.Ctx())
+				c.fence(seq, e, ev.Ctx())
 				continue
 			}
 			if e > c.fencedEpoch {
@@ -260,7 +260,7 @@ func (c *Container) managerLoop(p *sim.Proc) {
 				c.rt.tracer.Instant(ev.Ctx(), "ctl", "dedupe").
 					Container(c.spec.Name).Node(c.mgrEV.Node()).
 					AttrInt("seq", seq).End()
-				c.reply(p, cached)
+				c.reply(cached)
 				if _, wasOffline := cached.(*OfflineResp); wasOffline {
 					return
 				}
@@ -334,7 +334,7 @@ func (c *Container) managerLoop(p *sim.Proc) {
 		if hasSeq {
 			served[seq] = resp
 		}
-		c.reply(p, resp)
+		c.reply(resp)
 		sp.End()
 		if exit {
 			return
@@ -372,8 +372,8 @@ func reqSeq(v any) (int64, bool) {
 	return 0, false
 }
 
-func (c *Container) reply(p *sim.Proc, data any) {
-	c.toGM.Submit(p, &evpath.Event{Type: msgResp, Size: ctlMsgBytes, Data: data})
+func (c *Container) reply(data any) {
+	c.toGM.Submit(&evpath.Event{Type: msgResp, Size: ctlMsgBytes, Data: data})
 }
 
 // doIncrease implements the increase protocol's container-side legs
@@ -588,16 +588,16 @@ func (c *Container) doHeal(p *sim.Proc) {
 	lost := len(dead)
 
 	c.healSeq++
-	c.toGM.Submit(p, &evpath.Event{Type: msgSpare, Size: ctlMsgBytes,
+	c.toGM.Submit(&evpath.Event{Type: msgSpare, Size: ctlMsgBytes,
 		Data: &SpareReq{Seq: c.healSeq, From: c.spec.Name, N: lost}})
 	granted := c.awaitGrant(p)
 	if len(granted) == 0 {
-		c.notifyHeal(p, lost, true)
+		c.notifyHeal(lost, true)
 		sp.AttrInt("lost", int64(lost)).Attr("outcome", "degraded").End()
 		return
 	}
 	c.integrateNodes(p, granted)
-	c.notifyHeal(p, lost, false)
+	c.notifyHeal(lost, false)
 	sp.AttrInt("lost", int64(lost)).Attr("outcome", "healed").End()
 }
 
@@ -649,8 +649,8 @@ func (c *Container) integrateNodes(p *sim.Proc, nodes []*cluster.Node) {
 }
 
 // notifyHeal reports the heal outcome up to the global manager.
-func (c *Container) notifyHeal(p *sim.Proc, lost int, degraded bool) {
-	c.toGM.Submit(p, &evpath.Event{Type: msgHealNotice, Size: ctlMsgBytes,
+func (c *Container) notifyHeal(lost int, degraded bool) {
+	c.toGM.Submit(&evpath.Event{Type: msgHealNotice, Size: ctlMsgBytes,
 		Data: &HealNotice{From: c.spec.Name, Lost: lost,
 			Size: len(c.replicas), Degraded: degraded}})
 }

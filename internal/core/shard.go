@@ -176,7 +176,6 @@ func (gm *GlobalManager) InStandby() bool { return gm.standbyMode }
 func (gm *GlobalManager) shardDispatch(p *sim.Proc, ev *evpath.Event) bool {
 	switch data := ev.Data.(type) {
 	case *StealNotice:
-		//iocheck:allow vtblock serveSteal submits over peer bridges (courier path); see its own audit
 		gm.serveSteal(p, data)
 	case *StealGrant:
 		gm.acceptSteal(p, data)
@@ -212,14 +211,13 @@ func (gm *GlobalManager) shardDispatch(p *sim.Proc, ev *evpath.Event) bool {
 // pool for the *next* heal or resize, so the caller never waits. At most
 // one steal is in flight per manager; the latch clears when a grant
 // (even an empty one) arrives.
-func (gm *GlobalManager) requestSteal(p *sim.Proc, n int) {
+func (gm *GlobalManager) requestSteal(n int) {
 	if gm.toMeta == nil || gm.stealPending || gm.deposed || n <= 0 {
 		return
 	}
 	gm.stealPending = true
 	gm.shardSeq++
-	//iocheck:allow vtblock toMeta is a bridge stone: handle() takes the forward() courier path, which enqueues without parking
-	gm.toMeta.Submit(p, &evpath.Event{Type: msgStealReq, Size: ctlMsgBytes,
+	gm.toMeta.Submit(&evpath.Event{Type: msgStealReq, Size: ctlMsgBytes,
 		Data: &StealReq{Seq: gm.shardSeq, Epoch: gm.epoch, Shard: gm.shard,
 			N: n, Inbox: gm.root}})
 }
@@ -251,8 +249,7 @@ func (gm *GlobalManager) serveSteal(p *sim.Proc, req *StealNotice) {
 			Target: fmt.Sprintf("shard-%d", req.Shard), N: take,
 			Detail: fmt.Sprintf("released %d node(s) from shard %d", take, gm.shard)})
 	}
-	//iocheck:allow vtblock peer bridges take the forward() courier path, which enqueues without parking
-	gm.bridgeTo(req.Inbox).Submit(p, &evpath.Event{Type: msgStealGrant,
+	gm.bridgeTo(req.Inbox).Submit(&evpath.Event{Type: msgStealGrant,
 		Size: ctlMsgBytes,
 		Data: &StealGrant{Seq: req.Seq, Epoch: req.Epoch, Shard: gm.shard,
 			Nodes: grant}})
@@ -282,10 +279,9 @@ func (gm *GlobalManager) acceptSteal(p *sim.Proc, g *StealGrant) {
 // pump; must not park.
 //
 //iocheck:nonblocking
-func (gm *GlobalManager) relayGap(p *sim.Proc, upstream string) {
+func (gm *GlobalManager) relayGap(upstream string) {
 	gm.shardSeq++
-	//iocheck:allow vtblock toMeta is a bridge stone: handle() takes the forward() courier path, which enqueues without parking
-	gm.toMeta.Submit(p, &evpath.Event{Type: msgGapRelay, Size: ctlMsgBytes,
+	gm.toMeta.Submit(&evpath.Event{Type: msgGapRelay, Size: ctlMsgBytes,
 		Data: &GapRelay{Seq: gm.shardSeq, Epoch: gm.epoch, Shard: gm.shard,
 			Upstream: upstream}})
 }
@@ -295,21 +291,20 @@ func (gm *GlobalManager) relayGap(p *sim.Proc, upstream string) {
 // are a no-op. Runs from the pump; must not park.
 //
 //iocheck:nonblocking
-func (gm *GlobalManager) relayCrack(p *sim.Proc, n *CrackNotice) {
+func (gm *GlobalManager) relayCrack(n *CrackNotice) {
 	if gm.toMeta == nil || gm.crackRelayed {
 		return
 	}
 	gm.crackRelayed = true
 	gm.shardSeq++
-	//iocheck:allow vtblock toMeta is a bridge stone: handle() takes the forward() courier path, which enqueues without parking
-	gm.toMeta.Submit(p, &evpath.Event{Type: msgCrackRelay, Size: ctlMsgBytes,
+	gm.toMeta.Submit(&evpath.Event{Type: msgCrackRelay, Size: ctlMsgBytes,
 		Data: &CrackRelay{Seq: gm.shardSeq, Epoch: gm.epoch, Shard: gm.shard,
 			From: n.From, Step: n.Step}})
 }
 
 // bridgeTo returns (creating and caching on first use) a bridge to a
 // peer inbox. The cache keeps an insertion-ordered list so closeBridges
-// releases couriers deterministically.
+// closes the bridges in a deterministic order.
 func (gm *GlobalManager) bridgeTo(inbox *evpath.Stone) *evpath.Stone {
 	if b, ok := gm.peerBridges[inbox]; ok {
 		return b
@@ -326,7 +321,7 @@ func (gm *GlobalManager) bridgeTo(inbox *evpath.Stone) *evpath.Stone {
 // beatMeta sends the periodic ShardBeat liveness heartbeat.
 func (gm *GlobalManager) beatMeta(p *sim.Proc) {
 	gm.shardSeq++
-	gm.toMeta.Submit(p, &evpath.Event{Type: msgShardBeat, Size: ctlMsgBytes,
+	gm.toMeta.Submit(&evpath.Event{Type: msgShardBeat, Size: ctlMsgBytes,
 		Data: &ShardBeat{At: p.Now(), Seq: gm.shardSeq, Epoch: gm.epoch,
 			Shard: gm.shard, Spare: len(gm.spare), Inbox: gm.root}})
 }

@@ -135,7 +135,7 @@ func TestCrossShardGapRoutesToWriterShard(t *testing.T) {
 	}
 	rt.eng.Go("test-gap", func(p *sim.Proc) {
 		p.Sleep(30 * sim.Second)
-		reader.noteGap(p, 1)
+		reader.noteGap(1)
 	})
 	res, err := rt.Run()
 	if err != nil {

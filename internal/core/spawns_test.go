@@ -2,10 +2,12 @@ package core_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 // TestFanOutSpawnsNoSubscriberProcesses pins that the dashboard fleet
@@ -41,5 +43,60 @@ func TestFanOutSpawnsNoSubscriberProcesses(t *testing.T) {
 	}
 	if spawns[500] != spawns[2000] {
 		t.Errorf("spawns depend on the fleet size: %s", fmt.Sprint(spawns))
+	}
+}
+
+// spawnNames is a kernel tracer that records the name of every process
+// the engine starts.
+type spawnNames []string
+
+func (s *spawnNames) Event(_ sim.Time, what string) {
+	if name, ok := strings.CutPrefix(what, "start "); ok {
+		*s = append(*s, name)
+	}
+}
+
+// TestControlOverlaySpawnsNoForwarders pins that processes exist only
+// where something blocks: evpath bridges, container heartbeats and
+// replica watchers are event chains, so no process carries their names,
+// the spawn counts stay within their bounds, and no process is left
+// parked after the run.
+func TestControlOverlaySpawnsNoForwarders(t *testing.T) {
+	for _, tc := range []struct {
+		scenario  string
+		maxSpawns int64
+	}{
+		{"fig9", 34},
+		{"chaos-shards", 20},
+		{"shards-1k", 2202},
+	} {
+		t.Run(tc.scenario, func(t *testing.T) {
+			cfg, err := scenario.LoadFile("../../scenarios/" + tc.scenario + ".json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt, err := core.Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names spawnNames
+			rt.Engine().SetTracer(&names)
+			if _, err := rt.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range names {
+				if n == "evpath-bridge" || strings.HasSuffix(n, "-heartbeat") || strings.HasSuffix(n, "-watch") {
+					t.Errorf("process %q spawned; bridges, heartbeats and watchers are event chains", n)
+				}
+			}
+			if st := rt.Engine().Stats(); st.Spawns > tc.maxSpawns {
+				t.Errorf("%d processes spawned, want at most %d", st.Spawns, tc.maxSpawns)
+			} else {
+				t.Logf("%d processes spawned, %d wakes", st.Spawns, st.Wakes)
+			}
+			if b := rt.Engine().Blocked(); len(b) != 0 {
+				t.Errorf("parked after the run: %v", b)
+			}
+		})
 	}
 }

@@ -140,11 +140,11 @@ func (c *Container) serveSubReplay(id string, from int64) (staged int64, ok bool
 // noteSubReconnect reports a reconnecting subscriber up the control
 // bridge, following the GapNotice pattern. The manager answers with a
 // SubResume round at its next tick.
-func (c *Container) noteSubReconnect(p *sim.Proc, subID string, gen int64) {
+func (c *Container) noteSubReconnect(subID string, gen int64) {
 	if c.state == StateOffline || c.toGM == nil {
 		return
 	}
-	c.toGM.Submit(p, &evpath.Event{Type: msgSubNotice, Size: ctlMsgBytes,
+	c.toGM.Submit(&evpath.Event{Type: msgSubNotice, Size: ctlMsgBytes,
 		Data: &SubNotice{Seq: gen, Epoch: c.fencedEpoch, SubID: subID,
 			From: c.spec.Name}})
 }
@@ -291,9 +291,7 @@ func (rt *Runtime) buildSubscribers(cfg Config) error {
 			f := f
 			rt.eng.At(f.At, func() { hub.Crash(s.ID()) })
 			if f.ReconnectAt > f.At {
-				rt.eng.Go("sub-reconnect-"+s.ID(), func(p *sim.Proc) {
-					rt.reconnectLoop(p, s, f.ReconnectAt)
-				})
+				rt.reconnect(s, f.ReconnectAt)
 			}
 		}
 	}
@@ -320,22 +318,26 @@ func (d *dashboard) read(_ *datatap.Meta, ok bool) {
 	}
 }
 
-// reconnectLoop announces a crashed subscriber's return and retries with
-// exponential backoff until the manager's SubResume round actually lands
-// (the notice, the round, or the manager itself may be lost to faults).
-// Bounded: a subscriber whose manager never answers stays crashed, which
-// the conservation oracle still accounts for exactly.
-func (rt *Runtime) reconnectLoop(p *sim.Proc, s *datatap.Subscriber, at sim.Time) {
-	p.SleepUntil(at)
+// reconnect announces a crashed subscriber's return at virtual time at,
+// retrying with exponential backoff until the manager's SubResume round
+// actually lands (the notice, the round, or the manager itself may be
+// lost to faults). Bounded: a subscriber whose manager never answers
+// stays crashed, which the conservation oracle still accounts for
+// exactly.
+func (rt *Runtime) reconnect(s *datatap.Subscriber, at sim.Time) {
 	backoff := rt.cfg.Policy.Interval
-	for attempt := 0; attempt < 4; attempt++ {
-		if !s.Crashed() {
+	attempts := 0
+	var try func()
+	try = func() {
+		if attempts == 4 || !s.Crashed() {
 			return // resumed (or never crashed: the crash fault may have been shrunk away)
 		}
-		rt.subHost.noteSubReconnect(p, s.ID(), s.Gen())
-		p.Sleep(backoff)
+		attempts++
+		rt.subHost.noteSubReconnect(s.ID(), s.Gen())
+		rt.eng.After(backoff, try)
 		backoff *= 2
 	}
+	rt.eng.At(at, try)
 }
 
 // SubCrashes exposes the armed subscriber-crash schedule (nil without

@@ -199,7 +199,7 @@ type Channel struct {
 	// detached with steps still retained (kept so the ledger stays whole).
 	spill          *spillStore
 	repairOn       bool
-	onGap          func(p *sim.Proc, missing int64)
+	onGap          func(missing int64)
 	gapNoted       bool
 	lastGapNote    sim.Time
 	removedWriters []*Writer
@@ -595,7 +595,7 @@ func (r *Reader) pull(p *sim.Proc, m *Meta) bool {
 				r.ch.markLost(e)
 			}
 			r.ch.tracer.Trigger(r.ch.gapReason)
-			r.ch.noteGap(p, 1)
+			r.ch.noteGap(1)
 		}
 		sp.Attr("fail", "invalidated").End()
 		return false

@@ -167,12 +167,12 @@ func (c *Channel) nearFull() bool {
 // SetGapHandler installs the consumer-side gap callback: fn runs (from a
 // reader's process) when the channel detects missing sequences, so the
 // consumer container can notify the global manager to request re-emission.
-func (c *Channel) SetGapHandler(fn func(p *sim.Proc, missing int64)) { c.onGap = fn }
+func (c *Channel) SetGapHandler(fn func(missing int64)) { c.onGap = fn }
 
 // noteGap reports missing sequences to the consumer, rate-limited to one
 // notification per redeliver delay so a burst of losses does not storm
 // the control plane.
-func (c *Channel) noteGap(p *sim.Proc, missing int64) {
+func (c *Channel) noteGap(missing int64) {
 	if c.onGap == nil {
 		return
 	}
@@ -182,7 +182,7 @@ func (c *Channel) noteGap(p *sim.Proc, missing int64) {
 	}
 	c.gapNoted = true
 	c.lastGapNote = now
-	c.onGap(p, missing)
+	c.onGap(missing)
 }
 
 // --- writer-side retention ---
@@ -428,7 +428,7 @@ func (r *Reader) admit(p *sim.Proc, m *Meta) bool {
 		missing := m.Seq - w.expect
 		r.ch.stats.Gaps += missing
 		r.ch.tracer.Trigger(r.ch.gapReason)
-		r.ch.noteGap(p, missing)
+		r.ch.noteGap(missing)
 	}
 	if m.Seq >= w.expect {
 		w.expect = m.Seq + 1

@@ -1,19 +1,27 @@
 package evpath
 
 import (
+	"repro/internal/cluster"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // bridge carries events from one manager's node to a stone on another
-// manager, through the simulated interconnect. Each bridge runs a courier
-// process that drains a queue, charges the transfer to the machine, and
-// resubmits on the remote side — so bridge traffic is asynchronous and
-// contends for NICs like any other data.
+// manager, through the simulated interconnect. It is an event chain, not
+// a process: a submit to an idle bridge schedules a drain step, which
+// sends queued events one at a time on a pre-bound cluster.Transfer and
+// resubmits each on the remote side — so bridge traffic is asynchronous
+// and contends for NICs like any other data.
 type bridge struct {
-	owner  *Manager
-	target *Stone
-	q      *sim.Queue[*Event]
-	stats  BridgeStats
+	owner   *Manager
+	target  *Stone
+	q       *sim.Queue[*Event]
+	xfer    *cluster.Transfer // nil on a cost-free manager
+	drainFn func()            // b.drain, bound once
+	busy    bool              // a drain step is pending or an event in flight
+	cur     *Event            // the event in flight, and its span
+	sp      *trace.Span
+	stats   BridgeStats
 }
 
 // BridgeStats reports a bridge's activity.
@@ -27,7 +35,7 @@ type BridgeStats struct {
 const descriptorBytes = 64
 
 // NewBridge returns a stone that forwards submitted events to target,
-// which lives on (possibly) another node. queueCap bounds the courier's
+// which lives on (possibly) another node. queueCap bounds the bridge's
 // backlog; 0 means unbounded. Events that arrive when a bounded queue is
 // full are dropped (and counted), mirroring lossy monitoring channels.
 func (m *Manager) NewBridge(target *Stone, queueCap int) *Stone {
@@ -37,9 +45,12 @@ func (m *Manager) NewBridge(target *Stone, queueCap int) *Stone {
 		target: target,
 		q:      sim.NewQueue[*Event](m.eng, queueCap),
 	}
+	b.drainFn = b.drain
+	if m.machine != nil {
+		b.xfer = m.machine.NewTransfer(b.transferred)
+	}
 	s := &Stone{id: m.nextID, mgr: m, bridge: b}
 	m.stones[s.id] = s
-	m.eng.Go("evpath-bridge", func(p *sim.Proc) { b.run(p) })
 	return s
 }
 
@@ -47,55 +58,84 @@ func (b *bridge) forward(ev *Event) {
 	if !b.q.TryPut(ev) {
 		b.stats.Dropped++
 		b.dropInstant(ev, "queue-full")
+		return
+	}
+	if !b.busy {
+		b.busy = true
+		b.owner.eng.At(b.owner.eng.Now(), b.drainFn)
 	}
 }
 
-func (b *bridge) run(p *sim.Proc) {
+// drain sends queued events in order until one is in flight (its
+// transfer's completion resumes the drain) or the queue is empty.
+func (b *bridge) drain() {
 	for {
-		ev, ok := b.q.Get(p)
+		ev, ok := b.q.TryGet()
 		if !ok {
+			b.busy = false
 			return
 		}
 		size := ev.Size + descriptorBytes
 		sp := b.owner.tracer.Begin(ev.Ctx(), "evpath", "send").
 			Node(b.owner.node).Attr("type", ev.Type).
 			AttrInt("bytes", size).AttrInt("dst", int64(b.target.mgr.node))
-		if b.owner.machine != nil {
-			// The fault schedule may lose the message outright (lossy
-			// control overlay) or the wire may fail it (dead/partitioned
-			// endpoint); either way the event never reaches the target.
-			if b.owner.machine.Faults().DropCtl() {
-				b.stats.Dropped++
-				sp.Attr("drop", "ctl-fault").End()
-				continue
-			}
-			if !b.owner.machine.Send(p, b.owner.node, b.target.mgr.node, size) {
-				b.stats.Dropped++
-				sp.Attr("drop", "wire").End()
-				continue
-			}
+		switch {
+		case b.xfer == nil:
+			b.deliver(ev, sp)
+		// The fault schedule may lose the message outright (lossy control
+		// overlay) or the wire may fail it (dead/partitioned endpoint);
+		// either way the event never reaches the target.
+		case b.owner.machine.Faults().DropCtl():
+			b.drop(sp, "ctl-fault")
+		case !b.xfer.Start(b.owner.node, b.target.mgr.node, size):
+			b.drop(sp, "wire")
+		default:
+			b.cur, b.sp = ev, sp
+			return
 		}
-		b.stats.Sent++
-		b.stats.Bytes += size
-		// Restamp so the receive side chains from the transfer, not the
-		// original submitter: hop-by-hop causality survives multi-bridge
-		// overlays.
-		if sp != nil {
-			ev.Span = sp.ID()
-		}
-		sp.End()
-		b.target.handle(p, ev)
 	}
 }
 
-// dropInstant records an enqueue-side drop (no courier involved).
+// transferred completes the event in flight, then resumes the drain.
+func (b *bridge) transferred(ok bool) {
+	ev, sp := b.cur, b.sp
+	b.cur, b.sp = nil, nil
+	if ok {
+		b.deliver(ev, sp)
+	} else {
+		b.drop(sp, "wire")
+	}
+	b.drain()
+}
+
+// drop counts an event lost on its way to the target and ends its span.
+func (b *bridge) drop(sp *trace.Span, why string) {
+	b.stats.Dropped++
+	sp.Attr("drop", why).End()
+}
+
+// deliver accounts a completed transfer and hands the event to the target.
+func (b *bridge) deliver(ev *Event, sp *trace.Span) {
+	b.stats.Sent++
+	b.stats.Bytes += ev.Size + descriptorBytes
+	// Restamp so the receive side chains from the transfer, not the
+	// original submitter: hop-by-hop causality survives multi-bridge
+	// overlays.
+	if sp != nil {
+		ev.Span = sp.ID()
+	}
+	sp.End()
+	b.target.handle(ev)
+}
+
+// dropInstant records an enqueue-side drop (nothing was sent).
 func (b *bridge) dropInstant(ev *Event, why string) {
 	b.owner.tracer.Instant(ev.Ctx(), "evpath", "drop").
 		Node(b.owner.node).Attr("type", ev.Type).Attr("why", why).End()
 }
 
-// CloseBridge shuts down a bridge stone's courier after the backlog
-// drains. Calling it on a non-bridge stone is a no-op.
+// CloseBridge closes a bridge stone: the backlog still drains, and later
+// submits are dropped. Calling it on a non-bridge stone is a no-op.
 func (s *Stone) CloseBridge() {
 	if s.bridge != nil {
 		s.bridge.q.Close()

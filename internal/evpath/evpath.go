@@ -64,20 +64,18 @@ func (ev *Event) clone() *Event {
 type StoneID int
 
 // Manager is the per-process event context (EVPath's CManager): it owns
-// stones and executes their actions. A Manager is pinned to a machine node
-// so bridge traffic is charged to the right NICs; a nil machine gives a
-// cost-free in-process overlay (useful in unit tests).
+// stones and executes their actions. Actions run inline and take no
+// virtual time; only bridges cost time, on the wire. A Manager is pinned
+// to a machine node so bridge traffic is charged to the right NICs; a nil
+// machine gives a cost-free in-process overlay (useful in unit tests).
 type Manager struct {
-	eng     *sim.Engine
-	machine *cluster.Machine
-	node    int
-	nextID  StoneID
-	stones  map[StoneID]*Stone
-	// HandlerCost is charged (as virtual time) per event handled by a
-	// terminal or transform stone, modeling handler execution.
-	HandlerCost sim.Time
-	delivered   int64
-	tracer      *trace.Recorder
+	eng       *sim.Engine
+	machine   *cluster.Machine
+	node      int
+	nextID    StoneID
+	stones    map[StoneID]*Stone
+	delivered int64
+	tracer    *trace.Recorder
 }
 
 // NewManager returns a Manager on the given machine node. machine may be
@@ -167,30 +165,26 @@ func (s *Stone) Unlink(target *Stone) {
 // Targets returns the current downstream stones.
 func (s *Stone) Targets() []*Stone { return s.targets }
 
-// Submit injects an event at stone s from process p. Local stone chains
-// execute inline (charging HandlerCost per handling stone); bridge stones
-// hand the event to an asynchronous courier that performs the network
-// transfer. p may be nil only for cost-free managers (no machine).
-func (s *Stone) Submit(p *sim.Proc, ev *Event) {
+// Submit injects an event at stone s. Local stone chains execute inline;
+// bridge stones queue the event for an asynchronous network transfer.
+// Submit never parks, so any process or engine callback may call it.
+func (s *Stone) Submit(ev *Event) {
 	if ev.Submitted == 0 {
 		ev.Submitted = s.mgr.eng.Now()
 	}
 	if ev.Src == 0 {
 		ev.Src = s.id
 	}
-	s.handle(p, ev)
+	s.handle(ev)
 }
 
-func (s *Stone) handle(p *sim.Proc, ev *Event) {
+func (s *Stone) handle(ev *Event) {
 	if s.bridge != nil {
 		s.bridge.forward(ev)
 		return
 	}
 	emitted := ev
 	if s.action != nil {
-		if s.mgr.HandlerCost > 0 && p != nil {
-			p.Sleep(s.mgr.HandlerCost)
-		}
 		// Collect emissions into the stone's reusable pending buffer.
 		// Save/restore makes this safe if a downstream handler re-enters
 		// this stone (a cycle routed back): the inner handle gets the
@@ -205,7 +199,7 @@ func (s *Stone) handle(p *sim.Proc, ev *Event) {
 			s.mgr.delivered += int64(len(outs))
 		} else {
 			for _, out := range outs {
-				s.fanOut(p, out)
+				s.fanOut(out)
 			}
 		}
 		for i := range outs {
@@ -218,16 +212,16 @@ func (s *Stone) handle(p *sim.Proc, ev *Event) {
 		s.mgr.delivered++
 		return
 	}
-	s.fanOut(p, emitted)
+	s.fanOut(emitted)
 }
 
-func (s *Stone) fanOut(p *sim.Proc, ev *Event) {
+func (s *Stone) fanOut(ev *Event) {
 	if len(s.targets) == 1 {
-		s.targets[0].handle(p, ev)
+		s.targets[0].handle(ev)
 		return
 	}
 	for _, t := range s.targets {
-		t.handle(p, ev.clone())
+		t.handle(ev.clone())
 	}
 }
 

@@ -21,8 +21,8 @@ func TestPassthroughChain(t *testing.T) {
 	src := m.NewStone(nil)
 	src.Link(mid)
 	eng.Go("p", func(p *sim.Proc) {
-		src.Submit(p, &Event{Type: "a"})
-		src.Submit(p, &Event{Type: "b"})
+		src.Submit(&Event{Type: "a"})
+		src.Submit(&Event{Type: "b"})
 	})
 	eng.Run()
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
@@ -38,7 +38,7 @@ func TestFilterAndTypeFilter(t *testing.T) {
 	f.Link(sink)
 	eng.Go("p", func(p *sim.Proc) {
 		for _, ty := range []string{"keep", "drop", "also", "drop", "keep"} {
-			f.Submit(p, &Event{Type: ty})
+			f.Submit(&Event{Type: ty})
 		}
 	})
 	eng.Run()
@@ -62,7 +62,7 @@ func TestTransformRewritesAndDrops(t *testing.T) {
 	tr.Link(sink)
 	eng.Go("p", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
-			tr.Submit(p, &Event{Type: "n", Data: i})
+			tr.Submit(&Event{Type: "n", Data: i})
 		}
 	})
 	eng.Run()
@@ -89,7 +89,7 @@ func TestSplitClonesAttrs(t *testing.T) {
 	split := m.NewStone(nil)
 	split.Link(mk("left")).Link(mk("right"))
 	eng.Go("p", func(p *sim.Proc) {
-		split.Submit(p, &Event{Type: "x", Attrs: map[string]string{"origin": "src"}})
+		split.Submit(&Event{Type: "x", Attrs: map[string]string{"origin": "src"}})
 	})
 	eng.Run()
 	if seen["left"] != "src" || seen["right"] != "src" {
@@ -104,9 +104,9 @@ func TestUnlink(t *testing.T) {
 	src := m.NewStone(nil)
 	src.Link(sink)
 	eng.Go("p", func(p *sim.Proc) {
-		src.Submit(p, &Event{Type: "a"})
+		src.Submit(&Event{Type: "a"})
 		src.Unlink(sink)
-		src.Submit(p, &Event{Type: "b"})
+		src.Submit(&Event{Type: "b"})
 	})
 	eng.Run()
 	if c.Total != 1 {
@@ -131,7 +131,7 @@ func TestAggregateCombines(t *testing.T) {
 	agg.Link(sink)
 	eng.Go("p", func(p *sim.Proc) {
 		for i := 1; i <= 7; i++ {
-			agg.Submit(p, &Event{Type: "n", Data: i})
+			agg.Submit(&Event{Type: "n", Data: i})
 		}
 	})
 	eng.Run()
@@ -144,27 +144,10 @@ func TestAggregateCombines(t *testing.T) {
 func TestTerminalWithoutTargetsCountsDelivered(t *testing.T) {
 	eng, m := localManager()
 	s := m.NewStone(nil)
-	eng.Go("p", func(p *sim.Proc) { s.Submit(p, &Event{Type: "x"}) })
+	eng.Go("p", func(p *sim.Proc) { s.Submit(&Event{Type: "x"}) })
 	eng.Run()
 	if m.Delivered() != 1 {
 		t.Fatalf("delivered %d", m.Delivered())
-	}
-}
-
-func TestHandlerCostCharged(t *testing.T) {
-	eng := sim.NewEngine(1)
-	m := NewManager(eng, nil, 0)
-	m.HandlerCost = 5 * sim.Millisecond
-	sink := m.NewStone(Terminal(func(*Event) {}))
-	var elapsed sim.Time
-	eng.Go("p", func(p *sim.Proc) {
-		start := p.Now()
-		sink.Submit(p, &Event{Type: "x"})
-		elapsed = p.Now() - start
-	})
-	eng.Run()
-	if elapsed != 5*sim.Millisecond {
-		t.Fatalf("elapsed %v", elapsed)
 	}
 }
 
@@ -192,7 +175,7 @@ func TestBridgeDeliversAcrossNodes(t *testing.T) {
 		recvAt, data = p.Now(), ev.Data
 	})
 	eng.Go("producer", func(p *sim.Proc) {
-		br.Submit(p, &Event{Type: "msg", Size: 1024, Data: "hello"})
+		br.Submit(&Event{Type: "msg", Size: 1024, Data: "hello"})
 	})
 	eng.Run()
 	if data != "hello" {
@@ -216,7 +199,7 @@ func TestBridgeSubmitIsAsync(t *testing.T) {
 	br := m0.NewBridge(mb.Stone, 0)
 	var submitDone sim.Time
 	eng.Go("producer", func(p *sim.Proc) {
-		br.Submit(p, &Event{Type: "msg", Size: 1 << 20})
+		br.Submit(&Event{Type: "msg", Size: 1 << 20})
 		submitDone = p.Now()
 	})
 	eng.Run()
@@ -230,34 +213,40 @@ func TestBridgeSubmitIsAsync(t *testing.T) {
 
 func TestBridgeBoundedDrops(t *testing.T) {
 	eng, _, m0, m1 := bridgedManagers(t)
-	mb := NewMailbox(m1, 0)
-	br := m0.NewBridge(mb.Stone, 2)
-	eng.Go("producer", func(p *sim.Proc) {
-		for i := 0; i < 10; i++ {
-			br.Submit(p, &Event{Type: "m", Size: 1 << 24})
-		}
-	})
-	eng.Run()
-	st := br.BridgeStats()
-	if st.Dropped == 0 {
-		t.Fatal("bounded bridge should drop under burst")
+	var got []any
+	br := m0.NewBridge(collect(m1, &got), 2)
+	for i := 0; i < 10; i++ {
+		br.Submit(&Event{Type: "m", Size: 1 << 24, Data: i})
 	}
-	if st.Sent+st.Dropped != 10 {
-		t.Fatalf("sent %d + dropped %d != 10", st.Sent, st.Dropped)
+	if br.BridgeBacklog() != 2 {
+		t.Fatalf("backlog %d, want the queue bound 2", br.BridgeBacklog())
+	}
+	eng.Run()
+	// Nothing drains before the engine runs, so the bound admits the
+	// first two and drops the other eight.
+	if st := br.BridgeStats(); st.Sent != 2 || st.Dropped != 8 {
+		t.Fatalf("stats %+v, want 2 sent and 8 dropped", st)
+	}
+	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("delivered %v", got)
 	}
 }
 
 func TestBridgeClose(t *testing.T) {
 	eng, _, m0, m1 := bridgedManagers(t)
-	mb := NewMailbox(m1, 0)
-	br := m0.NewBridge(mb.Stone, 0)
-	eng.Go("producer", func(p *sim.Proc) {
-		br.Submit(p, &Event{Type: "m", Size: 100})
-		br.CloseBridge()
-	})
+	var got []any
+	br := m0.NewBridge(collect(m1, &got), 0)
+	for i := 0; i < 3; i++ {
+		br.Submit(&Event{Type: "m", Size: 100, Data: i})
+	}
+	br.CloseBridge()
+	br.Submit(&Event{Type: "m", Size: 100, Data: 3})
 	eng.Run()
-	if got := br.BridgeStats().Sent; got != 1 {
-		t.Fatalf("sent %d; backlog should drain before close", got)
+	if st := br.BridgeStats(); st.Sent != 3 || st.Dropped != 1 {
+		t.Fatalf("stats %+v, want the 3-event backlog sent and 1 late submit dropped", st)
+	}
+	if len(got) != 3 {
+		t.Fatalf("delivered %v", got)
 	}
 	if len(eng.Blocked()) != 0 {
 		t.Fatalf("leaked procs: %v", eng.Blocked())
@@ -316,7 +305,7 @@ func TestMonitoringOverlayTree(t *testing.T) {
 		br := leafMgr.NewBridge(agg, 0)
 		val := float64(i * 10)
 		eng.Go("leaf", func(p *sim.Proc) {
-			br.Submit(p, &Event{Type: "sample", Size: 16, Data: val})
+			br.Submit(&Event{Type: "sample", Size: 16, Data: val})
 		})
 	}
 	eng.Run()
@@ -327,7 +316,7 @@ func TestMonitoringOverlayTree(t *testing.T) {
 
 func TestMultiHopBridgeChain(t *testing.T) {
 	// A three-node relay: events hop node0 -> node1 -> node2, each hop a
-	// separate bridge with its own courier and network charges.
+	// separate bridge with its own transfer and network charges.
 	eng := sim.NewEngine(9)
 	cfg := cluster.Franklin()
 	cfg.Nodes = 4
@@ -349,7 +338,7 @@ func TestMultiHopBridgeChain(t *testing.T) {
 	relay.Link(hop2)
 	hop1 := m0.NewBridge(relay, 0)
 	eng.Go("src", func(p *sim.Proc) {
-		hop1.Submit(p, &Event{Type: "m", Size: 4096, Data: "orig"})
+		hop1.Submit(&Event{Type: "m", Size: 4096, Data: "orig"})
 	})
 	eng.Run()
 	if len(got) != 1 || got[0] != "orig+relayed" {
@@ -377,7 +366,7 @@ func TestSubmitStampsMetadataOnce(t *testing.T) {
 	eng.At(7*sim.Second, func() {})
 	eng.Go("p", func(p *sim.Proc) {
 		p.Sleep(5 * sim.Second)
-		first.Submit(p, &Event{Type: "x"})
+		first.Submit(&Event{Type: "x"})
 	})
 	eng.Run()
 	if src != first.ID() {
@@ -397,7 +386,7 @@ func TestCounterSeesEveryBranch(t *testing.T) {
 	split.Link(a).Link(b)
 	eng.Go("p", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
-			split.Submit(p, &Event{Type: "x"})
+			split.Submit(&Event{Type: "x"})
 		}
 	})
 	eng.Run()

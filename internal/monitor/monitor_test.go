@@ -100,7 +100,7 @@ func TestOverlayFeedsAggregator(t *testing.T) {
 	eng.Go("replica", func(p *sim.Proc) {
 		for i := int64(0); i < 4; i++ {
 			p.Sleep(15 * sim.Second)
-			br.Submit(p, Event(sample("bonds", i, 20*sim.Second, int(i), p.Now())))
+			br.Submit(Event(sample("bonds", i, 20*sim.Second, int(i), p.Now())))
 		}
 	})
 	eng.Run()
@@ -119,8 +119,8 @@ func TestTerminalIgnoresForeignEvents(t *testing.T) {
 	agg := NewAggregator(0)
 	root := mgr.NewStone(agg.Terminal())
 	eng.Go("p", func(p *sim.Proc) {
-		root.Submit(p, &evpath.Event{Type: "other", Data: "not a sample"})
-		root.Submit(p, &evpath.Event{Type: SampleEventType, Data: "wrong payload"})
+		root.Submit(&evpath.Event{Type: "other", Data: "not a sample"})
+		root.Submit(&evpath.Event{Type: SampleEventType, Data: "wrong payload"})
 	})
 	eng.Run()
 	if agg.TotalSamples() != 0 {
@@ -160,7 +160,7 @@ func TestProbeRateLimiting(t *testing.T) {
 	eng.Go("src", func(p *sim.Proc) {
 		for i := 0; i < 20; i++ {
 			p.Sleep(sim.Second)
-			pr.Offer(p, sample("c", int64(i), sim.Second, 0, p.Now()))
+			pr.Offer(sample("c", int64(i), sim.Second, 0, p.Now()))
 		}
 	})
 	eng.Run()
@@ -188,7 +188,7 @@ func TestProbeAggregation(t *testing.T) {
 	eng.Go("src", func(p *sim.Proc) {
 		for i := 0; i < 8; i++ {
 			p.Sleep(sim.Second)
-			pr.Offer(p, sample("c", int64(i), sim.Time(i)*sim.Second, i, p.Now()))
+			pr.Offer(sample("c", int64(i), sim.Time(i)*sim.Second, i, p.Now()))
 		}
 	})
 	eng.Run()
@@ -214,7 +214,7 @@ func TestProbeMetricMask(t *testing.T) {
 	pr := NewProbe(out)
 	pr.Metrics = &MetricMask{QueueLen: true} // only queue lengths cross
 	eng.Go("src", func(p *sim.Proc) {
-		pr.Offer(p, Sample{Container: "c", Latency: 9 * sim.Second,
+		pr.Offer(Sample{Container: "c", Latency: 9 * sim.Second,
 			Service: 5 * sim.Second, QueueLen: 7, At: p.Now()})
 	})
 	eng.Run()

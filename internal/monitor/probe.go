@@ -45,9 +45,8 @@ func (pr *Probe) Seen() int64 { return pr.seen }
 func (pr *Probe) Sent() int64 { return pr.sent }
 
 // Offer ingests one sample, forwarding according to the probe's current
-// configuration. It must be called from a simulated process (the sample's
-// producer).
-func (pr *Probe) Offer(p *sim.Proc, s Sample) {
+// configuration.
+func (pr *Probe) Offer(s Sample) {
 	pr.seen++
 	if pr.Metrics != nil {
 		if !pr.Metrics.Latency {
@@ -73,7 +72,7 @@ func (pr *Probe) Offer(p *sim.Proc, s Sample) {
 	}
 	pr.lastSent = s.At
 	pr.sent++
-	pr.Out.Submit(p, Event(s))
+	pr.Out.Submit(Event(s))
 }
 
 // averageSamples reduces a batch to one mean sample stamped at the batch

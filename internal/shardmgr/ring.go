@@ -76,7 +76,6 @@ func (r *Ring) addPoints(shard int) {
 	label := "shard-" + strconv.Itoa(shard) + "#"
 	for v := 0; v < vnodesPerShard; v++ {
 		h := fnv1a(r.seed, label+strconv.Itoa(v))
-		//iocheck:allow hotalloc ring construction is setup-time, not a hot path
 		r.points = append(r.points, point{hash: h, shard: shard})
 	}
 }

@@ -278,7 +278,6 @@ func (r *Recorder) commit(rec Record) {
 	}
 	sortAttrs(rec.Attrs)
 	if len(r.ring) < r.cfg.RingCap {
-		//iocheck:allow hotalloc amortized growth of the bounded flight ring, not per-event garbage
 		r.ring = append(r.ring, rec)
 		r.n++
 		return
