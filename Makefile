@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint lint-baseline check chaos experiments bench bench-smoke trace-smoke race-smoke
+.PHONY: build test race vet fmt lint lint-baseline check chaos experiments bench bench-smoke trace-smoke race-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -96,3 +96,11 @@ trace-smoke:
 race-smoke:
 	$(GO) test -race -run 'TestWorkerPoolVerdictsIdentical|TestSearchByteDeterministic' ./internal/chaos
 	$(GO) test -race -run 'TestConcurrentLoads' ./internal/analysis
+
+# fuzz-smoke explores past the checked-in seed corpora (plain go test only
+# replays those): about 10 s of coverage-guided fuzzing each for the
+# subscriber-cursor fuzzer and the kernel event-order fuzzer. A failing
+# input is written under the package's testdata/fuzz/ for replay.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzSubHubCursors$$' -fuzztime 10s ./internal/datatap
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s ./internal/sim

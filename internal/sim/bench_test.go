@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 // switchCounter is a counting Tracer for the kernel benches. Every event
 // that is not a plain callback resumes exactly one process (its start or
@@ -48,6 +51,38 @@ func BenchmarkEventThroughput(b *testing.B) {
 	e.Run()
 	if n != b.N {
 		b.Fatalf("executed %d, want %d", n, b.N)
+	}
+}
+
+// startHold arms n self-re-arming timers on e: the hold model of a
+// timer-heavy run such as a subscriber fleet. Each timer, when it fires,
+// re-arms itself a uniform 0–4 s later, so n events stay pending.
+func startHold(e *Engine, n int) {
+	for i := 0; i < n; i++ {
+		var fire func()
+		fire = func() { e.At(e.Now()+e.Rand().Uniform(0, 4*Second), fire) }
+		e.At(e.Rand().Uniform(0, 4*Second), fire)
+	}
+}
+
+// BenchmarkEventHold measures the event queue alone under the hold
+// model, at a pipeline-sized and at a fleet-sized pending set. One op is
+// one event: pop the earliest timer and re-arm it.
+func BenchmarkEventHold(b *testing.B) {
+	for _, n := range []int{30, 2000} {
+		b.Run("pending="+strconv.Itoa(n), func(b *testing.B) {
+			b.ReportAllocs()
+			e := NewEngine(1)
+			startHold(e, n)
+			for i := 0; i < 50*n; i++ {
+				e.Step()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+		})
 	}
 }
 

@@ -20,11 +20,23 @@
 //     only wait for units and time — network transfers, subscriber
 //     deliveries — run as chains of such callbacks and need no process.
 //
+// Events run in (time, schedule order): same-time events are FIFO. The
+// clock never runs backwards — scheduling in the past clamps to now — so
+// the pending queue is a radix heap keyed on the last time it refilled,
+// which costs a few bit operations per event, amortized, however many
+// timers are pending. The one rule this puts on the engine: peeking at the next
+// event's time (as [Engine.RunUntil] does before stopping short) must
+// not advance that key, because the clock may then be set below the
+// peeked time and events scheduled in between must still run first.
+//
 // [Engine.Stats] counts executed events, process spawns, process wakes
 // and timeouts, always on and without a tracer.
 package sim
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // Engine is the discrete-event scheduler: a virtual clock plus an ordered
 // queue of future events. It is not safe for concurrent use; all
@@ -33,7 +45,7 @@ import "sort"
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   eventHeap
+	queue   eventQueue
 	rng     *Rand
 	procs   map[*Proc]struct{}
 	running *Proc // the process executing right now; nil in the event loop
@@ -130,63 +142,96 @@ type event struct {
 	next *event // freelist link while recycled
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) push(e *event) {
-	*h = append(*h, e)
-	h.up(len(*h) - 1)
-}
-
-func (h *eventHeap) pop() *event {
-	old := *h
-	n := len(old)
-	top := old[0]
-	old[0] = old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	if len(*h) > 0 {
-		h.down(0)
-	}
-	return top
+// eventQueue is a radix heap: a monotone priority queue over (at, seq).
+// It relies on the kernel's clock never running backwards. schedule
+// clamps every time to now, and now is never below the last popped time,
+// so no pending event is ever keyed below last, the time of the latest
+// refill.
+//
+// An event lives in bucket bits.Len64(at ^ last): bucket 0 holds the
+// events due exactly at last, and bucket i > 0 those whose time first
+// differs from last at bit i-1. pop takes bucket 0 front to back; when it
+// runs dry, refill makes the minimum time of the lowest non-empty bucket
+// the new last and re-files that bucket's events, all of which land in
+// lower buckets. Each bucket stays in seq order: pushes append in seq
+// order, and a refill only fills buckets that are empty at that moment.
+// So the pop sequence is exactly (at, seq) order, with same-time events
+// FIFO.
+//
+// min must not move last: RunUntil peeks and may stop short, then set
+// the clock below the peeked time, and a later schedule between the two
+// would otherwise be keyed below last.
+type eventQueue struct {
+	buckets [65][]*event
+	head    int    // next index to pop in buckets[0]
+	mask    uint64 // bit i-1 set iff buckets[i] is non-empty, for i ≥ 1
+	last    Time
+	n       int
 }
 
-func (h eventHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.Less(i, parent) {
-			break
-		}
-		h.Swap(i, parent)
-		i = parent
+func (q *eventQueue) push(ev *event) {
+	q.place(ev)
+	q.n++
+}
+
+// place files ev in its bucket relative to last. Buckets keep their
+// capacity, so once the pending set has peaked it allocates nothing.
+func (q *eventQueue) place(ev *event) {
+	i := bits.Len64(uint64(ev.at) ^ uint64(q.last))
+	q.buckets[i] = append(q.buckets[i], ev)
+	if i > 0 {
+		q.mask |= 1 << (i - 1)
 	}
 }
 
-func (h eventHeap) down(i int) {
-	n := len(h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.Less(l, smallest) {
-			smallest = l
-		}
-		if r < n && h.Less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		h.Swap(i, smallest)
-		i = smallest
+// pop removes and returns the earliest event; the queue must be non-empty.
+func (q *eventQueue) pop() *event {
+	if q.head == len(q.buckets[0]) {
+		q.refill()
 	}
+	b := q.buckets[0]
+	ev := b[q.head]
+	b[q.head] = nil
+	q.head++
+	if q.head == len(b) {
+		q.buckets[0], q.head = b[:0], 0
+	}
+	q.n--
+	return ev
+}
+
+// refill empties the lowest non-empty bucket into the lower ones, keyed
+// on its minimum time; bucket 0 must be empty and some other bucket not.
+func (q *eventQueue) refill() {
+	i := bits.TrailingZeros64(q.mask) + 1
+	b := q.buckets[i]
+	q.last = minAt(b)
+	q.mask &^= 1 << (i - 1)
+	q.buckets[i] = b[:0]
+	for k, ev := range b {
+		q.place(ev)
+		b[k] = nil
+	}
+}
+
+// min reports the earliest pending time without moving last; the queue
+// must be non-empty.
+func (q *eventQueue) min() Time {
+	if q.head < len(q.buckets[0]) {
+		return q.last
+	}
+	return minAt(q.buckets[bits.TrailingZeros64(q.mask)+1])
+}
+
+// minAt returns the earliest time in a non-empty bucket.
+func minAt(b []*event) Time {
+	at := b[0].at
+	for _, ev := range b[1:] {
+		if ev.at < at {
+			at = ev.at
+		}
+	}
+	return at
 }
 
 // NewEngine returns an engine with its virtual clock at zero and a
@@ -248,12 +293,12 @@ func (e *Engine) allocEvent() *event {
 }
 
 // Pending reports the number of scheduled (not yet executed) events.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.queue.n }
 
 // Step executes the next scheduled event, advancing the clock to its time.
 // It reports false if no events remain.
 func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
+	if e.queue.n == 0 {
 		return false
 	}
 	ev := e.queue.pop()
@@ -282,16 +327,13 @@ func (e *Engine) Run() {
 
 // RunUntil executes events with time ≤ t, then sets the clock to t.
 func (e *Engine) RunUntil(t Time) {
-	for len(e.queue) > 0 && e.queue[0].at <= t {
+	for e.queue.n > 0 && e.queue.min() <= t {
 		e.Step()
 	}
 	if e.now < t {
 		e.now = t
 	}
 }
-
-// RunFor advances the simulation by d virtual time.
-func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 
 // Blocked returns the names of processes that are alive but currently
 // parked (waiting on a queue, event, or resource). Useful in tests to

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -94,6 +95,48 @@ func TestRunUntilStopsAndSetsClock(t *testing.T) {
 	}
 }
 
+// RunUntil peeks at the next event's time and stops short of it; the
+// clock then sits below that time, and events scheduled in between must
+// still run first, in time order, with the equal-time pair FIFO.
+func TestRunUntilStopShortThenScheduleBelow(t *testing.T) {
+	e := NewEngine(1)
+	var got []string
+	at := func(t Time, name string) {
+		e.At(t, func() { got = append(got, name) })
+	}
+	at(8, "8a")
+	at(8, "8b")
+	e.RunUntil(5)
+	at(7, "7")
+	at(6, "6")
+	e.Run()
+	if want := []string{"6", "7", "8a", "8b"}; !slices.Equal(got, want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+}
+
+// Once the pending set has peaked, the event queue recycles its bucket
+// capacity: a hold model of 2,000 timers re-arming at random allocates
+// nothing per event.
+func TestEventQueueSteadyStateAllocs(t *testing.T) {
+	e := NewEngine(1)
+	startHold(e, 2000)
+	for i := 0; i < 200_000; i++ {
+		e.Step()
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 2000; i++ {
+			e.Step()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per 2,000 events in steady state, want 0", allocs)
+	}
+	if e.Pending() != 2000 {
+		t.Fatalf("Pending = %d, want 2000", e.Pending())
+	}
+}
+
 func TestProcSleep(t *testing.T) {
 	e := NewEngine(1)
 	var stamps []Time
@@ -136,30 +179,6 @@ func TestProcInterleaving(t *testing.T) {
 		if trace[i] != want[i] {
 			t.Fatalf("trace = %v, want %v", trace, want)
 		}
-	}
-}
-
-func TestProcJoin(t *testing.T) {
-	e := NewEngine(1)
-	child := e.Go("child", func(p *Proc) { p.Sleep(5 * Second) })
-	var joinedAt Time = -1
-	e.Go("parent", func(p *Proc) {
-		p.Join(child)
-		joinedAt = p.Now()
-	})
-	e.Run()
-	if joinedAt != 5*Second {
-		t.Fatalf("joined at %v, want 5s", joinedAt)
-	}
-	// Joining a finished proc returns immediately.
-	done := false
-	e.Go("late", func(p *Proc) {
-		p.Join(child)
-		done = true
-	})
-	e.Run()
-	if !done {
-		t.Fatal("late join did not return")
 	}
 }
 
@@ -445,7 +464,7 @@ func TestTimeConversions(t *testing.T) {
 	}
 }
 
-// Property: the event heap always pops in nondecreasing time order with
+// Property: the event queue always pops in nondecreasing time order with
 // FIFO tie-breaking, for arbitrary insertion orders.
 func TestEventHeapOrderingProperty(t *testing.T) {
 	f := func(times []uint16) bool {

@@ -18,7 +18,6 @@ type Proc struct {
 	yield    func(struct{}) bool     // parks the coroutine; valid inside it only
 	parked   bool
 	done     bool
-	onDone   *Event // lazily created join event
 	wakeWhat string // "wake "+name, built once at spawn
 	unparkFn func() // bound unpark, built once at spawn
 	w        waiter // the proc's single in-flight wait (see newWait)
@@ -43,9 +42,6 @@ func (e *Engine) GoAt(t Time, name string, fn func(*Proc)) *Proc {
 			fn(p)
 			p.done = true
 			delete(e.procs, p)
-			if p.onDone != nil {
-				p.onDone.Fire()
-			}
 		})
 		p.resume()
 	})
@@ -103,28 +99,6 @@ func (p *Proc) Sleep(d Time) {
 	}
 	p.eng.schedule(p.eng.now+d, p.wakeWhat, p.unparkFn)
 	p.park()
-}
-
-// SleepUntil suspends the process until virtual time t.
-func (p *Proc) SleepUntil(t Time) {
-	d := t - p.eng.now
-	p.Sleep(d)
-}
-
-// Yield lets all other events scheduled for the current instant run before
-// the process continues.
-func (p *Proc) Yield() { p.Sleep(0) }
-
-// Join blocks until other has finished. Returns immediately if it already
-// has.
-func (p *Proc) Join(other *Proc) {
-	if other.done {
-		return
-	}
-	if other.onDone == nil {
-		other.onDone = NewEvent(p.eng)
-	}
-	other.onDone.Wait(p)
 }
 
 // waiter represents one parked process inside a queue/event/resource wait
