@@ -99,8 +99,10 @@ race-smoke:
 
 # fuzz-smoke explores past the checked-in seed corpora (plain go test only
 # replays those): about 10 s of coverage-guided fuzzing each for the
-# subscriber-cursor fuzzer and the kernel event-order fuzzer. A failing
-# input is written under the package's testdata/fuzz/ for replay.
+# subscriber-cursor fuzzer, the kernel event-order fuzzer and the
+# poll-tick equivalence fuzzer. A failing input is written under the
+# package's testdata/fuzz/ for replay.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSubHubCursors$$' -fuzztime 10s ./internal/datatap
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzPollEquivalence$$' -fuzztime 10s ./internal/sim

@@ -43,7 +43,8 @@ var hotRootTable = map[string][]string{
 	"internal/sim": {
 		"(*Engine).Step", "(*Engine).schedule",
 		"(*Proc).park", "(*Proc).unpark", "(*Proc).wake", "(*Proc).Sleep",
-		"(*Queue).Get", "(*Queue).GetTimeout", "(*Queue).TryGet",
+		"(*Proc).SleepWhile", "(*Proc).tick", "(*getTimer).expire",
+		"(*Queue).Get", "(*Queue).GetTimeout", "(*Queue).GetPoll", "(*Queue).TryGet",
 		"(*Queue).Put", "(*Queue).TryPut",
 		"(*Event).Wait", "(*Event).WaitTimeout", "(*Event).Fire",
 		"(*Resource).Acquire", "(*Resource).AcquireThen", "(*Resource).TryAcquire",
@@ -51,7 +52,7 @@ var hotRootTable = map[string][]string{
 	},
 	"internal/datatap": {
 		"(*Writer).Write", "(*Writer).WriteTraced", "(*Writer).writeALO",
-		"(*Reader).Fetch", "(*Reader).FetchTimeout", "(*Reader).pull",
+		"(*Reader).Fetch", "(*Reader).FetchTimeout", "(*Reader).FetchPoll", "(*Reader).pull",
 		"(*Channel).redeliverDue", "(*Channel).reemit", "(*Channel).RedeliverLost",
 		"(*Subscriber).step", "(*SubHub).Publish",
 	},

@@ -97,7 +97,8 @@ func (b *roundBit) seed(prim string) {
 // Matched by method name, same contract style as orderSinks.
 var deadlineWaitMethods = map[string]bool{
 	"RecvTimeout": true, "WaitTimeout": true,
-	"GetTimeout": true, "FetchTimeout": true,
+	"GetTimeout": true, "GetPoll": true,
+	"FetchTimeout": true, "FetchPoll": true,
 }
 
 // roundSendMethods are the send primitives roundflow/roundterm treat as

@@ -39,7 +39,7 @@ const metadataMsgBytes = 1024
 const ctlMsgBytes = 256
 
 // replicaPollInterval bounds how long a replica waits in Fetch before
-// rechecking its stop flag.
+// rechecking its stop flag, and paces an idle replica's checks for work.
 const replicaPollInterval = time1s
 
 const time1s = sim.Second
@@ -356,14 +356,26 @@ func (r *replica) isFetcher() bool {
 }
 
 // run is a replica's main loop: fetch a step, compute, forward.
+//
+// Both waits poll once per replicaPollInterval, and the kernel runs the
+// polls that change nothing: idle keeps an idle replica asleep, and
+// fetching keeps a fetch wait on an empty input armed, each exactly while
+// the next pass of this loop would do the same again. So the process
+// resumes only to act, with the same events at the same instants.
 func (r *replica) run(p *sim.Proc) {
 	defer r.done.Fire()
 	c := r.c
+	idle := func() bool {
+		return !r.stop && !r.fetching() && c.input != nil && !c.input.Closed()
+	}
+	fetching := func() bool {
+		return !c.input.Closed() && !r.stop && r.fetching()
+	}
 	for {
 		if r.stop {
 			return
 		}
-		if !c.Active() || !r.isFetcher() {
+		if !r.fetching() {
 			// Passive (pre-crack CNA), offline, or a non-lead
 			// tree/rank member: idle without consuming. A closed input
 			// means there will never be anything to do — exit rather
@@ -372,10 +384,10 @@ func (r *replica) run(p *sim.Proc) {
 			if c.input == nil || c.input.Closed() {
 				return
 			}
-			p.Sleep(replicaPollInterval)
+			p.SleepWhile(replicaPollInterval, idle)
 			continue
 		}
-		m, ok := r.reader.FetchTimeout(p, replicaPollInterval)
+		m, ok := r.reader.FetchPoll(p, replicaPollInterval, fetching)
 		if !ok {
 			if c.input.Closed() {
 				return
@@ -387,6 +399,10 @@ func (r *replica) run(p *sim.Proc) {
 		r.busy = false
 	}
 }
+
+// fetching reports whether the replica's loop pulls steps right now: its
+// container is active and it is a fetcher.
+func (r *replica) fetching() bool { return r.c.Active() && r.isFetcher() }
 
 // process executes the component on one fetched step. The computation is
 // interruptible: an MPI-style teardown (or offline kill) fires r.abort,

@@ -100,3 +100,30 @@ func TestControlOverlaySpawnsNoForwarders(t *testing.T) {
 		})
 	}
 }
+
+// TestPollTicksResumeNoProcess pins that replica polls run as kernel
+// callbacks: fig9's idle replicas and fetch waits on an empty input keep
+// every poll event (the event count is unchanged), but a replica process
+// resumes only to act, so wakes stay near a tenth of the 11,330 that
+// resuming on every poll took.
+func TestPollTicksResumeNoProcess(t *testing.T) {
+	cfg, err := scenario.LoadFile("../../scenarios/fig9.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := core.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st := rt.Engine().Stats()
+	if st.Events != 14297 {
+		t.Errorf("%d events, want 14297", st.Events)
+	}
+	if st.Wakes > 1300 {
+		t.Errorf("%d wakes, want at most 1300", st.Wakes)
+	}
+	t.Logf("%+v", st)
+}

@@ -534,12 +534,24 @@ func (r *Reader) Fetch(p *sim.Proc) (*Meta, bool) {
 // deadline covers the whole attempt: descriptors invalidated by a dead
 // writer consume budget but do not restart it.
 func (r *Reader) FetchTimeout(p *sim.Proc, d sim.Time) (*Meta, bool) {
+	return r.FetchPoll(p, d, nil)
+}
+
+// FetchPoll is FetchTimeout in the polling form of [sim.Queue.GetPoll]:
+// when the deadline passes on an open, empty channel and keep (if
+// non-nil) holds, the descriptor wait re-arms for another d without
+// resuming p, exactly as if p had timed out, checked keep and called
+// FetchTimeout(p, d) again. A retry after an invalidated descriptor keeps
+// to the deadline in force, re-armed or not. keep runs in the event loop
+// and must not block.
+func (r *Reader) FetchPoll(p *sim.Proc, d sim.Time, keep func() bool) (*Meta, bool) {
 	deadline := r.ch.eng.Now() + d
 	for {
-		m, ok := r.ch.meta.GetTimeout(p, deadline-r.ch.eng.Now())
+		m, ok, at := r.ch.meta.GetPoll(p, deadline, d, keep)
 		if !ok {
 			return nil, false
 		}
+		deadline = at
 		if r.pull(p, m) && r.admit(p, m) {
 			return m, true
 		}

@@ -239,6 +239,50 @@ func TestFetchTimeout(t *testing.T) {
 	}
 }
 
+// A retry after an invalidated descriptor keeps to the deadline in force:
+// once FetchPoll has re-armed, that is the re-armed deadline, not the
+// first. The reader's first deadline (10 s) re-arms to 20 s. The step
+// written at 15 s waits for the pull spacing until 16 s, by when its
+// writer's node is dead, so the pull fails; the retry must wait out the
+// re-armed deadline before the fetch gives up.
+func TestFetchPollRetryKeepsRearmedDeadline(t *testing.T) {
+	eng := sim.NewEngine(11)
+	ccfg := cluster.Franklin()
+	ccfg.Nodes = 8
+	mach := cluster.New(eng, ccfg)
+	ch := NewChannel(eng, mach, "rearm", Config{HomeNode: 1, PullTokens: 1, PullSpacing: 16 * sim.Second})
+	sched, err := fault.NewSchedule(eng, fault.Config{
+		Crashes: []fault.Crash{{Node: 0, At: 15*sim.Second + sim.Millisecond}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach.SetFaults(sched)
+	w := ch.NewWriter(0)
+	r := ch.NewReader(1)
+	eng.Go("writer", func(p *sim.Proc) {
+		p.Sleep(15 * sim.Second)
+		w.Write(p, 0, 1<<20, nil)
+	})
+	var ok bool
+	var gaveUp sim.Time
+	eng.Go("reader", func(p *sim.Proc) {
+		keep := func() bool { return p.Now() < 15*sim.Second }
+		_, ok = r.FetchPoll(p, 10*sim.Second, keep)
+		gaveUp = p.Now()
+	})
+	eng.Run()
+	if ok {
+		t.Fatal("the fetch succeeded; the step's writer node was dead")
+	}
+	if st := ch.Stats(); st.Invalidated != 1 {
+		t.Fatalf("%d descriptors invalidated, want 1", st.Invalidated)
+	}
+	if gaveUp != 20*sim.Second {
+		t.Fatalf("fetch gave up at %v, want the re-armed deadline 20s", gaveUp)
+	}
+}
+
 func TestMultiReaderSharding(t *testing.T) {
 	eng, _, ch := newTestChannel(0, 0)
 	w := ch.NewWriter(0)

@@ -6,7 +6,7 @@
 // time, so scenarios spanning thousands of virtual seconds execute in
 // milliseconds and are exactly reproducible from a seed.
 //
-// Three styles of simulated activity are supported:
+// Four styles of simulated activity are supported:
 //
 //   - plain callbacks scheduled with [Engine.At] / [Engine.After];
 //   - processes ([Proc]) — coroutines (iter.Pull) resumed by the event
@@ -18,7 +18,12 @@
 //     the same FIFO as parked processes, and the grant schedules it at
 //     exactly the point where it would wake a process. Activities that
 //     only wait for units and time — network transfers, subscriber
-//     deliveries — run as chains of such callbacks and need no process.
+//     deliveries — run as chains of such callbacks and need no process;
+//   - poll ticks: [Proc.SleepWhile] and [Queue.GetPoll] keep a parked
+//     process's periodic re-check in the kernel. Each tick or deadline is
+//     the event the process's own loop would schedule, but a callback
+//     evaluates the loop's predicate and re-arms, so the process resumes
+//     only when its loop would do something other than poll again.
 //
 // Events run in (time, schedule order): same-time events are FIFO. The
 // clock never runs backwards — scheduling in the past clamps to now — so

@@ -155,6 +155,48 @@ func TestProcSleep(t *testing.T) {
 	}
 }
 
+// SleepWhile ticks like Sleep in a loop, event for event, but the
+// process resumes once, when the predicate fails after a tick.
+func TestProcSleepWhile(t *testing.T) {
+	e := NewEngine(1)
+	var names []string
+	e.SetTracer(tracerFunc(func(_ Time, what string) { names = append(names, what) }))
+	busy := false
+	var resumed Time
+	e.Go("idler", func(p *Proc) {
+		p.SleepWhile(10*Second, func() bool { return !busy })
+		resumed = p.Now()
+	})
+	e.At(35*Second, func() { busy = true })
+	e.Run()
+	if resumed != 40*Second {
+		t.Fatalf("resumed at %v, want 40s (the first tick after the flip)", resumed)
+	}
+	want := []string{"start idler", "wake idler", "wake idler", "wake idler", "callback", "wake idler"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("events %q, want %q", names, want)
+	}
+	if st := e.Stats(); st.Wakes != 1 {
+		t.Fatalf("%d wakes, want 1", st.Wakes)
+	}
+}
+
+// tracerFunc adapts a function to the Tracer interface.
+type tracerFunc func(at Time, what string)
+
+func (f tracerFunc) Event(at Time, what string) { f(at, what) }
+
+// Re-arming a SleepWhile tick allocates nothing.
+func TestProcSleepWhileTickAllocs(t *testing.T) {
+	e := NewEngine(1)
+	e.Go("idler", func(p *Proc) { p.SleepWhile(Second, func() bool { return true }) })
+	e.RunUntil(10 * Second)
+	allocs := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + Second) })
+	if allocs != 0 {
+		t.Fatalf("%v allocations per tick, want 0", allocs)
+	}
+}
+
 func TestProcInterleaving(t *testing.T) {
 	e := NewEngine(1)
 	var trace []string

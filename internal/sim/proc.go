@@ -21,6 +21,12 @@ type Proc struct {
 	wakeWhat string // "wake "+name, built once at spawn
 	unparkFn func() // bound unpark, built once at spawn
 	w        waiter // the proc's single in-flight wait (see newWait)
+
+	// The poll tick of SleepWhile: its length, its predicate, and the
+	// bound tick callback, built on the first SleepWhile.
+	tickD    Time
+	tickCond func() bool
+	tickFn   func()
 }
 
 // Go starts fn as a new process at the current virtual time.
@@ -101,6 +107,47 @@ func (p *Proc) Sleep(d Time) {
 	p.park()
 }
 
+// SleepWhile sleeps d, then sleeps d again for as long as cond holds
+// after a tick: event for event it is
+//
+//	p.Sleep(d)
+//	for cond() {
+//		p.Sleep(d)
+//	}
+//
+// but each tick is a kernel callback that checks cond and re-arms
+// itself, so the process resumes only once, when cond fails. Each tick is
+// the event Sleep would schedule, under the same name. cond runs in the
+// event loop, not in the process, so it must not block; it takes no
+// *Proc, so it cannot.
+func (p *Proc) SleepWhile(d Time, cond func() bool) {
+	if d < 0 {
+		d = 0
+	}
+	if p.tickFn == nil {
+		p.bindTick()
+	}
+	p.tickD, p.tickCond = d, cond
+	p.eng.schedule(p.eng.now+d, p.wakeWhat, p.tickFn)
+	p.park()
+}
+
+// bindTick builds the process's tick callback, once per process.
+//
+//iocheck:cold
+func (p *Proc) bindTick() { p.tickFn = p.tick }
+
+// tick ends one SleepWhile tick: it re-arms while the predicate holds and
+// wakes the process once it fails.
+func (p *Proc) tick() {
+	if p.tickCond() {
+		p.eng.schedule(p.eng.now+p.tickD, p.wakeWhat, p.tickFn)
+		return
+	}
+	p.tickCond = nil
+	p.unpark()
+}
+
 // waiter represents one parked process inside a queue/event/resource wait
 // list. cancelled is set when a timeout fires first, so the structure's
 // wake path must skip it.
@@ -115,6 +162,7 @@ type waiter struct {
 	cancelled bool
 	woken     bool
 	n         int    // a Queue putter's delivered mark (see putWaiter)
+	at        Time   // a timed Queue get's deadline in force (see GetPoll)
 	seq       uint64 // wait generation, bumped by newWait
 }
 

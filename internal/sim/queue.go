@@ -10,6 +10,7 @@ type Queue[T any] struct {
 	getters []waiterRef
 	putters []*putWaiter[T]
 	putFree []*putWaiter[T] // recycled put entries
+	timers  *getTimer[T]    // recycled get deadlines, chained through next
 	closed  bool
 }
 
@@ -172,45 +173,124 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 // or fails immediately without scheduling a timer (callers often compute
 // deadline-Now(), which can go to zero or below).
 func (q *Queue[T]) GetTimeout(p *Proc, d Time) (v T, ok bool) {
-	if len(q.items) > 0 {
-		return q.take(), true
-	}
-	if q.closed || d <= 0 {
-		return v, false
-	}
-	deadline := q.eng.now + d
+	v, ok, _ = q.GetPoll(p, q.eng.now+d, 0, nil)
+	return v, ok
+}
+
+// GetPoll is the polling form of the timed get: Get against an absolute
+// deadline, which re-arms itself while keep holds. When the deadline
+// passes on an open, empty queue and keep is non-nil and holds, the
+// timer callback re-enlists p at the tail of the getters under a new wait
+// generation and arms a fresh deadline period later, without resuming p:
+// event for event, that is p timing out, checking keep and calling
+// GetTimeout(p, period) again. Otherwise the timeout ends the wait with ok
+// false, as GetTimeout's does; GetTimeout is GetPoll with keep nil. keep
+// runs in the event loop, not in p, so it must not block, and period
+// must be positive when keep is non-nil. GetPoll also returns the
+// deadline in force when it returned, so a caller that retries after a
+// failed attempt keeps to the re-armed deadline.
+func (q *Queue[T]) GetPoll(p *Proc, deadline, period Time, keep func() bool) (v T, ok bool, at Time) {
 	for {
-		if q.awaitTimeout(p, deadline) {
-			return v, false
-		}
 		if len(q.items) > 0 {
-			return q.take(), true
+			return q.take(), true, deadline
 		}
-		if q.closed {
-			return v, false
+		if q.closed || q.eng.now >= deadline {
+			return v, false, deadline
 		}
-		if q.eng.now >= deadline {
-			return v, false
+		var timedOut bool
+		timedOut, deadline = q.awaitTimeout(p, deadline, period, keep)
+		if timedOut {
+			return v, false, deadline
 		}
 	}
 }
 
 // awaitTimeout parks p as a getter with a deadline; it reports whether
-// the timer (rather than an item or close) ended the wait. A stale timer
-// from an earlier round finds its generation bumped and does nothing.
-func (q *Queue[T]) awaitTimeout(p *Proc, deadline Time) bool {
-	r := p.newWait()
-	q.getters = append(q.getters, r)
-	//iocheck:allow hotbox timer closures arm only on the blocking path, not per event
-	q.eng.schedule(deadline, "queue get timeout", func() {
-		q.eng.stats.Timeouts++
-		if r.valid() && !r.w.woken {
-			r.w.cancelled = true
-			p.resume()
-		}
-	})
+// the timer (rather than an item or close) ended the wait, and the
+// deadline in force when it did. The timer outlives a wait that an item
+// or close ends first, and finds its generation stale when it fires.
+func (q *Queue[T]) awaitTimeout(p *Proc, deadline, period Time, keep func() bool) (bool, Time) {
+	t := q.takeTimer()
+	t.ref, t.period, t.keep = p.newWait(), period, keep
+	p.w.at = deadline
+	q.getters = append(q.getters, t.ref)
+	q.eng.schedule(deadline, "queue get timeout", t.fire)
 	p.park()
-	return r.w.cancelled
+	return p.w.cancelled, p.w.at
+}
+
+// getTimer is the deadline event of one timed get. Timers are recycled
+// through their queue, and a re-arm reschedules the same bound callback,
+// so neither a wait nor a poll tick allocates once the queue has a few
+// spare timers.
+type getTimer[T any] struct {
+	q      *Queue[T]
+	ref    waiterRef // the getter entry this deadline guards
+	period Time      // re-arm length while keep holds
+	keep   func() bool
+	fire   func() // bound expire, built once per timer
+	next   *getTimer[T]
+}
+
+// takeTimer pops a recycled timer, or builds one on a freelist miss.
+func (q *Queue[T]) takeTimer() *getTimer[T] {
+	t := q.timers
+	if t == nil {
+		return q.allocTimer()
+	}
+	q.timers, t.next = t.next, nil
+	return t
+}
+
+//iocheck:cold
+func (q *Queue[T]) allocTimer() *getTimer[T] {
+	t := &getTimer[T]{q: q}
+	t.fire = t.expire
+	return t
+}
+
+// expire runs when the deadline passes. A wait that an item, a close or a
+// later wait already ended is stale: the timer only retires. Otherwise
+// the getter leaves the wait list; it re-enlists under a fresh deadline
+// while the poll's keep holds on an open, empty queue, and is resumed
+// with its wait cancelled when it does not.
+func (t *getTimer[T]) expire() {
+	q := t.q
+	q.eng.stats.Timeouts++
+	r := t.ref
+	if !r.valid() || r.w.woken {
+		q.retireTimer(t)
+		return
+	}
+	q.unlist(r)
+	if t.keep != nil && !q.closed && len(q.items) == 0 && t.keep() {
+		t.ref = r.w.proc.newWait()
+		r.w.at = q.eng.now + t.period
+		q.getters = append(q.getters, t.ref)
+		q.eng.schedule(r.w.at, "queue get timeout", t.fire)
+		return
+	}
+	r.w.cancelled = true
+	r.w.proc.resume()
+	q.retireTimer(t)
+}
+
+// retireTimer returns a fired timer to the queue's freelist.
+func (q *Queue[T]) retireTimer(t *getTimer[T]) {
+	t.ref, t.keep = waiterRef{}, nil
+	t.next, q.timers = q.timers, t
+}
+
+// unlist drops a getter entry, keeping the order of the others.
+func (q *Queue[T]) unlist(r waiterRef) {
+	for i, g := range q.getters {
+		if g == r {
+			n := copy(q.getters[i:], q.getters[i+1:])
+			q.getters[i+n] = waiterRef{}
+			q.getters = q.getters[:i+n]
+			return
+		}
+	}
 }
 
 // RemoveWhere deletes buffered items matching pred, preserving order, and

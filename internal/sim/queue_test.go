@@ -205,6 +205,74 @@ func TestQueueGetTimeoutImmediate(t *testing.T) {
 	}
 }
 
+// A getter whose deadline passes leaves the wait list at once, and the
+// live getters keep their order: a thousand timed-out polls on an empty
+// queue leave no entries behind, and an item still goes to the getter
+// that has waited longest.
+func TestQueueTimedOutGettersLeaveWaitList(t *testing.T) {
+	e := NewEngine(1)
+	q := NewQueue[int](e, 0)
+	var first, second int
+	e.Go("first", func(p *Proc) { first, _ = q.Get(p) })
+	e.Go("poller", func(p *Proc) {
+		for i := 0; i < 1000; i++ {
+			if _, ok := q.GetTimeout(p, Second); ok {
+				t.Error("poll on an empty queue succeeded")
+			}
+		}
+	})
+	e.Go("second", func(p *Proc) { second, _ = q.Get(p) })
+	e.RunUntil(2000 * Second)
+	if n := len(q.getters); n != 2 {
+		t.Fatalf("%d getter entries after 1,000 timed-out polls, want the 2 live getters", n)
+	}
+	q.TryPut(1)
+	q.TryPut(2)
+	e.Run()
+	if first != 1 || second != 2 {
+		t.Fatalf("items went to first=%d second=%d, want 1 and 2", first, second)
+	}
+}
+
+// GetPoll re-arms its deadline from the timer callback while keep holds:
+// the process resumes once, with the item, and the deadline it reports
+// is the re-armed one.
+func TestQueueGetPollRearms(t *testing.T) {
+	e := NewEngine(1)
+	q := NewQueue[int](e, 0)
+	var v int
+	var ok bool
+	var at, resumed Time
+	e.Go("poller", func(p *Proc) {
+		v, ok, at = q.GetPoll(p, Second, Second, func() bool { return true })
+		resumed = p.Now()
+	})
+	e.At(3500*Millisecond, func() { q.TryPut(7) })
+	e.Run()
+	if !ok || v != 7 || resumed != 3500*Millisecond || at != 4*Second {
+		t.Fatalf("GetPoll = %d, %v, deadline %v at %v; want 7, true, deadline 4s at 3.5s", v, ok, at, resumed)
+	}
+	if st := e.Stats(); st.Timeouts != 4 || st.Wakes != 1 {
+		t.Fatalf("stats %+v, want 4 timeouts (3 re-arms and a stale one) and 1 wake", st)
+	}
+}
+
+// Re-arming a poll's deadline allocates nothing: the timer reschedules
+// its own bound callback and the getter entry reuses the wait list.
+func TestQueueGetPollRearmAllocs(t *testing.T) {
+	e := NewEngine(1)
+	q := NewQueue[int](e, 0)
+	e.Go("poller", func(p *Proc) { q.GetPoll(p, Second, Second, func() bool { return true }) })
+	e.RunUntil(10 * Second)
+	allocs := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + Second) })
+	if allocs != 0 {
+		t.Fatalf("%v allocations per re-armed deadline, want 0", allocs)
+	}
+	if n := len(q.getters); n != 1 {
+		t.Fatalf("%d getter entries, want 1", n)
+	}
+}
+
 // A non-positive deadline polls: GetTimeout must return an available item
 // or fail immediately, never park the caller or schedule a timer. Callers
 // routinely pass deadline-Now(), which goes to zero or below.
