@@ -19,11 +19,13 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# lint runs the in-repo invariant analyzers (cmd/iocheck): the syntactic
-# rules (simtime, maprange, nilrecv, ctlmsg, dropresult) and the
+# lint runs the twelve in-repo invariant analyzers (cmd/iocheck): the
+# syntactic rules (simtime, maprange, nilrecv, dropresult), the
 # interprocedural ones built on the CFG + call-graph layer (vtblock,
-# epochset, nilflow, maprange-deep) plus the perf layer (hotalloc,
-# hotbox: heat propagation + escape analysis over hot paths).
+# epochset, nilflow, maprange-deep), the perf layer (hotalloc, hotbox:
+# heat propagation + escape analysis over hot paths) and the
+# protocol-lifecycle rules (roundflow, roundterm), which recognise round
+# messages by their embedded RoundHdr.
 # Zero-dependency; lint-baseline.json is a per-rule ratchet over both
 # unsuppressed findings and audited //iocheck:allow counts. Finding
 # growth fails; finding shrinkage also fails until the baseline is
@@ -101,8 +103,11 @@ race-smoke:
 # replays those): about 10 s of coverage-guided fuzzing each for the
 # subscriber-cursor fuzzer, the kernel event-order fuzzer and the
 # poll-tick equivalence fuzzer. A failing input is written under the
-# package's testdata/fuzz/ for replay.
+# package's testdata/fuzz/ for replay. -fuzzminimizetime 1s caps the
+# minimisation of each new interesting input: at Go's default of 60 s a
+# single minimisation can eat the rest of a 10 s run, and fuzzing stops
+# after 3-6 s with the exec counter frozen.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzSubHubCursors$$' -fuzztime 10s ./internal/datatap
-	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s ./internal/sim
-	$(GO) test -run '^$$' -fuzz '^FuzzPollEquivalence$$' -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzSubHubCursors$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/datatap
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzPollEquivalence$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sim

@@ -10,7 +10,7 @@ import (
 // the warm, memoized path: the per-process stdlib memo is filled before
 // the timer starts, so one iteration parses and type-checks the module's
 // own packages, builds the CFG and CHA call-graph layer, and runs all
-// thirteen analyzers. It rides in `make bench` so a regression in the
+// twelve analyzers. It rides in `make bench` so a regression in the
 // whole-program analysis (an unbounded summary fixpoint, a quadratic CFG
 // walk) shows up in BENCH_baseline.json next to the scenario benchmarks.
 // BenchmarkLoadModuleCold in internal/analysis covers the cold stdlib

@@ -400,10 +400,9 @@ type Event struct {
 	Data any
 }
 
-type PingReq struct {
-	Seq   int64
-	Epoch int64
-}
+type RoundHdr struct{ Seq, Epoch int64 }
+
+type PingReq struct{ RoundHdr }
 
 type stone struct{ q []*Event }
 
@@ -412,7 +411,7 @@ func (s *stone) Submit(ev *Event) { s.q = append(s.q, ev) }
 type mgr struct{ out *stone }
 
 func (m *mgr) fire(seq int64) {
-	req := &PingReq{Seq: seq}
+	req := &PingReq{RoundHdr{Seq: seq}}
 	m.out.Submit(&Event{Type: "ping", Data: req})
 }
 `
@@ -463,19 +462,19 @@ func TestJSONRoundRules(t *testing.T) {
 	}
 }
 
-// TestRosterThirteenRules pins the CLI side of the roster: all thirteen
+// TestRosterTwelveRules pins the CLI side of the roster: all twelve
 // rule names resolve through -rules, including the two protocol-lifecycle
 // rules.
-func TestRosterThirteenRules(t *testing.T) {
-	names := []string{"simtime", "maprange", "nilrecv", "ctlmsg",
+func TestRosterTwelveRules(t *testing.T) {
+	names := []string{"simtime", "maprange", "nilrecv",
 		"vtblock", "epochset", "nilflow", "maprange-deep", "dropresult",
 		"hotalloc", "hotbox", "roundflow", "roundterm"}
 	got, err := selectAnalyzers(strings.Join(names, ","))
 	if err != nil {
 		t.Fatalf("selectAnalyzers rejected the full roster: %v", err)
 	}
-	if len(got) != 13 {
-		t.Fatalf("roster has %d analyzers, want 13", len(got))
+	if len(got) != 12 {
+		t.Fatalf("roster has %d analyzers, want 12", len(got))
 	}
 	for i, a := range got {
 		if a.Name != names[i] {

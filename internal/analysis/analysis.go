@@ -4,11 +4,12 @@
 // checks run network-free. It exists to machine-check the invariants the
 // compiler cannot see and the simulator's correctness rests on:
 // bit-deterministic replay from a seed, nil-safe fault schedules, and the
-// crash-tolerance protocol's exhaustive dispatch.
+// crash-tolerance protocol's round lifecycle.
 //
-// The analyzers (simtime, maprange, nilrecv, ctlmsg, the CFG-based
-// vtblock/epochset/nilflow/maprange-deep, dropresult, and the
-// heat-propagated perf rules hotalloc/hotbox — one file per rule) are run
+// The analyzers (simtime, maprange, nilrecv, the CFG-based
+// vtblock/epochset/nilflow/maprange-deep, dropresult, the
+// heat-propagated perf rules hotalloc/hotbox, and the protocol-lifecycle
+// rules roundflow/roundterm — one file per rule) are run
 // by cmd/iocheck over the whole module (`make lint`) and by the repo-wide
 // self-check test, so `go test ./...` enforces them too.
 //
@@ -83,7 +84,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // rules, then the two protocol-lifecycle rules built on the round
 // summaries.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{SimTime, MapRange, NilRecv, CtlMsg, VTBlock, EpochSet, NilFlow, MapRangeDeep, DropResult, HotAlloc, HotBox, RoundFlow, RoundTerm}
+	return []*Analyzer{SimTime, MapRange, NilRecv, VTBlock, EpochSet, NilFlow, MapRangeDeep, DropResult, HotAlloc, HotBox, RoundFlow, RoundTerm}
 }
 
 // Run executes the given analyzers over the packages and returns all

@@ -488,20 +488,25 @@ func (prog *Program) collect(n *FuncNode) {
 			n.recordSpecSources(info, node)
 		case *ast.AssignStmt:
 			n.recordAssignSources(info, node)
-			// Epoch-stamp seed: `p.Epoch = …` on a parameter or one of its
-			// type-switch/assert bindings (registered below via Implicits/
-			// Defs before this assignment is reached — handled by a second
-			// look at paramIndex which aliases share).
+			// Epoch-stamp seed: `p.Epoch = …` on a parameter, one of its
+			// type-switch/assert/header bindings (registered below via
+			// Implicits/Defs before this assignment is reached — handled
+			// by a second look at paramIndex which aliases share), or
+			// `p.hdr().Epoch = …`.
 			for _, lhs := range node.Lhs {
-				sel, ok := lhs.(*ast.SelectorExpr)
-				if !ok || sel.Sel.Name != "Epoch" {
-					continue
-				}
-				if i := paramAt(sel.X); i >= 0 {
-					n.seedStamps[i] = true
+				if obj := epochStampTarget(info, nil, lhs); obj != nil {
+					if i, ok := n.paramIndex[obj]; ok {
+						n.seedStamps[i] = true
+					}
 				}
 			}
-			// Alias registration: q := p.(*T) binds q to param p.
+			// Alias registration: q := p.(*T) and h := p.hdr() bind q
+			// and h to param p.
+			if h, x := hdrAlias(info, node); h != nil {
+				if i, ok := n.paramIndex[x]; ok {
+					n.paramIndex[h] = i
+				}
+			}
 			if len(node.Rhs) == 1 {
 				if ta, ok := node.Rhs[0].(*ast.TypeAssertExpr); ok && ta.Type != nil {
 					if i := paramAt(ta.X); i >= 0 && len(node.Lhs) >= 1 {

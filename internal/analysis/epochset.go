@@ -7,15 +7,14 @@ import (
 )
 
 // EpochSet turns the epoch-fencing convention into a checked invariant:
-// every round-path protocol message (a named struct suffixed Req/Resp
-// carrying both `Seq int64` and `Epoch int64` — the shape ctlmsg already
-// enforces) that a function constructs must have its Epoch assigned on
-// ALL paths before the value reaches an evpath send sink — being wrapped
-// as an Event's Data field, or being passed to a callee that does so
-// (e.g. (*Container).reply). Stamping counts directly (`req.Epoch = e`,
-// a composite literal with an Epoch key) or through the call graph
-// (`stampReqEpoch(req, e)` assigns .Epoch through its type-switch
-// bindings, so its summary sets the parameter). The check is a forward
+// every round message (a named struct embedding RoundHdr) that a function
+// constructs must have its Epoch assigned on ALL paths before the value
+// reaches an evpath send sink — being wrapped as an Event's Data field,
+// or being passed to a callee that does so (e.g. (*Container).reply).
+// Stamping counts directly (`req.Epoch = e`, a composite literal with an
+// Epoch key, in its RoundHdr or not), through the header (`h :=
+// resp.hdr(); h.Epoch = e`), or through the call graph (a callee that
+// stamps its parameter, so its summary sets it). The check is a forward
 // must-analysis over the CFG: a message stamped on one branch but not the
 // other is still unstamped at the merge. Values that escape (stored into
 // a map or field, returned, handed to a summaryless callee) stop being
@@ -47,7 +46,7 @@ func runEpochSet(pass *Pass) {
 			if !constructsRoundMessage(pass, fd) {
 				continue
 			}
-			prob := &epochProblem{pass: pass}
+			prob := &epochProblem{pass: pass, aliases: hdrAliases(pass.Pkg.Info, fd.Body)}
 			cfg := BuildCFG(fd)
 			in := Forward(cfg, prob)
 			prob.reported = make(map[token.Pos]bool)
@@ -73,7 +72,7 @@ func constructsRoundMessage(pass *Pass, fd *ast.FuncDecl) bool {
 		if found {
 			return false
 		}
-		if lit, ok := n.(*ast.CompositeLit); ok && roundMessageType(pass.Pkg.Info, lit) != nil {
+		if lit, ok := n.(*ast.CompositeLit); ok && roundKindOfExpr(pass.Pkg.Info, lit) != roundNone {
 			found = true
 		}
 		return !found
@@ -81,34 +80,9 @@ func constructsRoundMessage(pass *Pass, fd *ast.FuncDecl) bool {
 	return found
 }
 
-// roundMessageType resolves a composite literal to its round-path message
-// type name, or nil if the literal builds something else.
-func roundMessageType(info *types.Info, lit *ast.CompositeLit) *types.TypeName {
-	tv, ok := info.Types[lit]
-	if !ok {
-		return nil
-	}
-	t := tv.Type
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil
-	}
-	name := named.Obj().Name()
-	if !hasSuffix(name, "Req") && !hasSuffix(name, "Resp") {
-		return nil
-	}
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok || !hasSeqField(st) || !hasEpochField(st) {
-		return nil
-	}
-	return named.Obj()
-}
-
 type epochProblem struct {
 	pass     *Pass
+	aliases  map[types.Object]types.Object // header bindings (hdrAliases)
 	reported map[token.Pos]bool
 }
 
@@ -177,9 +151,10 @@ func (p *epochProblem) transferAssign(as *ast.AssignStmt, fact epochFact) epochF
 		if i < len(as.Rhs) {
 			rhs = as.Rhs[i]
 		}
-		// `x.Epoch = …` stamps a tracked value.
-		if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "Epoch" {
-			if obj := p.objOf(sel.X); obj != nil && out[obj] != 0 {
+		// `x.Epoch = …` stamps a tracked value, as does a stamp through
+		// its header.
+		if obj := epochStampTarget(p.pass.Pkg.Info, p.aliases, lhs); obj != nil {
+			if out[obj] != 0 {
 				out = epochWrite(out, obj, epochSet)
 			}
 			continue
@@ -197,9 +172,9 @@ func (p *epochProblem) transferAssign(as *ast.AssignStmt, fact epochFact) epochF
 		}
 		if rhs != nil {
 			if lit := compositeOf(rhs); lit != nil {
-				if tn := roundMessageType(p.pass.Pkg.Info, lit); tn != nil {
+				if roundKindOfExpr(p.pass.Pkg.Info, lit) != roundNone {
 					state := epochUnset
-					if litSetsEpoch(lit) {
+					if litSetsEpoch(p.pass.Pkg.Info, lit) {
 						state = epochSet
 					}
 					out = epochWrite(out, obj, state)
@@ -316,7 +291,7 @@ func (p *epochProblem) report(pos token.Pos, obj types.Object) {
 	}
 	p.reported[pos] = true
 	p.pass.Reportf(pos,
-		"round message %q reaches an Event send without Epoch assigned on every path; stamp it (stampReqEpoch/stampRespEpoch or an Epoch field in the literal) before sending",
+		"round message %q reaches an Event send without Epoch assigned on every path; stamp it (through its RoundHdr or an Epoch field in the literal) before sending",
 		obj.Name())
 }
 
@@ -351,16 +326,29 @@ func compositeOf(e ast.Expr) *ast.CompositeLit {
 }
 
 // litSetsEpoch reports whether the literal assigns Epoch: an explicit
-// `Epoch:` key, or a full positional literal (every field present).
-func litSetsEpoch(lit *ast.CompositeLit) bool {
+// `Epoch:` key, a full positional literal (every field present), or an
+// embedded RoundHdr that does either (a header value copied in whole
+// counts as assigned).
+func litSetsEpoch(info *types.Info, lit *ast.CompositeLit) bool {
 	positional := len(lit.Elts) > 0
 	for _, elt := range lit.Elts {
 		kv, ok := elt.(*ast.KeyValueExpr)
 		if !ok {
+			if hdr := compositeOf(elt); hdr != nil && roundTypeName(info, hdr) == "RoundHdr" {
+				return litSetsEpoch(info, hdr)
+			}
 			continue
 		}
 		positional = false
-		if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Epoch" {
+		key, ok := kv.Key.(*ast.Ident)
+		switch {
+		case !ok:
+		case key.Name == "Epoch":
+			return true
+		case key.Name == "RoundHdr":
+			if hdr := compositeOf(kv.Value); hdr != nil {
+				return litSetsEpoch(info, hdr)
+			}
 			return true
 		}
 	}

@@ -13,22 +13,24 @@ import (
 //   - Issue leg: every path that sends a round-path Req must have
 //     registered a deadline (CallTimeout read or *Timeout receive) and a
 //     retry budget (CallRetries read) before the send. Req values are
-//     recognized by composite literal or by flowing through a
-//     stampReqEpoch-style helper (the StampsReq summary), and a send is
-//     a Submit/Send/Put call carrying the value or an Event wrapping it,
-//     or a call whose callee sinks the argument into an Event.
+//     recognized by composite literal, by an Epoch stamp (directly or
+//     through the value's RoundHdr, as callRound stamps its request), or
+//     by flowing through a stamping callee (the StampsReq summary); a
+//     send is a Submit/Send/Put call carrying the value or an Event
+//     wrapping it, or a call whose callee sinks the argument into an
+//     Event.
 //   - Serve leg: every handler that dispatches on a round message
 //     (type-switch with a round-typed arm, or a type assertion to a
 //     round type) and applies state must reach a Seq dedupe guard and an
 //     epoch fence-check on ALL CFG paths before the dispatch. Guards
-//     count when performed directly (.Seq/.Epoch reads on round
-//     messages) or through callees carrying the Dedupe/Fence summaries
-//     (reqSeq, reqEpoch, …); diagnostics include the applies-state
+//     count when performed directly (.Seq/.Epoch reads or stamps on
+//     round messages or their headers) or through callees carrying the
+//     Dedupe/Fence summaries; diagnostics include the applies-state
 //     witness chain that gated the check in.
-//   - Closure leg: a round Req composed inside a function literal passed
-//     to a call (the `mk` closures of the gm.call pattern) is checked
-//     against the callee's summaries: some callee at that site must
-//     transitively register both budget halves.
+//   - Passed-request leg: a round Req literal handed straight to a call
+//     (`gm.call(p, t, &IncreaseReq{…})`) is checked against the callee's
+//     summaries: some callee at that site must transitively register
+//     both budget halves.
 //
 // The analysis is a forward MUST dataflow over the function CFG: guard
 // bits only survive a merge when every incoming path established them.
@@ -72,13 +74,14 @@ type dispatchSite struct {
 }
 
 func checkRoundFlow(pass *Pass, n *FuncNode) {
-	checkClosureReqs(pass, n)
+	checkPassedReqs(pass, n)
 	sites := collectDispatchSites(pass, n)
 	if len(sites) == 0 && !tracksRounds(pass, n) {
 		return
 	}
 
-	prob := &roundFlowProblem{pass: pass, fn: n, sites: sites}
+	prob := &roundFlowProblem{pass: pass, fn: n, sites: sites,
+		aliases: hdrAliases(pass.Pkg.Info, n.Decl.Body)}
 	cfg := BuildCFG(n.Decl)
 	facts := Forward(cfg, prob)
 	prob.reported = make(map[token.Pos]bool)
@@ -212,9 +215,15 @@ func inspectOwn(node ast.Node, visit func(ast.Node) bool) {
 
 // tracksRounds is the cheap prescan deciding whether the CFG pass can
 // ever track a Req value in n's own body: a round-Req composite literal,
-// or a call site with a request-stamping callee.
+// an Epoch stamp on a parameter Req, or a call site with a
+// request-stamping callee.
 func tracksRounds(pass *Pass, n *FuncNode) bool {
 	info := pass.Pkg.Info
+	for _, s := range n.Round.seedStampsReq {
+		if s {
+			return true
+		}
+	}
 	found := false
 	inspectOwn(n.Decl.Body, func(node ast.Node) bool {
 		if found {
@@ -240,53 +249,40 @@ func tracksRounds(pass *Pass, n *FuncNode) bool {
 	return false
 }
 
-// checkClosureReqs is the closure leg: a round-Req literal inside a
-// function literal handed to a call (the gm.call `mk` pattern) obliges
-// some callee at that site to register both budget halves transitively.
-func checkClosureReqs(pass *Pass, n *FuncNode) {
+// checkPassedReqs is the passed-request leg: a round-Req literal handed
+// straight to a module function (the gm.call pattern) obliges some callee
+// at that site to register both budget halves transitively. Values
+// handed to code outside the module are not issued there.
+func checkPassedReqs(pass *Pass, n *FuncNode) {
 	info := pass.Pkg.Info
 	inspectOwn(n.Decl.Body, func(node ast.Node) bool {
 		call, ok := node.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if launcher, callback := deferredCallKind(pass.Pkg, call); launcher || callback {
-			return true // separate execution contexts, not round issuance
-		}
 		for _, arg := range call.Args {
-			lit, ok := arg.(*ast.FuncLit)
-			if !ok {
+			lit := compositeOf(arg)
+			if lit == nil || roundKindOfExpr(info, lit) != roundReqMsg {
 				continue
 			}
-			ast.Inspect(lit.Body, func(m ast.Node) bool {
-				cl, ok := m.(*ast.CompositeLit)
-				if !ok || roundKindOfExpr(info, cl) != roundReqMsg {
-					return true
+			callees := pass.Prog.Callees(pass.Pkg, call)
+			budgeted := len(callees) == 0
+			missing := "a deadline/retry budget"
+			for _, callee := range callees {
+				switch d, r := callee.Round.Deadline.Has, callee.Round.Retries.Has; {
+				case d && r:
+					budgeted = true
+				case d:
+					missing = "a retry budget (CallRetries)"
+				case r:
+					missing = "a deadline (CallTimeout or a *Timeout receive)"
 				}
-				callees := pass.Prog.Callees(pass.Pkg, call)
-				budgeted := false
-				for _, callee := range callees {
-					if callee.Round.Deadline.Has && callee.Round.Retries.Has {
-						budgeted = true
-					}
-				}
-				if !budgeted {
-					target := types.ExprString(call.Fun)
-					missing := "a deadline/retry budget"
-					for _, callee := range callees {
-						switch {
-						case callee.Round.Deadline.Has && !callee.Round.Retries.Has:
-							missing = "a retry budget (CallRetries)"
-						case !callee.Round.Deadline.Has && callee.Round.Retries.Has:
-							missing = "a deadline (CallTimeout or a *Timeout receive)"
-						}
-					}
-					pass.Reportf(cl.Pos(),
-						"round request %s is composed in a closure passed to %s, which never registers %s before sending",
-						roundTypeName(info, cl), target, missing)
-				}
-				return true
-			})
+			}
+			if !budgeted {
+				pass.Reportf(lit.Pos(),
+					"round request %s is passed to %s, which never registers %s before sending",
+					roundTypeName(info, lit), types.ExprString(call.Fun), missing)
+			}
 		}
 		return true
 	})
@@ -302,9 +298,10 @@ type rfFact struct {
 }
 
 type roundFlowProblem struct {
-	pass  *Pass
-	fn    *FuncNode
-	sites map[ast.Node]*dispatchSite
+	pass    *Pass
+	fn      *FuncNode
+	sites   map[ast.Node]*dispatchSite
+	aliases map[types.Object]types.Object // header bindings (hdrAliases)
 	// reported is nil during the solve; non-nil arms diagnostics.
 	reported map[token.Pos]bool
 }
@@ -438,6 +435,15 @@ func (p *roundFlowProblem) transferAssign(as *ast.AssignStmt, fact rfFact) rfFac
 	}
 	info := p.pass.Pkg.Info
 	for i, lhs := range as.Lhs {
+		// A Seq/Epoch stamp is the guard primitive too, and an Epoch
+		// stamp on a Req marks it issued.
+		if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && isRoundField(info, sel) {
+			out = p.noteGuardRead(sel, out)
+			if obj := stampedReq(info, p.aliases, lhs); obj != nil {
+				out.reqs = addObj(out.reqs, obj)
+			}
+			continue
+		}
 		obj := defOrUseObj(info, lhs)
 		if obj == nil {
 			continue
@@ -512,19 +518,15 @@ func (p *roundFlowProblem) transferExpr(e ast.Expr, fact rfFact) rfFact {
 func (p *roundFlowProblem) noteGuardRead(sel *ast.SelectorExpr, fact rfFact) rfFact {
 	info := p.pass.Pkg.Info
 	out := fact
-	switch sel.Sel.Name {
-	case "CallTimeout":
+	switch {
+	case sel.Sel.Name == "CallTimeout":
 		out.bits |= bitDeadline
-	case "CallRetries":
+	case sel.Sel.Name == "CallRetries":
 		out.bits |= bitRetries
-	case "Seq":
-		if roundKindOfExpr(info, sel.X) != roundNone {
-			out.bits |= bitDedupe
-		}
-	case "Epoch":
-		if roundKindOfExpr(info, sel.X) != roundNone {
-			out.bits |= bitFence
-		}
+	case isRoundField(info, sel) && sel.Sel.Name == "Seq":
+		out.bits |= bitDedupe
+	case isRoundField(info, sel):
+		out.bits |= bitFence
 	}
 	return out
 }

@@ -38,7 +38,7 @@ func TestRoundflowCatchesFenceStrip(t *testing.T) {
 	lines := strings.Split(string(src), "\n")
 	guardLine := -1 // 1-based
 	for i, l := range lines {
-		if strings.Contains(l, "reqEpoch(ev.Data); fenced") {
+		if strings.Contains(l, "if e := h.Epoch; isRound") {
 			guardLine = i + 1
 			break
 		}

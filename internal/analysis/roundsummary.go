@@ -16,17 +16,24 @@ import (
 // fixpoint over the CHA call graph, so the analyzers can ask "does some
 // call on this path register a deadline?" without re-walking bodies.
 //
-// Round-path message classification (shared with ctlmsg's registry):
+// Round-path message classification, shared by roundflow, roundterm and
+// epochset:
 //
-//   - A *round message* is a named struct whose name ends in Req, Resp,
-//     or Notice and that carries both `Seq int64` and `Epoch int64`.
-//   - Shard-relay messages (those with a `Shard int` field — StealReq,
-//     ShardBeat, GapRelay, …) are a separate family with their own
-//     single-writer discipline (DESIGN.md §14) and are excluded.
-//   - Only Req-suffixed messages *issue* rounds; Resp/Notice messages
-//     ride the return path. roundflow's budget/termination obligations
-//     therefore track Req values, while its dedupe/fence obligations
-//     gate the handlers that dispatch on any round message kind.
+//   - A *round message* is a named struct that embeds a struct named
+//     RoundHdr (the header carrying Seq and Epoch). The header type
+//     itself counts too, so `h.Seq`/`h.Epoch` through a header pointer
+//     are the same guards and stamps as on the message. Nothing else is
+//     a round: shard-relay traffic and pump messages with plain Seq or
+//     Epoch fields are out by construction.
+//   - The name's Req suffix gives the direction: only Reqs *issue*
+//     rounds; Resp/Notice messages ride the return path. roundflow's
+//     budget/termination obligations therefore track Req values, while
+//     its dedupe/fence obligations gate the handlers that dispatch on
+//     any round message.
+//   - A header taken from a value by `x.hdr()` (or a local bound to one)
+//     stands for that value: stamping its Epoch stamps the value, and
+//     when x's static type is Req-named — a concrete request or an
+//     interface over requests — the stamp marks x as an issued request.
 //
 // Approximations, documented like the rest of the graph layer: calls
 // through function values contribute nothing; function literals passed
@@ -34,14 +41,13 @@ import (
 // literal that escapes without being sent or passed onward is not
 // chased.
 
-// roundKind classifies a message type within the round-path family.
+// roundKind classifies a type within the round-path family.
 type roundKind int
 
 const (
-	roundNone roundKind = iota
-	roundReqMsg
-	roundRespMsg
-	roundNoticeMsg
+	roundNone   roundKind = iota
+	roundMember           // a round message (or the header) that issues nothing
+	roundReqMsg           // a round request
 )
 
 // RoundSummary is one function's lifecycle-obligation summary.
@@ -67,9 +73,9 @@ type RoundSummary struct {
 	// span/round .End() (completed, timed out, fenced paths all funnel
 	// through one).
 	Term roundBit
-	// StampsReq[i]: the function assigns .Epoch on parameter i where the
-	// static operand type is a round-path Req — how callRound-style
-	// issuers are recognized through `stampReqEpoch(req, …)` helpers.
+	// StampsReq[i]: the function assigns .Epoch on parameter i (or on
+	// its header) where the parameter is a round-path Req — how
+	// callRound-style issuers are recognized at their callers.
 	StampsReq []bool
 
 	seeded        bool
@@ -108,35 +114,138 @@ var roundSendMethods = map[string]bool{
 }
 
 // roundKindOfType classifies t (pointer-stripped) within the round
-// family.
+// family: membership by the embedded RoundHdr, direction by the Req
+// suffix.
 func roundKindOfType(t types.Type) roundKind {
-	if t == nil {
-		return roundNone
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return roundNone
-	}
-	name := named.Obj().Name()
-	kind := roundNone
-	switch {
-	case hasSuffix(name, "Req"):
-		kind = roundReqMsg
-	case hasSuffix(name, "Resp"):
-		kind = roundRespMsg
-	case hasSuffix(name, "Notice"):
-		kind = roundNoticeMsg
-	default:
+	named := namedElem(t)
+	if named == nil {
 		return roundNone
 	}
 	st, ok := named.Underlying().(*types.Struct)
-	if !ok || !hasSeqField(st) || !hasEpochField(st) || hasShardField(st) {
+	if !ok {
 		return roundNone
 	}
-	return kind
+	if named.Obj().Name() == "RoundHdr" {
+		return roundMember
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		if _, isStruct := f.Type().Underlying().(*types.Struct); isStruct && f.Embedded() && f.Name() == "RoundHdr" {
+			if reqNamed(named) {
+				return roundReqMsg
+			}
+			return roundMember
+		}
+	}
+	return roundNone
+}
+
+// namedElem strips one pointer level and returns the named type, if any.
+func namedElem(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}
+
+// reqNamed reports a Req-suffixed type name: the request direction.
+func reqNamed(named *types.Named) bool {
+	name := named.Obj().Name()
+	return len(name) > len("Req") && strings.HasSuffix(name, "Req")
+}
+
+// hdrOwner returns x when e is a header accessor call `x.hdr()` (a
+// no-argument method named hdr returning *RoundHdr), else nil.
+func hdrOwner(info *types.Info, e ast.Expr) ast.Expr {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok || len(call.Args) != 0 {
+		return nil
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "hdr" {
+		return nil
+	}
+	if named := namedElem(info.TypeOf(call)); named == nil || named.Obj().Name() != "RoundHdr" {
+		return nil
+	}
+	return sel.X
+}
+
+// hdrAlias reports a header binding `h := x.hdr()` as (h, x); nils
+// otherwise.
+func hdrAlias(info *types.Info, as *ast.AssignStmt) (h, x types.Object) {
+	if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		return nil, nil
+	}
+	x = useObj(info, hdrOwner(info, as.Rhs[0]))
+	h = defOrUseObj(info, as.Lhs[0])
+	if x == nil || h == nil {
+		return nil, nil
+	}
+	return h, x
+}
+
+// hdrAliases maps each local bound to a header (`h := x.hdr()`) to x's
+// object, so a stamp through h lands on x. Flow-insensitive: the idiom
+// binds a header once, right before stamping it.
+func hdrAliases(info *types.Info, body ast.Node) map[types.Object]types.Object {
+	out := make(map[types.Object]types.Object)
+	ast.Inspect(body, func(n ast.Node) bool {
+		if as, ok := n.(*ast.AssignStmt); ok {
+			if h, x := hdrAlias(info, as); h != nil {
+				out[h] = x
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// epochStampTarget resolves an assignment target `x.Epoch` — written
+// directly, through `x.hdr().Epoch`, or through a header alias of x — to
+// x's object (nil for every other target).
+func epochStampTarget(info *types.Info, aliases map[types.Object]types.Object, lhs ast.Expr) types.Object {
+	sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Epoch" {
+		return nil
+	}
+	x := sel.X
+	if owner := hdrOwner(info, x); owner != nil {
+		x = owner
+	}
+	obj := useObj(info, x)
+	if owner, ok := aliases[obj]; ok {
+		obj = owner
+	}
+	return obj
+}
+
+// stampedReq is epochStampTarget narrowed to round Reqs: the stamp that
+// marks x as an issued request.
+func stampedReq(info *types.Info, aliases map[types.Object]types.Object, lhs ast.Expr) types.Object {
+	obj := epochStampTarget(info, aliases, lhs)
+	if obj == nil || !reqTyped(obj.Type()) {
+		return nil
+	}
+	return obj
+}
+
+// isRoundField reports a Seq or Epoch selection on a round message or
+// its header: the dedupe and fence primitives.
+func isRoundField(info *types.Info, sel *ast.SelectorExpr) bool {
+	return (sel.Sel.Name == "Seq" || sel.Sel.Name == "Epoch") &&
+		roundKindOfExpr(info, sel.X) != roundNone
+}
+
+// reqTyped reports a round Req, or a Req-named interface (an issuer's
+// request parameter, whose concrete types are the round Reqs).
+func reqTyped(t types.Type) bool {
+	if roundKindOfType(t) == roundReqMsg {
+		return true
+	}
+	named := namedElem(t)
+	return named != nil && types.IsInterface(named) && reqNamed(named)
 }
 
 // roundKindOfExpr classifies the static type of e.
@@ -151,29 +260,21 @@ func roundKindOfExpr(info *types.Info, e ast.Expr) roundKind {
 // roundTypeName renders the pointer-stripped type name of e, for
 // diagnostics ("" when unavailable).
 func roundTypeName(info *types.Info, e ast.Expr) string {
-	tv, ok := info.Types[e]
-	if !ok || tv.Type == nil {
-		return ""
-	}
-	t := tv.Type
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
+	if named := namedElem(info.TypeOf(e)); named != nil {
 		return named.Obj().Name()
 	}
 	return ""
 }
 
 // stateWritePrim classifies an assignment target as an application-state
-// write and names it. Seq/Epoch stamps on round messages are protocol
-// bookkeeping (reqSeq/stampReqEpoch-style helpers must stay exempt from
-// the applies-state gate), and writes to plain locals are not state.
+// write and names it. Seq/Epoch stamps on round messages and their
+// headers are protocol bookkeeping (the issuer's and the server's header
+// stamps must stay exempt from the applies-state gate), and writes to
+// plain locals are not state.
 func stateWritePrim(info *types.Info, lhs ast.Expr) (string, bool) {
 	switch lhs := ast.Unparen(lhs).(type) {
 	case *ast.SelectorExpr:
-		if (lhs.Sel.Name == "Seq" || lhs.Sel.Name == "Epoch") &&
-			roundKindOfExpr(info, lhs.X) != roundNone {
+		if isRoundField(info, lhs) {
 			return "", false
 		}
 		return types.ExprString(lhs) + " =", true
@@ -222,37 +323,19 @@ func (prog *Program) seedRounds(n *FuncNode) {
 	n.Round.seedStampsReq = make([]bool, nparams)
 	n.Round.StampsReq = make([]bool, nparams)
 
-	paramAt := func(e ast.Expr) int {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		if !ok {
-			return -1
-		}
-		obj := info.Uses[id]
-		if obj == nil {
-			return -1
-		}
-		if i, ok := n.paramIndex[obj]; ok {
-			return i
-		}
-		return -1
-	}
-
+	aliases := make(map[types.Object]types.Object) // header bindings, in source order
 	walkOwnCode(n.Pkg, n.Decl.Body, func(node ast.Node) bool {
 		switch node := node.(type) {
 		case *ast.SelectorExpr:
-			switch node.Sel.Name {
-			case "CallTimeout":
+			switch {
+			case node.Sel.Name == "CallTimeout":
 				n.Round.Deadline.seed(types.ExprString(node))
-			case "CallRetries":
+			case node.Sel.Name == "CallRetries":
 				n.Round.Retries.seed(types.ExprString(node))
-			case "Seq":
-				if roundKindOfExpr(info, node.X) != roundNone {
-					n.Round.Dedupe.seed(types.ExprString(node))
-				}
-			case "Epoch":
-				if roundKindOfExpr(info, node.X) != roundNone {
-					n.Round.Fence.seed(types.ExprString(node))
-				}
+			case isRoundField(info, node) && node.Sel.Name == "Seq":
+				n.Round.Dedupe.seed(types.ExprString(node))
+			case isRoundField(info, node):
+				n.Round.Fence.seed(types.ExprString(node))
 			}
 		case *ast.CallExpr:
 			if sel, ok := node.Fun.(*ast.SelectorExpr); ok {
@@ -277,18 +360,19 @@ func (prog *Program) seedRounds(n *FuncNode) {
 				}
 			}
 		case *ast.AssignStmt:
+			if h, x := hdrAlias(info, node); h != nil {
+				aliases[h] = x
+			}
 			for _, lhs := range node.Lhs {
 				if prim, ok := stateWritePrim(info, lhs); ok {
 					n.Round.State.seed(prim)
 				}
-				// Request-stamp seed: `r.Epoch = …` where r binds (via
-				// type-switch/assert aliasing, see collect) to param i
-				// and the static type is a round-path Req.
-				if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && sel.Sel.Name == "Epoch" {
-					if roundKindOfExpr(info, sel.X) == roundReqMsg {
-						if i := paramAt(sel.X); i >= 0 {
-							n.Round.seedStampsReq[i] = true
-						}
+				// Request-stamp seed: an Epoch stamp on a round Req that
+				// binds (directly, via type-switch/assert aliasing — see
+				// collect — or through its header) to param i.
+				if obj := stampedReq(info, aliases, lhs); obj != nil {
+					if i, ok := n.paramIndex[obj]; ok {
+						n.Round.seedStampsReq[i] = true
 					}
 				}
 			}

@@ -54,7 +54,7 @@ func checkRoundTerm(pass *Pass, n *FuncNode) {
 	if !tracksRounds(pass, n) {
 		return
 	}
-	prob := &roundTermProblem{pass: pass, fn: n}
+	prob := &roundTermProblem{pass: pass, fn: n, aliases: hdrAliases(pass.Pkg.Info, n.Decl.Body)}
 	cfg := BuildCFG(n.Decl)
 	facts := Forward(cfg, prob)
 	f := facts[cfg.Exit.Index]
@@ -85,8 +85,9 @@ type rtFact struct {
 }
 
 type roundTermProblem struct {
-	pass *Pass
-	fn   *FuncNode
+	pass    *Pass
+	fn      *FuncNode
+	aliases map[types.Object]types.Object // header bindings (hdrAliases)
 }
 
 func (p *roundTermProblem) Entry() Fact                            { return rtFact{} }
@@ -148,6 +149,11 @@ func (p *roundTermProblem) Transfer(n ast.Node, f Fact) Fact {
 				out = p.transferExpr(rhs, out)
 			}
 			for i, lhs := range m.Lhs {
+				// An Epoch stamp on a Req (or its header) marks it issued.
+				if obj := stampedReq(info, p.aliases, lhs); obj != nil {
+					out.reqs = addObj(out.reqs, obj)
+					continue
+				}
 				obj := defOrUseObj(info, lhs)
 				if obj == nil {
 					continue

@@ -40,13 +40,13 @@ func TestModuleSelfCheck(t *testing.T) {
 	}
 }
 
-// TestSuiteIsComplete pins the suite roster: all thirteen rules — the
-// four syntactic ones, the four interprocedural ones built on the CFG
+// TestSuiteIsComplete pins the suite roster: all twelve rules — the
+// three syntactic ones, the four interprocedural ones built on the CFG
 // and call-graph layer, the delivery-contract rule, the two
 // heat-propagated perf rules, and the two protocol-lifecycle rules —
 // must be registered, in deterministic order.
 func TestSuiteIsComplete(t *testing.T) {
-	want := []string{"simtime", "maprange", "nilrecv", "ctlmsg",
+	want := []string{"simtime", "maprange", "nilrecv",
 		"vtblock", "epochset", "nilflow", "maprange-deep", "dropresult",
 		"hotalloc", "hotbox", "roundflow", "roundterm"}
 	got := Analyzers()

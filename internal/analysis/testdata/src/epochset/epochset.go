@@ -7,11 +7,15 @@ type Event struct {
 	Data any
 }
 
-// QueryReq is a round-path message: Req suffix carrying Seq and Epoch.
+// RoundHdr is the round header; embedding it makes a round message.
+type RoundHdr struct{ Seq, Epoch int64 }
+
+func (h *RoundHdr) hdr() *RoundHdr { return h }
+
+// QueryReq is a round-path message: it embeds RoundHdr.
 type QueryReq struct {
-	Seq   int64
-	Epoch int64
-	Name  string
+	RoundHdr
+	Name string
 }
 
 type bridge struct{ out []*Event }
@@ -22,53 +26,77 @@ func (b *bridge) send(data any) {
 	b.out = append(b.out, &Event{Type: "req", Data: data})
 }
 
-// stampReq assigns Epoch through a helper, the way stampReqEpoch does.
+// stampReq assigns Epoch through a helper; its summary stamps the
+// parameter.
 func stampReq(req *QueryReq, epoch int64) { req.Epoch = epoch }
+
+// stampHdr stamps through the header; its summary stamps the parameter
+// too.
+func stampHdr(req *QueryReq, epoch int64) {
+	h := req.hdr()
+	h.Epoch = epoch
+}
 
 // good stamps directly before the send.
 func good(b *bridge, seq, epoch int64) {
-	req := &QueryReq{Seq: seq, Name: "bonds"}
-	req.Epoch = epoch
+	req := &QueryReq{Name: "bonds"}
+	req.Seq, req.Epoch = seq, epoch
 	b.send(req)
 }
 
-// goodViaHelper: the stamp travels through the callee summary.
+// goodViaHeader stamps through a header alias, the way the servers
+// stamp their responses.
+func goodViaHeader(b *bridge, seq, epoch int64) {
+	req := &QueryReq{}
+	h := req.hdr()
+	h.Seq, h.Epoch = seq, epoch
+	b.send(req)
+}
+
+// goodViaHelper: the stamp travels through the callee summaries.
 func goodViaHelper(b *bridge, seq, epoch int64) {
-	req := &QueryReq{Seq: seq}
+	req := &QueryReq{}
 	stampReq(req, epoch)
 	b.send(req)
+	again := &QueryReq{}
+	stampHdr(again, epoch)
+	b.send(again)
 }
 
-// goodLiteral: the literal itself carries the Epoch key.
+// goodLiteral: the literal's header carries the Epoch key, keyed or
+// positional.
 func goodLiteral(b *bridge, seq, epoch int64) {
-	b.send(&QueryReq{Seq: seq, Epoch: epoch})
+	req := &QueryReq{RoundHdr: RoundHdr{Seq: seq, Epoch: epoch}}
+	b.send(req)
+	pos := &QueryReq{RoundHdr{seq, epoch}, "bonds"}
+	b.send(pos)
 }
 
 // bad stamps on one branch only — unstamped at the merge.
 func bad(b *bridge, seq, epoch int64, retry bool) {
-	req := &QueryReq{Seq: seq}
+	req := &QueryReq{}
 	if retry {
-		req.Epoch = epoch
+		req.hdr().Epoch = epoch
 	}
 	b.send(req) // want "without Epoch assigned on every path"
 }
 
-// badDirect never stamps at all.
+// badDirect sets the header's Seq but never its Epoch.
 func badDirect(b *bridge, seq int64) {
-	req := &QueryReq{Seq: seq}
+	req := &QueryReq{RoundHdr: RoundHdr{Seq: seq}}
 	b.send(req) // want "without Epoch assigned on every path"
 }
 
 // badInline wraps the message in an Event literal without a stamp.
 func badInline(seq int64) *Event {
-	req := &QueryReq{Seq: seq}
+	req := &QueryReq{}
 	return &Event{Type: "req", Data: req} // want "without Epoch assigned on every path"
 }
 
 // audited: the replay path re-sends a message the dedupe cache already
 // stamped, which the analysis cannot see; the audit records why.
 func audited(b *bridge, seq int64) {
-	req := &QueryReq{Seq: seq}
+	req := &QueryReq{}
 	//iocheck:allow epochset fixture: replay re-sends a cached pre-stamped message, audited
 	b.send(req)
 }

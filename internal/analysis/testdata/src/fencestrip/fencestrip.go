@@ -11,16 +11,21 @@ type Event struct {
 	Data any
 }
 
+// RoundHdr is the round header; embedding it makes a round message.
+type RoundHdr struct{ Seq, Epoch int64 }
+
+func (h *RoundHdr) hdr() *RoundHdr { return h }
+
+type roundMsg interface{ hdr() *RoundHdr }
+
 type IncreaseReq struct {
-	Seq   int64
-	Epoch int64
-	N     int
+	RoundHdr
+	N int
 }
 
 type IncreaseResp struct {
-	Seq   int64
-	Epoch int64
-	Size  int
+	RoundHdr
+	Size int
 }
 
 type queue struct{ q []*Event }
@@ -36,48 +41,35 @@ func (q *queue) Recv() *Event {
 
 type manager struct {
 	fencedEpoch int64
-	served      map[int64]any
+	served      map[int64]roundMsg
 	size        int
 	out         []*Event
-}
-
-func reqSeq(v any) (int64, bool) {
-	switch r := v.(type) {
-	case *IncreaseReq:
-		return r.Seq, true
-	}
-	return 0, false
-}
-
-func reqEpoch(v any) (int64, bool) {
-	switch r := v.(type) {
-	case *IncreaseReq:
-		return r.Epoch, true
-	}
-	return 0, false
 }
 
 func (m *manager) reply(resp any) {
 	m.out = append(m.out, &Event{Type: "resp", Data: resp})
 }
 
-// serveLoop is the distilled manager loop: dedupe retried rounds from
-// the served cache, refuse rounds from deposed manager epochs, then
-// serve.
+// serveLoop is the distilled manager loop: read the round header once,
+// dedupe retried rounds from the served cache, refuse rounds from deposed
+// manager epochs, then serve and stamp the response header.
 func (m *manager) serveLoop(in *queue) {
 	for {
 		ev := in.Recv()
 		if ev == nil {
 			return
 		}
-		seq, hasSeq := reqSeq(ev.Data)
-		if hasSeq {
-			if cached, dup := m.served[seq]; dup {
-				m.reply(cached)
-				continue
-			}
+		var h RoundHdr
+		msg, isRound := ev.Data.(roundMsg)
+		if isRound {
+			h = *msg.hdr()
 		}
-		if e, fenced := reqEpoch(ev.Data); fenced {
+		if cached, dup := m.served[h.Seq]; isRound && dup {
+			m.reply(cached)
+			continue
+		}
+		var resp roundMsg
+		if e := h.Epoch; isRound {
 			if e < m.fencedEpoch {
 				continue
 			}
@@ -88,9 +80,13 @@ func (m *manager) serveLoop(in *queue) {
 		switch req := ev.Data.(type) {
 		case *IncreaseReq:
 			m.size += req.N
-			resp := &IncreaseResp{Seq: req.Seq, Epoch: m.fencedEpoch, Size: m.size}
-			m.served[seq] = resp
-			m.reply(resp)
+			resp = &IncreaseResp{Size: m.size}
+		default:
+			return
 		}
+		rh := resp.hdr()
+		rh.Seq, rh.Epoch = h.Seq, m.fencedEpoch
+		m.served[h.Seq] = resp
+		m.reply(resp)
 	}
 }

@@ -1,8 +1,8 @@
 // Package roundflow is a golden-file fixture for the roundflow analyzer:
 // the issue leg (deadline/retry budget before every send of a round-path
 // Req), the serve leg (Seq dedupe + epoch fence on all paths before a
-// state-applying round dispatch), and the closure leg (mk-closure Reqs
-// handed to a budgeted caller).
+// state-applying round dispatch), and the passed-request leg (Req
+// literals handed to a budgeted caller).
 package roundflow
 
 // Event is the fixture's stand-in for evpath.Event — the send envelope.
@@ -11,28 +11,40 @@ type Event struct {
 	Data any
 }
 
-// IncreaseReq / IncreaseResp are round-path messages: Req/Resp suffix
-// carrying Seq and Epoch.
-type IncreaseReq struct {
-	Seq   int64
-	Epoch int64
-	N     int
+// RoundHdr is the round header: embedding it makes a struct a round
+// message, and the Req/Resp/Notice suffix gives the direction.
+type RoundHdr struct{ Seq, Epoch int64 }
+
+func (h *RoundHdr) hdr() *RoundHdr { return h }
+
+type roundMsg interface{ hdr() *RoundHdr }
+
+// roundReq is the issuer's request parameter: Req-named, so an Epoch
+// stamp through its header marks the value as an issued request.
+type roundReq interface {
+	roundMsg
+	kind() string
 }
+
+// IncreaseReq / IncreaseResp are round-path messages.
+type IncreaseReq struct {
+	RoundHdr
+	N int
+}
+
+func (*IncreaseReq) kind() string { return "inc" }
 
 type IncreaseResp struct {
-	Seq   int64
-	Epoch int64
-	OK    bool
+	RoundHdr
+	OK bool
 }
 
-// PingNotice is a round-path Notice (Seq+Epoch, no Shard).
-type PingNotice struct {
-	Seq   int64
-	Epoch int64
-}
+// PingNotice is a round-path Notice.
+type PingNotice struct{ RoundHdr }
 
-// StealReq carries a Shard field: the shard-relay family has its own
-// single-writer discipline and is exempt from the round lifecycle.
+// StealReq carries plain Seq/Epoch/Shard fields and embeds no header:
+// shard-relay traffic has its own single-writer discipline and is not a
+// round.
 type StealReq struct {
 	Seq   int64
 	Epoch int64
@@ -63,58 +75,49 @@ type manager struct {
 	inbox       []any
 }
 
-// reqSeq extracts the Seq off a round message — the dedupe primitive.
-func reqSeq(v any) int64 {
-	switch r := v.(type) {
-	case *IncreaseReq:
-		return r.Seq
-	case *IncreaseResp:
-		return r.Seq
+// seqOf reads the Seq off a round message's header — the dedupe
+// primitive, which callers inherit through its summary.
+func seqOf(v any) int64 {
+	if m, ok := v.(roundMsg); ok {
+		return m.hdr().Seq
 	}
 	return -1
 }
 
-// reqEpoch extracts the Epoch — the fence primitive.
-func reqEpoch(v any) (int64, bool) {
-	switch r := v.(type) {
-	case *IncreaseReq:
-		return r.Epoch, true
-	case *IncreaseResp:
-		return r.Epoch, true
+// epochOf reads the Epoch — the fence primitive.
+func epochOf(v any) (int64, bool) {
+	if m, ok := v.(roundMsg); ok {
+		return m.hdr().Epoch, true
 	}
 	return 0, false
 }
 
-// stampReq assigns Epoch on a round Req through a type-switch binding,
-// the way stampReqEpoch does; its summary stamps parameter 0.
-func stampReq(v any, epoch int64) {
-	switch r := v.(type) {
-	case *IncreaseReq:
-		r.Epoch = epoch
-	}
-}
-
 // --- serve leg ---
 
-// goodServe establishes both guards before the state-applying dispatch.
+// goodServe reads both guards straight off the header before the
+// state-applying dispatch.
 func (m *manager) goodServe(ev *Event) {
-	seq := reqSeq(ev.Data)
-	if e, ok := reqEpoch(ev.Data); ok && e < m.fencedEpoch {
+	var h RoundHdr
+	if msg, ok := ev.Data.(roundMsg); ok {
+		h = *msg.hdr()
+	}
+	if h.Epoch < m.fencedEpoch {
 		return
 	}
+	seq := h.Seq
 	switch r := ev.Data.(type) {
 	case *IncreaseReq:
-		m.served[seq] = &IncreaseResp{Seq: r.Seq, Epoch: m.fencedEpoch, OK: true}
+		m.served[seq] = &IncreaseResp{RoundHdr: RoundHdr{Seq: r.Seq, Epoch: m.fencedEpoch}, OK: true}
 	}
 }
 
-// goodServeDirect guards the plain type-assert form: both reads
-// dominate the assertion.
+// goodServeDirect guards the plain type-assert form through the helper
+// summaries: both reads dominate the assertion.
 func (m *manager) goodServeDirect(ev *Event) {
-	if reqSeq(ev.Data) <= m.nextSeq {
+	if seqOf(ev.Data) <= m.nextSeq {
 		return
 	}
-	if e, ok := reqEpoch(ev.Data); !ok || e < m.fencedEpoch {
+	if e, ok := epochOf(ev.Data); !ok || e < m.fencedEpoch {
 		return
 	}
 	r, ok := ev.Data.(*IncreaseReq)
@@ -127,7 +130,7 @@ func (m *manager) goodServeDirect(ev *Event) {
 
 // badServeNoFence dedupes but never fence-checks.
 func (m *manager) badServeNoFence(ev *Event) {
-	seq := reqSeq(ev.Data)
+	seq := seqOf(ev.Data)
 	switch ev.Data.(type) { // want "epoch fence-check"
 	case *IncreaseReq:
 		m.served[seq] = nil
@@ -136,7 +139,7 @@ func (m *manager) badServeNoFence(ev *Event) {
 
 // badServeNoDedupe fence-checks but never dedupes.
 func (m *manager) badServeNoDedupe(ev *Event) {
-	if e, ok := reqEpoch(ev.Data); ok && e < m.fencedEpoch {
+	if e, ok := epochOf(ev.Data); ok && e < m.fencedEpoch {
 		return
 	}
 	switch ev.Data.(type) { // want "Seq dedupe guard"
@@ -149,8 +152,8 @@ func (m *manager) badServeNoDedupe(ev *Event) {
 // kills both facts.
 func (m *manager) badServeOneBranch(ev *Event, replay bool) {
 	if replay {
-		seq := reqSeq(ev.Data)
-		if e, ok := reqEpoch(ev.Data); ok && e < seq {
+		seq := seqOf(ev.Data)
+		if e, ok := epochOf(ev.Data); ok && e < seq {
 			return
 		}
 	}
@@ -170,8 +173,8 @@ func kindOf(v any) string {
 	}
 }
 
-// shardServe dispatches a shard-relay message: a separate family, no
-// round obligations.
+// shardServe dispatches a shard-relay message: not a round, no
+// obligations.
 func (m *manager) shardServe(ev *Event) {
 	switch ev.Data.(type) {
 	case *StealReq:
@@ -203,9 +206,9 @@ func (m *manager) pump(ev *Event) {
 // --- issue leg ---
 
 // goodIssue registers the deadline and retry budget before the send.
-func (m *manager) goodIssue(seq int64) {
-	req := &IncreaseReq{Seq: seq, N: 1}
-	stampReq(req, m.fencedEpoch)
+func (m *manager) goodIssue() {
+	req := &IncreaseReq{N: 1}
+	req.Epoch = m.fencedEpoch
 	timeout := m.policy.CallTimeout
 	for attempt := int64(0); attempt <= m.policy.CallRetries; attempt++ {
 		ev := &Event{Type: "inc", Data: req}
@@ -216,29 +219,31 @@ func (m *manager) goodIssue(seq int64) {
 }
 
 // badIssueNoDeadline retries but never bounds the wait.
-func (m *manager) badIssueNoDeadline(seq int64) {
-	req := &IncreaseReq{Seq: seq}
+func (m *manager) badIssueNoDeadline() {
+	req := &IncreaseReq{}
 	for attempt := int64(0); attempt <= m.policy.CallRetries; attempt++ {
 		m.out.Submit(&Event{Type: "inc", Data: req}) // want "no deadline registered"
 	}
 }
 
 // badIssueNoRetries bounds the wait but sends outside a retry budget.
-func (m *manager) badIssueNoRetries(seq int64) {
-	req := &IncreaseReq{Seq: seq}
+// The request parameter is tracked through its header stamp.
+func (m *manager) badIssueNoRetries(req roundReq) {
+	h := req.hdr()
+	h.Epoch = m.fencedEpoch
 	deadline := m.policy.CallTimeout
-	ev := &Event{Type: "inc", Data: req}
+	ev := &Event{Type: req.kind(), Data: req}
 	m.out.Submit(ev) // want "no retry budget"
 	_ = deadline
 }
 
 // badIssueViaSink: the send happens through an event-data sink callee.
-func (m *manager) badIssueViaSink(seq int64) {
-	req := &IncreaseReq{Seq: seq}
+func (m *manager) badIssueViaSink() {
+	req := &IncreaseReq{}
 	m.out.send(req) // want "no deadline registered" "no retry budget"
 }
 
-// --- closure leg ---
+// --- passed-request leg ---
 
 // takeResp pops the next delivered response, if any.
 func (m *manager) takeResp() any {
@@ -250,17 +255,18 @@ func (m *manager) takeResp() any {
 	return v
 }
 
-// call is the budgeted issuer: mk composes the Req, call owns deadline,
-// retries, stamping, the send, and the seq-deduped response filter.
-func (m *manager) call(mk func(int64) any) any {
+// call is the budgeted issuer: it stamps the request's header and owns
+// the deadline, the retries, the send, and the seq-matched response
+// filter.
+func (m *manager) call(req roundReq) any {
 	m.nextSeq++
-	req := mk(m.nextSeq)
-	stampReq(req, m.fencedEpoch)
+	h := req.hdr()
+	h.Seq, h.Epoch = m.nextSeq, m.fencedEpoch
 	deadline := m.policy.CallTimeout
 	for attempt := int64(0); attempt <= m.policy.CallRetries; attempt++ {
-		ev := &Event{Type: "call", Data: req}
+		ev := &Event{Type: req.kind(), Data: req}
 		m.out.Submit(ev)
-		if got := m.takeResp(); got != nil && reqSeq(got) == m.nextSeq {
+		if got := m.takeResp(); got != nil && seqOf(got) == m.nextSeq {
 			return got
 		}
 		deadline *= 2
@@ -268,26 +274,26 @@ func (m *manager) call(mk func(int64) any) any {
 	return nil
 }
 
-// fire enqueues whatever mk builds with no budget anywhere.
-func (m *manager) fire(mk func(int64) any) {
-	m.inbox = append(m.inbox, mk(1))
+// fire enqueues the request with no budget anywhere.
+func (m *manager) fire(req roundReq) {
+	m.inbox = append(m.inbox, req)
 }
 
-// goodClosure: the Req literal rides a closure into the budgeted caller.
-func (m *manager) goodClosure(n int) {
-	m.call(func(seq int64) any { return &IncreaseReq{Seq: seq, N: n} })
+// goodPassed hands the Req literal to the budgeted caller.
+func (m *manager) goodPassed(n int) {
+	m.call(&IncreaseReq{N: n})
 }
 
-// badClosure hands the Req to a callee that never registers a budget.
-func (m *manager) badClosure(n int) {
-	m.fire(func(seq int64) any { return &IncreaseReq{Seq: seq, N: n} }) // want "never registers"
+// badPassed hands the Req to a callee that never registers a budget.
+func (m *manager) badPassed(n int) {
+	m.fire(&IncreaseReq{N: n}) // want "never registers"
 }
 
 // goodAssertOnCall asserts directly on the budgeted caller's result: the
 // callee's own dedupe/fence summaries guard the dispatch, because the
 // call evaluates before the assertion.
 func (m *manager) goodAssertOnCall(n int) {
-	resp, _ := m.call(func(seq int64) any { return &IncreaseReq{Seq: seq, N: n} }).(*IncreaseResp)
+	resp, _ := m.call(&IncreaseReq{N: n}).(*IncreaseResp)
 	if resp != nil && resp.OK {
 		m.count++
 	}

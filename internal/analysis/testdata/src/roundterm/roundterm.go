@@ -9,18 +9,24 @@ type Event struct {
 	Data any
 }
 
-// IncreaseReq / IncreaseResp are round-path messages (Seq+Epoch, no
-// Shard).
+// RoundHdr is the round header; embedding it makes a round message.
+type RoundHdr struct{ Seq, Epoch int64 }
+
+func (h *RoundHdr) hdr() *RoundHdr { return h }
+
+// roundReq is an issuer's request parameter: Req-named, so an Epoch
+// stamp through its header marks the value as an issued request.
+type roundReq interface{ hdr() *RoundHdr }
+
+// IncreaseReq / IncreaseResp are round-path messages.
 type IncreaseReq struct {
-	Seq   int64
-	Epoch int64
-	N     int
+	RoundHdr
+	N int
 }
 
 type IncreaseResp struct {
-	Seq   int64
-	Epoch int64
-	OK    bool
+	RoundHdr
+	OK bool
 }
 
 type policy struct {
@@ -53,12 +59,11 @@ type tracer struct{}
 
 func (t *tracer) begin() *span { return &span{} }
 
-// stampReq assigns Epoch on a round Req via a type-switch binding.
-func stampReq(v any, epoch int64) {
-	switch r := v.(type) {
-	case *IncreaseReq:
-		r.Epoch = epoch
-	}
+// stampReq stamps a round Req's header; its summary marks the
+// parameter as an issued request at every caller.
+func stampReq(req *IncreaseReq, seq, epoch int64) {
+	h := req.hdr()
+	h.Seq, h.Epoch = seq, epoch
 }
 
 type manager struct {
@@ -79,8 +84,8 @@ func (m *manager) abandon(sp *span) {
 
 // goodTerm ends the round on both the response and the timeout path.
 func (m *manager) goodTerm(seq int64) *Event {
-	req := &IncreaseReq{Seq: seq, N: 1}
-	stampReq(req, m.epoch)
+	req := &IncreaseReq{N: 1}
+	stampReq(req, seq, m.epoch)
 	sp := m.tr.begin()
 	ev := &Event{Type: "inc", Data: req}
 	m.out.Submit(ev)
@@ -95,8 +100,8 @@ func (m *manager) goodTerm(seq int64) *Event {
 // goodDeferEnd terminates every path at once through a deferred End —
 // including the early error return.
 func (m *manager) goodDeferEnd(seq int64) *Event {
-	req := &IncreaseReq{Seq: seq}
-	stampReq(req, m.epoch)
+	req := &IncreaseReq{}
+	stampReq(req, seq, m.epoch)
 	sp := m.tr.begin()
 	defer sp.End()
 	m.out.Submit(&Event{Type: "inc", Data: req})
@@ -110,8 +115,8 @@ func (m *manager) goodDeferEnd(seq int64) *Event {
 // goodTermViaHelper terminates the error branch through a helper that
 // carries the Term summary.
 func (m *manager) goodTermViaHelper(seq int64) {
-	req := &IncreaseReq{Seq: seq}
-	stampReq(req, m.epoch)
+	req := &IncreaseReq{}
+	stampReq(req, seq, m.epoch)
 	sp := m.tr.begin()
 	m.out.Submit(&Event{Type: "inc", Data: req})
 	if _, ok := m.in.RecvTimeout(m.policy.CallTimeout); !ok {
@@ -124,8 +129,8 @@ func (m *manager) goodTermViaHelper(seq int64) {
 // goodRetryLoop is the GM call-loop shape: one span per attempt, ended
 // before the next attempt or the final return.
 func (m *manager) goodRetryLoop(seq int64) *Event {
-	req := &IncreaseReq{Seq: seq}
-	stampReq(req, m.epoch)
+	req := &IncreaseReq{}
+	stampReq(req, seq, m.epoch)
 	timeout := m.policy.CallTimeout
 	for attempt := int64(0); attempt <= m.policy.CallRetries; attempt++ {
 		sp := m.tr.begin()
@@ -145,8 +150,8 @@ func (m *manager) goodRetryLoop(seq int64) *Event {
 // badDrop loses the round in the error branch: the early return skips
 // every End.
 func (m *manager) badDrop(seq int64) *Event {
-	req := &IncreaseReq{Seq: seq}
-	stampReq(req, m.epoch)
+	req := &IncreaseReq{}
+	stampReq(req, seq, m.epoch)
 	sp := m.tr.begin()
 	m.out.Submit(&Event{Type: "inc", Data: req}) // want "may be dropped"
 	v, ok := m.in.RecvTimeout(m.policy.CallTimeout)
@@ -157,10 +162,10 @@ func (m *manager) badDrop(seq int64) *Event {
 	return v
 }
 
-// badNeverEnds sends and walks away on every path.
-func (m *manager) badNeverEnds(seq int64) {
-	req := &IncreaseReq{Seq: seq}
-	stampReq(req, m.epoch)
+// badNeverEnds sends and walks away on every path. The request
+// parameter is tracked through its header stamp.
+func (m *manager) badNeverEnds(req roundReq) {
+	req.hdr().Epoch = m.epoch
 	ev := &Event{Type: "inc", Data: req}
 	m.out.Submit(ev) // want "may be dropped"
 }
@@ -168,15 +173,15 @@ func (m *manager) badNeverEnds(seq int64) {
 // refuse sends a Resp, not a Req: responses are the other end's round,
 // never tracked here.
 func (m *manager) refuse(seq int64) {
-	resp := &IncreaseResp{Seq: seq, Epoch: m.epoch, OK: false}
+	resp := &IncreaseResp{RoundHdr: RoundHdr{Seq: seq, Epoch: m.epoch}, OK: false}
 	m.out.Submit(&Event{Type: "resp", Data: resp})
 }
 
 // hint is the audited exception: a deliberate fire-and-forget round the
 // receiver's next heartbeat closes.
 func (m *manager) hint(seq int64) {
-	req := &IncreaseReq{Seq: seq}
-	stampReq(req, m.epoch)
+	req := &IncreaseReq{}
+	stampReq(req, seq, m.epoch)
 	//iocheck:allow roundterm fixture: fire-and-forget hint round; the receiver's next heartbeat closes it
 	m.out.Submit(&Event{Type: "hint", Data: req})
 }

@@ -32,24 +32,19 @@ type GMHeartbeat struct {
 // RehomeReq points the container's monitoring/response bridge at a new
 // global manager inbox.
 type RehomeReq struct {
-	Seq   int64
-	Epoch int64
+	RoundHdr
 	Inbox *evpath.Stone
 }
 
+func (*RehomeReq) kind() string { return msgRehome }
+
 // RehomeResp acknowledges the switch (sent via the NEW bridge — its
 // arrival proves the new path works).
-type RehomeResp struct {
-	Seq   int64
-	Epoch int64
-}
+type RehomeResp struct{ RoundHdr }
 
 // Rehome redirects a container to this manager via a control round.
 func (gm *GlobalManager) Rehome(p *sim.Proc, target string) bool {
-	resp, _ := gm.call(p, target,
-		func(seq int64) any { return &RehomeReq{Seq: seq, Inbox: gm.inbox()} },
-		func(d any) bool { r, ok := d.(*RehomeResp); return ok && r.Seq == gm.seq },
-	).(*RehomeResp)
+	resp, _ := gm.call(p, target, &RehomeReq{Inbox: gm.inbox()}).(*RehomeResp)
 	return resp != nil
 }
 

@@ -15,9 +15,11 @@ import (
 // partition can leave TWO live global managers issuing rounds. The fix
 // is monotonic epochs, ZooKeeper-style: the primary starts at epoch 1,
 // a takeover bumps the epoch past the highest the standby has seen, and
-// the epoch rides every heartbeat and every control Req/Resp. Containers
-// remember the highest epoch that has contacted them and reject
-// lower-epoch rounds with a FenceResp; a manager that is fenced — or
+// the epoch rides every heartbeat and every round: it sits in the
+// RoundHdr each control Req/Resp embeds, stamped by the manager's
+// callRound and checked and restamped by the container's managerLoop.
+// Containers remember the highest epoch that has contacted them and
+// reject lower-epoch rounds with a FenceResp; a manager that is fenced — or
 // that hears a higher-epoch peer's heartbeat answered by a DemoteNotice —
 // demotes itself to a passive standby and never issues another round.
 // Each fencing decision fires a "fence:<target>" flight-recorder trigger
@@ -33,10 +35,7 @@ const msgDemote = "ctl.demote"
 // was NOT served. Epoch carries the fencing (higher) epoch the sender
 // must yield to. It travels as an ordinary protocol response so it lands
 // in the stale manager's response mailbox mid-call.
-type FenceResp struct {
-	Seq   int64
-	Epoch int64
-}
+type FenceResp struct{ RoundHdr }
 
 // DemoteNotice is sent by an active manager to a lower-epoch peer whose
 // heartbeats prove it still thinks it is primary. Epoch is the sender's.
@@ -46,97 +45,6 @@ type DemoteNotice struct {
 
 // fencingOn reports whether epoch fencing is active for this run.
 func (rt *Runtime) fencingOn() bool { return !rt.cfg.Policy.DisableFencing }
-
-// reqEpoch extracts the epoch stamp from a protocol request (ok=false for
-// non-round messages, which are never fenced).
-func reqEpoch(v any) (int64, bool) {
-	switch r := v.(type) {
-	case *IncreaseReq:
-		return r.Epoch, true
-	case *DecreaseReq:
-		return r.Epoch, true
-	case *OfflineReq:
-		return r.Epoch, true
-	case *SetOutputReq:
-		return r.Epoch, true
-	case *QueryReq:
-		return r.Epoch, true
-	case *ActivateReq:
-		return r.Epoch, true
-	case *AddTapReq:
-		return r.Epoch, true
-	case *ResendReq:
-		return r.Epoch, true
-	case *RehomeReq:
-		return r.Epoch, true
-	case *SubResumeReq:
-		return r.Epoch, true
-	case *SubReplayReq:
-		return r.Epoch, true
-	}
-	return 0, false
-}
-
-// stampReqEpoch writes the issuing manager's epoch onto an outgoing
-// request. Keeping the stamp out of the per-op constructors means every
-// round is fenced by construction — a new op cannot forget it.
-func stampReqEpoch(v any, epoch int64) {
-	switch r := v.(type) {
-	case *IncreaseReq:
-		r.Epoch = epoch
-	case *DecreaseReq:
-		r.Epoch = epoch
-	case *OfflineReq:
-		r.Epoch = epoch
-	case *SetOutputReq:
-		r.Epoch = epoch
-	case *QueryReq:
-		r.Epoch = epoch
-	case *ActivateReq:
-		r.Epoch = epoch
-	case *AddTapReq:
-		r.Epoch = epoch
-	case *ResendReq:
-		r.Epoch = epoch
-	case *RehomeReq:
-		r.Epoch = epoch
-	case *SubResumeReq:
-		r.Epoch = epoch
-	case *SubReplayReq:
-		r.Epoch = epoch
-	}
-}
-
-// stampRespEpoch writes the container's fenced epoch onto an outgoing
-// response.
-func stampRespEpoch(v any, epoch int64) {
-	switch r := v.(type) {
-	case *IncreaseResp:
-		r.Epoch = epoch
-	case *DecreaseResp:
-		r.Epoch = epoch
-	case *OfflineResp:
-		r.Epoch = epoch
-	case *SetOutputResp:
-		r.Epoch = epoch
-	case *QueryResp:
-		r.Epoch = epoch
-	case *ActivateResp:
-		r.Epoch = epoch
-	case *AddTapResp:
-		r.Epoch = epoch
-	case *ResendResp:
-		r.Epoch = epoch
-	case *RehomeResp:
-		r.Epoch = epoch
-	case *SubResumeResp:
-		r.Epoch = epoch
-	case *SubReplayResp:
-		r.Epoch = epoch
-	case *FenceResp:
-		r.Epoch = epoch
-	}
-}
 
 // Epoch returns the manager's current fencing epoch (0 for a standby
 // that has not taken over).
@@ -179,9 +87,8 @@ func (gm *GlobalManager) runDeposed(p *sim.Proc) {
 
 // RoundRecord logs one control-round send attempt for the chaos
 // single-writer oracle: at most one manager node may issue rounds within
-// any given epoch.
-//
-//iocheck:allow ctlmsg oracle log record, never travels the overlay; Seq+Shard here identify the logged round
+// any given epoch. It is a log entry, not a message: it never travels the
+// overlay and embeds no RoundHdr.
 type RoundRecord struct {
 	T      sim.Time
 	Epoch  int64
@@ -241,7 +148,7 @@ func (c *Container) fence(seq, stale int64, parent trace.SpanID) {
 		Container(c.spec.Name).Node(c.mgrEV.Node()).
 		AttrInt("seq", seq).AttrInt("stale", stale).
 		AttrInt("fenced", c.fencedEpoch).End()
-	resp := &FenceResp{Seq: seq, Epoch: c.fencedEpoch}
+	resp := &FenceResp{RoundHdr{Seq: seq, Epoch: c.fencedEpoch}}
 	out := c.toGM
 	if c.staleGM != nil {
 		out = c.staleGM

@@ -457,9 +457,8 @@ func (gm *GlobalManager) dispatch(p *sim.Proc, ev *evpath.Event) {
 		}
 	case *SubNotice:
 		gm.lastHeard[data.From] = p.Now()
-		seq, _ := subMsgSeq(data)
 		gm.rt.tracer.Instant(ev.Ctx(), "ctl", "sub-notice").
-			Container(data.From).Node(gm.node).AttrInt("seq", seq).End()
+			Container(data.From).Node(gm.node).AttrInt("seq", data.Seq).End()
 		// Dedupe per subscriber on the reconnect generation: a reconnect
 		// storm collapses to one resume round per subscriber. Defer the
 		// round to the tick — dispatch must not park.
@@ -516,11 +515,20 @@ func (gm *GlobalManager) grantSpare(req *SpareReq) {
 		Data: &SpareGrant{Seq: req.Seq, Nodes: grant}})
 }
 
-// takePending removes and returns the first buffered response matching
-// the predicate.
-func (gm *GlobalManager) takePending(match func(any) bool) any {
+// answers reports whether a response belongs to the current round. Seqs
+// come from the runtime-wide rt.ctlSeq, so the seq alone identifies the
+// round; a FenceResp carrying it is handled by callRound's fence arm and
+// never buffered.
+func (gm *GlobalManager) answers(v any) bool {
+	m, ok := v.(roundMsg)
+	return ok && m.hdr().Seq == gm.seq
+}
+
+// takePending removes and returns the first buffered response to the
+// current round.
+func (gm *GlobalManager) takePending() any {
 	for i, v := range gm.pending {
-		if match(v) {
+		if gm.answers(v) {
 			gm.pending = append(gm.pending[:i], gm.pending[i+1:]...)
 			return v
 		}
@@ -535,8 +543,8 @@ func (gm *GlobalManager) takePending(match func(any) bool) any {
 // never execute twice) and a doubled deadline. When the retry budget runs
 // out the container is marked suspect and the call gives up — the policy
 // tick proceeds instead of blocking forever on a dead container.
-func (gm *GlobalManager) call(p *sim.Proc, target string, mk func(seq int64) any, match func(any) bool) any {
-	v := gm.callRound(p, target, mk, match)
+func (gm *GlobalManager) call(p *sim.Proc, target string, req roundReq) any {
+	v := gm.callRound(p, target, req)
 	if v != nil {
 		// An answered round is proof of life for the silence probe.
 		gm.lastHeard[target] = p.Now()
@@ -544,7 +552,7 @@ func (gm *GlobalManager) call(p *sim.Proc, target string, mk func(seq int64) any
 	return v
 }
 
-func (gm *GlobalManager) callRound(p *sim.Proc, target string, mk func(seq int64) any, match func(any) bool) any {
+func (gm *GlobalManager) callRound(p *sim.Proc, target string, req roundReq) any {
 	// Sequence numbers come from a runtime-wide counter so the primary's
 	// and the standby's rounds never collide in a container's dedup cache
 	// across a failover.
@@ -562,9 +570,9 @@ func (gm *GlobalManager) callRound(p *sim.Proc, target string, mk func(seq int64
 	if gm.suspect[target] {
 		return nil
 	}
-	req := mk(gm.seq)
-	stampReqEpoch(req, gm.epoch)
-	kind := strings.TrimPrefix(msgTypeFor(req), "ctl.")
+	h := req.hdr()
+	h.Seq, h.Epoch = gm.seq, gm.epoch
+	kind := strings.TrimPrefix(req.kind(), "ctl.")
 	timeout := gm.policy.CallTimeout
 	for attempt := 0; attempt <= gm.policy.CallRetries; attempt++ {
 		if gm.dead {
@@ -578,7 +586,7 @@ func (gm *GlobalManager) callRound(p *sim.Proc, target string, mk func(seq int64
 		if gm.shard >= 0 {
 			sp.AttrInt("shard", int64(gm.shard))
 		}
-		ev := &evpath.Event{Type: msgTypeFor(req), Size: ctlMsgBytes, Data: req}
+		ev := &evpath.Event{Type: req.kind(), Size: ctlMsgBytes, Data: req}
 		ev.Span = sp.ID()
 		gm.rt.noteRound(RoundRecord{T: p.Now(), Epoch: gm.epoch, Seq: gm.seq,
 			Node: gm.node, Target: target, Kind: kind, Retry: attempt,
@@ -586,7 +594,7 @@ func (gm *GlobalManager) callRound(p *sim.Proc, target string, mk func(seq int64
 		stone.Submit(ev)
 		deadline := p.Now() + timeout
 		for {
-			if v := gm.takePending(match); v != nil {
+			if v := gm.takePending(); v != nil {
 				sp.End()
 				return v
 			}
@@ -597,7 +605,7 @@ func (gm *GlobalManager) callRound(p *sim.Proc, target string, mk func(seq int64
 					// remain for other callers before giving up.
 					gm.drainResponses()
 					sp.Attr("outcome", "shutdown").End()
-					if v := gm.takePending(match); v != nil {
+					if v := gm.takePending(); v != nil {
 						return v
 					}
 					return nil
@@ -620,7 +628,7 @@ func (gm *GlobalManager) callRound(p *sim.Proc, target string, mk func(seq int64
 				}
 				continue // stale fence response; never matches a caller
 			}
-			if match(rev.Data) {
+			if gm.answers(rev.Data) {
 				sp.End()
 				return rev.Data
 			}
@@ -655,7 +663,7 @@ func (gm *GlobalManager) purgeStale() {
 	}
 	kept := gm.pending[:0]
 	for _, v := range gm.pending {
-		if s, ok := respSeq(v); !ok || s >= gm.seq {
+		if m, ok := v.(roundMsg); !ok || m.hdr().Seq >= gm.seq {
 			kept = append(kept, v)
 		}
 	}
@@ -677,73 +685,10 @@ func (gm *GlobalManager) markSuspect(p *sim.Proc, target string) {
 		Detail: "control rounds exhausted retries"})
 }
 
-func msgTypeFor(req any) string {
-	switch req.(type) {
-	case *IncreaseReq:
-		return msgIncrease
-	case *DecreaseReq:
-		return msgDecrease
-	case *OfflineReq:
-		return msgOffline
-	case *SetOutputReq:
-		return msgSetOutput
-	case *QueryReq:
-		return msgQuery
-	case *ActivateReq:
-		return msgActivate
-	case *AddTapReq:
-		return msgAddTap
-	case *ResendReq:
-		return msgResend
-	case *RehomeReq:
-		return msgRehome
-	case *SubResumeReq:
-		return msgSubResume
-	case *SubReplayReq:
-		return msgSubReplay
-	}
-	return "ctl.unknown"
-}
-
-// respSeq extracts the sequence number from a protocol response (ok=false
-// for non-protocol payloads).
-func respSeq(v any) (int64, bool) {
-	switch r := v.(type) {
-	case *IncreaseResp:
-		return r.Seq, true
-	case *DecreaseResp:
-		return r.Seq, true
-	case *OfflineResp:
-		return r.Seq, true
-	case *SetOutputResp:
-		return r.Seq, true
-	case *QueryResp:
-		return r.Seq, true
-	case *ActivateResp:
-		return r.Seq, true
-	case *AddTapResp:
-		return r.Seq, true
-	case *ResendResp:
-		return r.Seq, true
-	case *RehomeResp:
-		return r.Seq, true
-	case *SubResumeResp:
-		return r.Seq, true
-	case *SubReplayResp:
-		return r.Seq, true
-	case *FenceResp:
-		return r.Seq, true
-	}
-	return 0, false
-}
-
 // Increase grows a container onto the given nodes via the full protocol
 // round; it returns the container-side cost breakdown.
 func (gm *GlobalManager) Increase(p *sim.Proc, target string, nodes []*cluster.Node) *IncreaseResp {
-	resp, _ := gm.call(p, target,
-		func(seq int64) any { return &IncreaseReq{Seq: seq, Nodes: nodes} },
-		func(d any) bool { r, ok := d.(*IncreaseResp); return ok && r.Seq == gm.seq },
-	).(*IncreaseResp)
+	resp, _ := gm.call(p, target, &IncreaseReq{Nodes: nodes}).(*IncreaseResp)
 	if resp != nil {
 		gm.record(p, Action{T: p.Now(), Kind: "increase", Target: target, N: len(nodes)})
 	}
@@ -753,10 +698,7 @@ func (gm *GlobalManager) Increase(p *sim.Proc, target string, nodes []*cluster.N
 // Decrease shrinks a container by n replicas, reclaiming their nodes into
 // the spare pool; it returns the protocol response.
 func (gm *GlobalManager) Decrease(p *sim.Proc, target string, n int) *DecreaseResp {
-	resp, _ := gm.call(p, target,
-		func(seq int64) any { return &DecreaseReq{Seq: seq, N: n} },
-		func(d any) bool { r, ok := d.(*DecreaseResp); return ok && r.Seq == gm.seq },
-	).(*DecreaseResp)
+	resp, _ := gm.call(p, target, &DecreaseReq{N: n}).(*DecreaseResp)
 	if resp != nil {
 		gm.spare = append(gm.spare, resp.Nodes...)
 		gm.record(p, Action{T: p.Now(), Kind: "decrease", Target: target, N: n})
@@ -766,10 +708,7 @@ func (gm *GlobalManager) Decrease(p *sim.Proc, target string, n int) *DecreaseRe
 
 // Offline removes a container (and lets the caller handle cascades).
 func (gm *GlobalManager) Offline(p *sim.Proc, target string) *OfflineResp {
-	resp, _ := gm.call(p, target,
-		func(seq int64) any { return &OfflineReq{Seq: seq} },
-		func(d any) bool { r, ok := d.(*OfflineResp); return ok && r.Seq == gm.seq },
-	).(*OfflineResp)
+	resp, _ := gm.call(p, target, &OfflineReq{}).(*OfflineResp)
 	if resp != nil {
 		gm.spare = append(gm.spare, resp.Nodes...)
 		gm.rt.dropped += resp.Dropped
@@ -780,19 +719,13 @@ func (gm *GlobalManager) Offline(p *sim.Proc, target string) *OfflineResp {
 
 // SetOutput redirects a container's output to disk with provenance.
 func (gm *GlobalManager) SetOutput(p *sim.Proc, target, provenance string) {
-	gm.call(p, target,
-		func(seq int64) any { return &SetOutputReq{Seq: seq, Provenance: provenance} },
-		func(d any) bool { r, ok := d.(*SetOutputResp); return ok && r.Seq == gm.seq },
-	)
+	gm.call(p, target, &SetOutputReq{Provenance: provenance})
 	gm.record(p, Action{T: p.Now(), Kind: "set_output", Target: target, Detail: provenance})
 }
 
 // Query asks a container's local manager for its needs.
 func (gm *GlobalManager) Query(p *sim.Proc, target string, max int) *QueryResp {
-	resp, _ := gm.call(p, target,
-		func(seq int64) any { return &QueryReq{Seq: seq, Max: max} },
-		func(d any) bool { r, ok := d.(*QueryResp); return ok && r.Seq == gm.seq },
-	).(*QueryResp)
+	resp, _ := gm.call(p, target, &QueryReq{Max: max}).(*QueryResp)
 	return resp
 }
 
@@ -800,10 +733,7 @@ func (gm *GlobalManager) Query(p *sim.Proc, target string, max int) *QueryResp {
 // step whose descriptor was lost in flight (the at-least-once data
 // plane's control leg, issued in response to a consumer's GapNotice).
 func (gm *GlobalManager) Resend(p *sim.Proc, target string) *ResendResp {
-	resp, _ := gm.call(p, target,
-		func(seq int64) any { return &ResendReq{Seq: seq} },
-		func(d any) bool { r, ok := d.(*ResendResp); return ok && r.Seq == gm.seq },
-	).(*ResendResp)
+	resp, _ := gm.call(p, target, &ResendReq{}).(*ResendResp)
 	if resp != nil && resp.Redelivered > 0 {
 		gm.record(p, Action{T: p.Now(), Kind: "resend", Target: target,
 			N: resp.Redelivered, Detail: "gap-triggered redelivery"})
@@ -832,10 +762,7 @@ func (gm *GlobalManager) issueResends(p *sim.Proc) {
 
 // Activate toggles a container's consumption.
 func (gm *GlobalManager) Activate(p *sim.Proc, target string, active bool) {
-	gm.call(p, target,
-		func(seq int64) any { return &ActivateReq{Seq: seq, Active: active} },
-		func(d any) bool { r, ok := d.(*ActivateResp); return ok && r.Seq == gm.seq },
-	)
+	gm.call(p, target, &ActivateReq{Active: active})
 	gm.record(p, Action{T: p.Now(), Kind: "activate", Target: target,
 		Detail: fmt.Sprintf("active=%v", active)})
 }

@@ -9,10 +9,7 @@ import (
 
 // AddTap attaches an observer channel to a container via a control round.
 func (gm *GlobalManager) AddTap(p *sim.Proc, target string, ch *datatap.Channel) bool {
-	resp, _ := gm.call(p, target,
-		func(seq int64) any { return &AddTapReq{Seq: seq, Ch: ch} },
-		func(d any) bool { r, ok := d.(*AddTapResp); return ok && r.Seq == gm.seq },
-	).(*AddTapResp)
+	resp, _ := gm.call(p, target, &AddTapReq{Ch: ch}).(*AddTapResp)
 	return resp != nil
 }
 

@@ -145,13 +145,12 @@ func (mm *MetaManager) brokerSteal(req *StealReq) {
 		return // a deposed shard manager's request; its successor re-asks
 	}
 	donor := shardmgr.PickDonor(mm.shardSpare, req.Shard)
-	seq, _ := shardMsgSeq(req)
 	if donor < 0 || mm.shardInbox[donor] == nil {
 		mm.bridgeTo(req.Inbox).Submit(&evpath.Event{Type: msgStealGrant,
 			Size: ctlMsgBytes,
 			Data: &StealGrant{Seq: req.Seq, Epoch: req.Epoch, Shard: -1}})
 		mm.rt.tracer.Instant(0, "ctl", "steal-dry").Node(mm.node).
-			AttrInt("shard", int64(req.Shard)).AttrInt("seq", seq).End()
+			AttrInt("shard", int64(req.Shard)).AttrInt("seq", req.Seq).End()
 		return
 	}
 	// Debit the advertised pool so back-to-back requests inside one beat
@@ -166,7 +165,7 @@ func (mm *MetaManager) brokerSteal(req *StealReq) {
 		Detail: fmt.Sprintf("donor shard %d", donor)})
 	mm.rt.tracer.Instant(0, "ctl", "steal-broker").Node(mm.node).
 		AttrInt("shard", int64(req.Shard)).AttrInt("donor", int64(donor)).
-		AttrInt("seq", seq).End()
+		AttrInt("seq", req.Seq).End()
 	mm.bridgeTo(mm.shardInbox[donor]).Submit(&evpath.Event{
 		Type: msgStealNotice, Size: ctlMsgBytes,
 		Data: &StealNotice{Seq: req.Seq, Epoch: req.Epoch, Shard: req.Shard,

@@ -31,11 +31,30 @@ const (
 	msgHealNotice = "ctl.heal_notice" // LM -> GM: heal outcome, for the action log
 )
 
+// RoundHdr is the header every control-round message embeds: the round's
+// sequence number (the container's dedupe key, drawn from the runtime-wide
+// rt.ctlSeq) and its fencing epoch (the issuing manager's on a request, the
+// container's fenced epoch on a response). Embedding it is what makes a
+// message a round: the manager stamps it through hdr() when it sends, the
+// container reads it once when it serves, and the iocheck round rules
+// recognise round messages by it.
+type RoundHdr struct{ Seq, Epoch int64 }
+
+func (h *RoundHdr) hdr() *RoundHdr { return h }
+
+// roundMsg is any message that embeds RoundHdr.
+type roundMsg interface{ hdr() *RoundHdr }
+
+// roundReq is a round request; kind is its overlay event type.
+type roundReq interface {
+	roundMsg
+	kind() string
+}
+
 // IncreaseReq asks a container to grow onto the given nodes (paper
 // Fig. 3). The global manager has already reserved the nodes.
 type IncreaseReq struct {
-	Seq   int64
-	Epoch int64
+	RoundHdr
 	Nodes []*cluster.Node
 }
 
@@ -43,8 +62,7 @@ type IncreaseReq struct {
 // aprun-like launch (reported separately, as the paper factors it out of
 // Fig. 4) and the intra-container metadata exchange that dominates.
 type IncreaseResp struct {
-	Seq    int64
-	Epoch  int64
+	RoundHdr
 	Launch sim.Time
 	Intra  sim.Time
 	Size   int
@@ -52,17 +70,15 @@ type IncreaseResp struct {
 
 // DecreaseReq asks a container to shed n replicas.
 type DecreaseReq struct {
-	Seq   int64
-	Epoch int64
-	N     int
+	RoundHdr
+	N int
 }
 
 // DecreaseResp returns the released nodes and the cost breakdown: the
 // upstream DataTap writer pause (the dominant Fig. 5 term) and the victim
 // drain.
 type DecreaseResp struct {
-	Seq       int64
-	Epoch     int64
+	RoundHdr
 	Nodes     []*cluster.Node
 	PauseWait sim.Time
 	Drain     sim.Time
@@ -70,15 +86,11 @@ type DecreaseResp struct {
 }
 
 // OfflineReq takes the container offline entirely.
-type OfflineReq struct {
-	Seq   int64
-	Epoch int64
-}
+type OfflineReq struct{ RoundHdr }
 
 // OfflineResp returns all nodes and the count of queued steps dropped.
 type OfflineResp struct {
-	Seq     int64
-	Epoch   int64
+	RoundHdr
 	Nodes   []*cluster.Node
 	Dropped int
 }
@@ -86,28 +98,22 @@ type OfflineResp struct {
 // SetOutputReq redirects a container's output to disk with provenance
 // (the upstream half of an offline transition).
 type SetOutputReq struct {
-	Seq        int64
-	Epoch      int64
+	RoundHdr
 	Provenance string
 }
 
 // SetOutputResp acknowledges the switch.
-type SetOutputResp struct {
-	Seq   int64
-	Epoch int64
-}
+type SetOutputResp struct{ RoundHdr }
 
 // QueryReq asks the local manager what it needs to sustain the SLA.
 type QueryReq struct {
-	Seq   int64
-	Epoch int64
-	Max   int
+	RoundHdr
+	Max int
 }
 
 // QueryResp carries the local manager's answer.
 type QueryResp struct {
-	Seq    int64
-	Epoch  int64
+	RoundHdr
 	Size   int
 	Needed int // total replicas needed; 0 = unattainable within Max
 	Period sim.Time
@@ -115,47 +121,44 @@ type QueryResp struct {
 
 // ActivateReq toggles consumption (the pipeline's dynamic branch).
 type ActivateReq struct {
-	Seq    int64
-	Epoch  int64
+	RoundHdr
 	Active bool
 }
 
 // ActivateResp acknowledges the toggle.
-type ActivateResp struct {
-	Seq   int64
-	Epoch int64
-}
+type ActivateResp struct{ RoundHdr }
 
 // AddTapReq attaches an observer channel that receives a duplicate of
 // every step the container forwards (mid-run visualization taps).
 type AddTapReq struct {
-	Seq   int64
-	Epoch int64
-	Ch    *datatap.Channel
+	RoundHdr
+	Ch *datatap.Channel
 }
 
 // AddTapResp acknowledges the tap.
-type AddTapResp struct {
-	Seq   int64
-	Epoch int64
-}
+type AddTapResp struct{ RoundHdr }
 
 // ResendReq asks a container to re-emit retained output steps whose
 // descriptors were lost in flight (the at-least-once data plane's control
 // leg). The serving container replays every lost-but-retained step onto
 // its output channel immediately, bypassing the channel's own redelivery
 // backoff.
-type ResendReq struct {
-	Seq   int64
-	Epoch int64
-}
+type ResendReq struct{ RoundHdr }
 
 // ResendResp reports how many steps the container re-emitted.
 type ResendResp struct {
-	Seq         int64
-	Epoch       int64
+	RoundHdr
 	Redelivered int
 }
+
+func (*IncreaseReq) kind() string  { return msgIncrease }
+func (*DecreaseReq) kind() string  { return msgDecrease }
+func (*OfflineReq) kind() string   { return msgOffline }
+func (*SetOutputReq) kind() string { return msgSetOutput }
+func (*QueryReq) kind() string     { return msgQuery }
+func (*ActivateReq) kind() string  { return msgActivate }
+func (*AddTapReq) kind() string    { return msgAddTap }
+func (*ResendReq) kind() string    { return msgResend }
 
 // CrackNotice informs the global manager of observed crack formation.
 type CrackNotice struct {
@@ -177,10 +180,8 @@ type GapNotice struct {
 // that detected crashed replicas asks the global manager for replacement
 // nodes. It travels upward on the container's control bridge and is served
 // from the global manager's pump (not the synchronous call path), so it is
-// exempt from the round-dispatch exhaustiveness rule: its Seq matches the
-// grant to a heal round, it is never retried by the GM's call machinery.
-//
-//iocheck:allow ctlmsg served from the GM pump, not the synchronous round path
+// not a round and embeds no RoundHdr: its Seq matches the grant to a heal
+// round, and the GM's call machinery never retries it.
 type SpareReq struct {
 	Seq  int64
 	From string
@@ -213,7 +214,7 @@ type HealNotice struct {
 // at-least-once delivery under call timeouts) resends the original
 // response instead of executing a mutating operation twice.
 func (c *Container) managerLoop(p *sim.Proc) {
-	served := make(map[int64]any)
+	served := make(map[int64]roundMsg)
 	for {
 		var ev *evpath.Event
 		if len(c.deferred) > 0 {
@@ -240,77 +241,78 @@ func (c *Container) managerLoop(p *sim.Proc) {
 			}
 			continue
 		}
-		seq, hasSeq := reqSeq(ev.Data)
-		if e, fenced := reqEpoch(ev.Data); fenced && c.rt.fencingOn() {
+		// One header read serves the fence and the dedupe cache; anything
+		// that is not a round reads as a zero header. Both guards read the
+		// header in their if-init, so the reads sit on every path to the
+		// dispatch, as roundflow's serve leg requires.
+		var h RoundHdr
+		msg, isRound := ev.Data.(roundMsg)
+		if isRound {
+			h = *msg.hdr()
+		}
+		if e := h.Epoch; isRound && c.rt.fencingOn() {
 			if e < c.fencedEpoch {
 				// A round from a deposed manager epoch. Refuse it — even a
 				// cached one: serving (or re-serving) it would let a stale
 				// primary keep mutating the pipeline after a failover.
-				c.fence(seq, e, ev.Ctx())
+				c.fence(h.Seq, e, ev.Ctx())
 				continue
 			}
 			if e > c.fencedEpoch {
 				c.fencedEpoch = e
 			}
 		}
-		if hasSeq {
-			if cached, dup := served[seq]; dup {
-				// A retried round answered from the cache: visible in the
-				// trace as an instant chained to the retry's round span.
-				c.rt.tracer.Instant(ev.Ctx(), "ctl", "dedupe").
-					Container(c.spec.Name).Node(c.mgrEV.Node()).
-					AttrInt("seq", seq).End()
-				c.reply(cached)
-				if _, wasOffline := cached.(*OfflineResp); wasOffline {
-					return
-				}
-				continue
-			}
+		if cached, dup := served[h.Seq]; isRound && dup {
+			// A retried round answered from the cache: visible in the
+			// trace as an instant chained to the retry's round span.
+			c.rt.tracer.Instant(ev.Ctx(), "ctl", "dedupe").
+				Container(c.spec.Name).Node(c.mgrEV.Node()).
+				AttrInt("seq", h.Seq).End()
+			c.reply(cached)
+			continue
 		}
 		sp := c.rt.tracer.Begin(ev.Ctx(), "ctl",
 			"serve."+strings.TrimPrefix(ev.Type, "ctl.")).
 			Container(c.spec.Name).Node(c.mgrEV.Node())
-		var resp any
+		var resp roundMsg
 		exit := false
 		switch req := ev.Data.(type) {
 		case *IncreaseReq:
 			launch, intra := c.doIncrease(p, req.Nodes)
-			resp = &IncreaseResp{Seq: req.Seq, Launch: launch, Intra: intra,
-				Size: len(c.replicas)}
+			resp = &IncreaseResp{Launch: launch, Intra: intra, Size: len(c.replicas)}
 		case *DecreaseReq:
 			nodes, pause, drain := c.doDecrease(p, req.N)
-			resp = &DecreaseResp{Seq: req.Seq, Nodes: nodes, PauseWait: pause,
-				Drain: drain, Size: len(c.replicas)}
+			resp = &DecreaseResp{Nodes: nodes, PauseWait: pause, Drain: drain,
+				Size: len(c.replicas)}
 		case *OfflineReq:
 			nodes, dropped := c.doOffline(p)
-			resp = &OfflineResp{Seq: req.Seq, Nodes: nodes, Dropped: dropped}
+			resp = &OfflineResp{Nodes: nodes, Dropped: dropped}
 			exit = true // the manager itself shuts down with its container
 		case *SetOutputReq:
 			c.doSetOutput(req.Provenance)
-			resp = &SetOutputResp{Seq: req.Seq}
+			resp = &SetOutputResp{}
 		case *QueryReq:
-			resp = &QueryResp{Seq: req.Seq, Size: len(c.replicas),
-				Needed: c.ReplicasNeeded(req.Max), Period: c.ThroughputPeriod()}
+			resp = &QueryResp{Size: len(c.replicas), Needed: c.ReplicasNeeded(req.Max),
+				Period: c.ThroughputPeriod()}
 		case *ActivateReq:
 			c.active = req.Active
-			resp = &ActivateResp{Seq: req.Seq}
+			resp = &ActivateResp{}
 		case *AddTapReq:
 			c.doAddTap(req.Ch)
-			resp = &AddTapResp{Seq: req.Seq}
+			resp = &AddTapResp{}
 		case *ResendReq:
 			n := 0
 			if c.output != nil {
 				n = c.output.RedeliverLost(p)
 			}
-			resp = &ResendResp{Seq: req.Seq, Redelivered: n}
+			resp = &ResendResp{Redelivered: n}
 		case *SubResumeReq:
 			cursor, lag, fromSpill, ok := c.serveSubResume(req.SubID)
-			resp = &SubResumeResp{Seq: req.Seq, SubID: req.SubID, Cursor: cursor,
-				Lag: lag, FromSpill: fromSpill,
-				NeedReplay: ok && lag > 0 && !fromSpill, Ok: ok}
+			resp = &SubResumeResp{SubID: req.SubID, Cursor: cursor, Lag: lag,
+				FromSpill: fromSpill, NeedReplay: ok && lag > 0 && !fromSpill, Ok: ok}
 		case *SubReplayReq:
 			staged, ok := c.serveSubReplay(req.SubID, req.Cursor)
-			resp = &SubReplayResp{Seq: req.Seq, SubID: req.SubID, Staged: staged, Ok: ok}
+			resp = &SubReplayResp{SubID: req.SubID, Staged: staged, Ok: ok}
 		case *RehomeReq:
 			// Keep the previous upward bridge alive: it is the only path a
 			// FenceResp can take back to the manager it is deposing.
@@ -323,53 +325,22 @@ func (c *Container) managerLoop(p *sim.Proc) {
 				// The probe must follow the new upward path.
 				c.probe.Out = c.toGM
 			}
-			resp = &RehomeResp{Seq: req.Seq}
+			resp = &RehomeResp{}
 		default:
 			c.rt.fail(fmt.Errorf("core: container %s got unknown control %T",
 				c.spec.Name, ev.Data))
 			sp.Attr("outcome", "unknown").End()
 			return
 		}
-		stampRespEpoch(resp, c.fencedEpoch)
-		if hasSeq {
-			served[seq] = resp
-		}
+		rh := resp.hdr()
+		rh.Seq, rh.Epoch = h.Seq, c.fencedEpoch
 		c.reply(resp)
+		served[h.Seq] = resp
 		sp.End()
 		if exit {
 			return
 		}
 	}
-}
-
-// reqSeq extracts the sequence number from a protocol request (ok=false
-// for non-round messages).
-func reqSeq(v any) (int64, bool) {
-	switch r := v.(type) {
-	case *IncreaseReq:
-		return r.Seq, true
-	case *DecreaseReq:
-		return r.Seq, true
-	case *OfflineReq:
-		return r.Seq, true
-	case *SetOutputReq:
-		return r.Seq, true
-	case *QueryReq:
-		return r.Seq, true
-	case *ActivateReq:
-		return r.Seq, true
-	case *AddTapReq:
-		return r.Seq, true
-	case *ResendReq:
-		return r.Seq, true
-	case *RehomeReq:
-		return r.Seq, true
-	case *SubResumeReq:
-		return r.Seq, true
-	case *SubReplayReq:
-		return r.Seq, true
-	}
-	return 0, false
 }
 
 func (c *Container) reply(data any) {

@@ -75,7 +75,17 @@ func TestDefaultSpecsMatchTable1(t *testing.T) {
 // a fast producer, one helper-like stage, one bonds-like stage.
 func protoRuntime(t *testing.T, bondsNodes int, model smartpointer.ComputeModel) *Runtime {
 	t.Helper()
-	cfg := Config{
+	rt, err := Build(protoConfig(bondsNodes, model))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
+}
+
+// protoConfig is protoRuntime's configuration, for tests that adjust it
+// before building.
+func protoConfig(bondsNodes int, model smartpointer.ComputeModel) Config {
+	return Config{
 		SimNodes:     16,
 		StagingNodes: 13,
 		Sizes:        map[string]int{"helper": 4, "bonds": bondsNodes, "csym": 1, "cna": 1},
@@ -85,11 +95,6 @@ func protoRuntime(t *testing.T, bondsNodes int, model smartpointer.ComputeModel)
 		Specs:        SpecsWithBondsModel(model),
 		Policy:       PolicyConfig{DisableManagement: true},
 	}
-	rt, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rt
 }
 
 func TestIncreaseProtocolBreakdown(t *testing.T) {

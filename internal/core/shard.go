@@ -8,7 +8,7 @@ import (
 	"repro/internal/sim"
 )
 
-// The sharded control plane (ROADMAP item 1) splits the single global
+// The sharded control plane (DESIGN.md §14) splits the single global
 // manager into N shard managers under one meta-manager. Containers are
 // assigned to shards at build time by a seeded consistent-hash ring
 // (internal/shardmgr); each shard manager owns the full round machinery —
@@ -19,11 +19,10 @@ import (
 // cross-shard GapNotices and crack detection, and promoting a standby
 // shard manager when a primary dies.
 //
-// Every message below is a "shard round" message: it carries Seq, Epoch,
-// and Shard. The ctlmsg analyzer requires all three fields and an entry
-// in shardMsgSeq plus a dispatch arm (metaDispatch or shardDispatch) for
-// each — the same exhaustiveness discipline the container round messages
-// get from reqSeq/respSeq.
+// Every message below carries plain Seq, Epoch and Shard fields and embeds
+// no RoundHdr: shard traffic is pump-to-pump messaging between managers
+// (metaDispatch and shardDispatch), never a container round, so gm.call,
+// managerLoop and the iocheck round rules do not apply to it.
 //
 // Steal fencing: a StealReq carries the requesting shard manager's epoch;
 // the meta-manager drops requests below the highest epoch it has heard
@@ -120,30 +119,6 @@ type PromoteNotice struct {
 	Seq   int64
 	Epoch int64
 	Shard int
-}
-
-// shardMsgSeq extracts the sequence number from a shard round message
-// (ok=false for everything else). The meta-manager stamps it on its
-// trace instants; the ctlmsg analyzer uses the switch as the
-// message-family registry.
-func shardMsgSeq(v any) (int64, bool) {
-	switch r := v.(type) {
-	case *StealReq:
-		return r.Seq, true
-	case *StealNotice:
-		return r.Seq, true
-	case *StealGrant:
-		return r.Seq, true
-	case *ShardBeat:
-		return r.Seq, true
-	case *GapRelay:
-		return r.Seq, true
-	case *CrackRelay:
-		return r.Seq, true
-	case *PromoteNotice:
-		return r.Seq, true
-	}
-	return 0, false
 }
 
 // managed returns the containers this manager is responsible for: its

@@ -11,7 +11,7 @@ import (
 	"repro/internal/sim"
 )
 
-// The subscriber control plane (ROADMAP item 4) is the reconnect leg of
+// The subscriber control plane (DESIGN.md §15) is the reconnect leg of
 // the streaming fan-out in internal/datatap/subscribe.go. The data plane
 // alone handles tiers 1 and 2 of the robustness ladder (per-subscriber
 // backpressure, degrade-to-spill); tier 3 — a crashed subscriber coming
@@ -32,10 +32,11 @@ import (
 // serve (SubHub.Resume/Replay) is idempotent on top of that, so even a
 // round that executes twice across a failover cannot corrupt a cursor.
 //
-// Every message below carries Seq, Epoch, and SubID; the ctlmsg analyzer
-// requires all three, an entry in subMsgSeq, and a dispatch arm for each —
-// the same exhaustiveness discipline the container and shard round
-// families get.
+// Every message below embeds RoundHdr and carries a SubID. The Req/Resp
+// pairs are ordinary container rounds: the compiler holds them to the
+// roundReq interface gm.call takes, and managerLoop serves them with the
+// other rounds. SubNotice embeds the header for its epoch and generation
+// but is served by the manager's notice pump, not as a round.
 
 // Subscriber round message types on the management overlay.
 const (
@@ -51,17 +52,15 @@ const (
 // Seq is the subscriber's reconnect generation, not a manager round
 // number.
 type SubNotice struct {
-	Seq   int64 // reconnect generation (dedupe key together with SubID)
-	Epoch int64
-	SubID string
-	From  string // host container name
+	RoundHdr // Seq: reconnect generation (dedupe key together with SubID)
+	SubID    string
+	From     string // host container name
 }
 
 // SubResumeReq asks the container hosting the subscriber hub to revive a
 // crashed subscriber at its durable cursor.
 type SubResumeReq struct {
-	Seq   int64
-	Epoch int64
+	RoundHdr
 	SubID string
 }
 
@@ -71,8 +70,7 @@ type SubResumeReq struct {
 // SubReplay round should restage it. Ok is false for an unknown
 // subscriber.
 type SubResumeResp struct {
-	Seq        int64
-	Epoch      int64
+	RoundHdr
 	SubID      string
 	Cursor     int64
 	Lag        int64
@@ -84,40 +82,21 @@ type SubResumeResp struct {
 // SubReplayReq asks the container to restage the tail window past the
 // given cursor for a resumed subscriber.
 type SubReplayReq struct {
-	Seq    int64
-	Epoch  int64
+	RoundHdr
 	SubID  string
 	Cursor int64
 }
 
 // SubReplayResp reports how many descriptors are staged after the replay.
 type SubReplayResp struct {
-	Seq    int64
-	Epoch  int64
+	RoundHdr
 	SubID  string
 	Staged int64
 	Ok     bool
 }
 
-// subMsgSeq extracts the sequence number from a subscriber round message
-// (ok=false for everything else). The manager stamps it on its trace
-// instants; the ctlmsg analyzer uses the switch as the message-family
-// registry.
-func subMsgSeq(v any) (int64, bool) {
-	switch r := v.(type) {
-	case *SubNotice:
-		return r.Seq, true
-	case *SubResumeReq:
-		return r.Seq, true
-	case *SubResumeResp:
-		return r.Seq, true
-	case *SubReplayReq:
-		return r.Seq, true
-	case *SubReplayResp:
-		return r.Seq, true
-	}
-	return 0, false
-}
+func (*SubResumeReq) kind() string { return msgSubResume }
+func (*SubReplayReq) kind() string { return msgSubReplay }
 
 // serveSubResume is the container-side leg of a SubResume round (nil-safe:
 // a round aimed at a container without a hub answers Ok=false instead of
@@ -145,18 +124,15 @@ func (c *Container) noteSubReconnect(subID string, gen int64) {
 		return
 	}
 	c.toGM.Submit(&evpath.Event{Type: msgSubNotice, Size: ctlMsgBytes,
-		Data: &SubNotice{Seq: gen, Epoch: c.fencedEpoch, SubID: subID,
-			From: c.spec.Name}})
+		Data: &SubNotice{RoundHdr: RoundHdr{Seq: gen, Epoch: c.fencedEpoch},
+			SubID: subID, From: c.spec.Name}})
 }
 
 // SubResume runs the epoch-fenced resume round for one reconnecting
 // subscriber: the container revives the durable cursor and reports where
 // catch-up must come from.
 func (gm *GlobalManager) SubResume(p *sim.Proc, target, subID string) *SubResumeResp {
-	resp, _ := gm.call(p, target,
-		func(seq int64) any { return &SubResumeReq{Seq: seq, SubID: subID} },
-		func(d any) bool { r, ok := d.(*SubResumeResp); return ok && r.Seq == gm.seq },
-	).(*SubResumeResp)
+	resp, _ := gm.call(p, target, &SubResumeReq{SubID: subID}).(*SubResumeResp)
 	if resp != nil && resp.Ok {
 		gm.record(p, Action{T: p.Now(), Kind: "sub-resume", Target: target,
 			Detail: fmt.Sprintf("subscriber %s cursor %d lag %d", subID,
@@ -168,10 +144,7 @@ func (gm *GlobalManager) SubResume(p *sim.Proc, target, subID string) *SubResume
 // SubReplay runs the replay round that restages the hub tail for a
 // resumed subscriber whose lag never left memory.
 func (gm *GlobalManager) SubReplay(p *sim.Proc, target, subID string, cursor int64) *SubReplayResp {
-	resp, _ := gm.call(p, target,
-		func(seq int64) any { return &SubReplayReq{Seq: seq, SubID: subID, Cursor: cursor} },
-		func(d any) bool { r, ok := d.(*SubReplayResp); return ok && r.Seq == gm.seq },
-	).(*SubReplayResp)
+	resp, _ := gm.call(p, target, &SubReplayReq{SubID: subID, Cursor: cursor}).(*SubReplayResp)
 	if resp != nil && resp.Ok {
 		gm.record(p, Action{T: p.Now(), Kind: "sub-replay", Target: target,
 			N: int(resp.Staged), Detail: "subscriber " + subID})

@@ -72,6 +72,9 @@ type Stats struct {
 	// Timeouts counts executed deadline events of timed waits, whether
 	// or not the wait was still pending.
 	Timeouts int64
+	// Resumes counts every switch into a process: its start, each wake,
+	// and each timeout that ends a pending wait.
+	Resumes int64
 }
 
 // Time is virtual time: nanoseconds since the start of the simulation.

@@ -75,6 +75,7 @@ func (p *Proc) unpark() {
 // resume runs the process until it parks again (or finishes). Must be
 // called from the engine loop, i.e. from inside an executed event.
 func (p *Proc) resume() {
+	p.eng.stats.Resumes++
 	p.eng.running = p
 	p.next()
 	p.eng.running = nil

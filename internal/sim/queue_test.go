@@ -257,6 +257,28 @@ func TestQueueGetPollRearms(t *testing.T) {
 	}
 }
 
+// An expiring GetTimeout resumes its process once, and that resume is a
+// timeout, not a wake.
+func TestGetTimeoutCountsResume(t *testing.T) {
+	e := NewEngine(1)
+	q := NewQueue[int](e, 0)
+	var before, after Stats
+	e.Go("getter", func(p *Proc) {
+		before = e.Stats()
+		if _, ok := q.GetTimeout(p, Second); ok {
+			t.Error("GetTimeout on an empty queue succeeded")
+		}
+		after = e.Stats()
+	})
+	e.Run()
+	if before.Resumes != 1 {
+		t.Fatalf("start counted %d resumes, want 1", before.Resumes)
+	}
+	if d := after.Resumes - before.Resumes; d != 1 || after.Wakes != 0 {
+		t.Fatalf("timeout counted %d resumes and %d wakes, want 1 and 0", d, after.Wakes)
+	}
+}
+
 // Re-arming a poll's deadline allocates nothing: the timer reschedules
 // its own bound callback and the getter entry reuses the wait list.
 func TestQueueGetPollRearmAllocs(t *testing.T) {

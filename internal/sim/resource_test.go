@@ -130,7 +130,7 @@ func TestEngineStats(t *testing.T) {
 	})
 	e.At(2*Second, ev.Fire)
 	e.Run()
-	want := Stats{Events: 6, Spawns: 2, Wakes: 2, Timeouts: 1}
+	want := Stats{Events: 6, Spawns: 2, Wakes: 2, Timeouts: 1, Resumes: 5}
 	if got := e.Stats(); got != want {
 		t.Fatalf("Stats() = %+v, want %+v", got, want)
 	}
