@@ -10,7 +10,7 @@ import (
 // the warm, memoized path: the per-process stdlib memo is filled before
 // the timer starts, so one iteration parses and type-checks the module's
 // own packages, builds the CFG and CHA call-graph layer, and runs all
-// twelve analyzers. It rides in `make bench` so a regression in the
+// nine analyzers. It rides in `make bench` so a regression in the
 // whole-program analysis (an unbounded summary fixpoint, a quadratic CFG
 // walk) shows up in BENCH_baseline.json next to the scenario benchmarks.
 // BenchmarkLoadModuleCold in internal/analysis covers the cold stdlib
@@ -26,27 +26,6 @@ func BenchmarkIocheckModule(b *testing.B) {
 		diags := analysis.Run(pkgs, analysis.Analyzers())
 		if n := len(analysis.Unsuppressed(diags)); n != 0 {
 			b.Fatalf("module has %d unsuppressed findings", n)
-		}
-	}
-}
-
-// BenchmarkIocheckHotalloc budgets the perf layer alone: heat
-// propagation over the CHA call graph plus the escape fixpoint, run via
-// the hotalloc and hotbox rules over the whole module. Module loading
-// is paid inside the loop (the rules re-derive facts from a fresh load,
-// matching how `iocheck -rules hotalloc` runs, with the stdlib memo
-// warm), so this tracks the end-to-end cost of a perf-only lint pass.
-func BenchmarkIocheckHotalloc(b *testing.B) {
-	root := warmModuleRoot(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pkgs, err := analysis.LoadModule(root)
-		if err != nil {
-			b.Fatal(err)
-		}
-		diags := analysis.Run(pkgs, []*analysis.Analyzer{analysis.HotAlloc, analysis.HotBox})
-		if n := len(analysis.Unsuppressed(diags)); n != 0 {
-			b.Fatalf("module has %d unsuppressed perf findings", n)
 		}
 	}
 }

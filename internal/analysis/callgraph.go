@@ -36,8 +36,6 @@ type Program struct {
 	// nilsafe holds the type names carrying the `iocheck:nilsafe` doc
 	// marker, program-wide — their methods tolerate nil receivers.
 	nilsafe map[*types.TypeName]bool
-	// heatDone: the lazy heat propagation (heat.go) has run.
-	heatDone bool
 	// roundsDone: the lazy round-summary fixpoint (roundsummary.go) has
 	// run.
 	roundsDone bool
@@ -99,19 +97,6 @@ type FuncNode struct {
 	// empty body — safe to call on a possibly-nil receiver.
 	NilGuarded bool
 
-	// Hot: the function runs on the per-event hot path (heat.go; valid
-	// after ensureHeat). hotVia is the hot caller that first reached it
-	// (nil for roots), forming the HotChain witness.
-	Hot    bool
-	hotVia *FuncNode
-
-	// Escape summaries (escape.go), receiver excluded like the other
-	// per-param summaries. ParamEscape[i]: ways argument i can leave the
-	// callee. ResultEscape[i]: ways result i escapes beyond being
-	// returned.
-	ParamEscape  []Escape
-	ResultEscape []Escape
-
 	// Round holds the protocol-lifecycle summaries (roundsummary.go;
 	// valid after ensureRounds): issues-request, registers-deadline/
 	// retries, dedupes-by-Seq, fence-checks-epoch, applies-state,
@@ -134,19 +119,6 @@ type FuncNode struct {
 	// bound by a comma-ok assertion/map-read/channel-receive.
 	localNil   map[types.Object]bool
 	localCalls map[types.Object][]localSource
-
-	// escape-analysis working state (escape.go): per-local and per-
-	// expression escape bits, alloc→local bindings, and the recorded
-	// call-argument flows the fixpoint resolves against callee summaries.
-	localEsc  map[types.Object]Escape
-	exprEsc   map[ast.Expr]Escape
-	binds     map[ast.Expr]types.Object
-	escFlows  []escFlow
-	exprFlows []exprFlow
-
-	// cold-block cache (heat.go).
-	coldDone  bool
-	coldSpans coldSet
 }
 
 type returnExpr struct {
@@ -609,8 +581,6 @@ func (prog *Program) collect(n *FuncNode) {
 			}
 		}
 	}
-
-	n.seedEscapes(prog)
 }
 
 // recordAssignSources notes where locals get their values, for the
@@ -835,8 +805,6 @@ func (prog *Program) recompute(n *FuncNode) bool {
 		n.SinksEventData = make([]bool, len(n.seedSinks))
 		n.DerefsParam = make([]bool, len(n.seedDerefs))
 		n.NilableResult = make([]bool, len(n.seedNilable))
-		n.ParamEscape = make([]Escape, len(n.seedStamps))
-		n.ResultEscape = make([]Escape, len(n.seedNilable))
 	}
 	for i, v := range n.seedStamps {
 		set(&n.StampsEpoch[i], v)
@@ -916,9 +884,6 @@ func (prog *Program) recompute(n *FuncNode) bool {
 		}
 	}
 
-	if prog.recomputeEscapes(n) {
-		changed = true
-	}
 	return changed
 }
 

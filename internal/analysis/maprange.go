@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -13,9 +14,15 @@ import (
 // event interleaving differ between two runs of the same seed: the exact
 // nondeterminism leak the three-seed replay test exists to catch, and the
 // classic one in core/datatap/evpath shutdown and tap fan-out paths.
+//
+// Direct sink calls are reported always. With the whole-program layer
+// (pass.Prog) the rule also looks one rung up the call stack: a call from
+// the loop body whose callee transitively reaches a sink is reported with
+// the call-graph witness chain down to it, though the body itself looks
+// pure.
 var MapRange = &Analyzer{
 	Name:    "maprange",
-	Doc:     "forbid order-sensitive side effects inside map iteration; sort keys first",
+	Doc:     "forbid order-sensitive side effects inside map iteration, directly or through callees; sort keys first",
 	Applies: internalPkg,
 	Run:     runMapRange,
 }
@@ -44,23 +51,19 @@ var orderSinks = map[string]bool{
 }
 
 func runMapRange(pass *Pass) {
-	info := pass.Pkg.Info
+	reported := make(map[token.Pos]bool)
 	for _, f := range pass.Pkg.Files {
 		for _, fd := range enclosingFuncs(f) {
 			body := fd.Body
 			ast.Inspect(body, func(n ast.Node) bool {
 				rs, ok := n.(*ast.RangeStmt)
-				if !ok {
-					return true
-				}
-				tv, ok := info.Types[rs.X]
-				if !ok {
-					return true
-				}
-				if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+				if !ok || !isMapRangeStmt(pass.Pkg.Info, rs) {
 					return true
 				}
 				checkMapRange(pass, body, rs)
+				if pass.Prog != nil {
+					checkDeepCalls(pass, rs, reported)
+				}
 				return true
 			})
 		}
@@ -117,6 +120,35 @@ func checkMapRange(pass *Pass, funcBody *ast.BlockStmt, rs *ast.RangeStmt) {
 					target.Name)
 				return false
 			}
+		}
+		return true
+	})
+}
+
+// checkDeepCalls reports each call in a map-range body whose callee
+// reaches an order-bearing side effect, with the witness chain. Direct
+// sink calls are checkMapRange's; reported keeps a call inside nested map
+// ranges from being reported twice.
+func checkDeepCalls(pass *Pass, rs *ast.RangeStmt, reported map[token.Pos]bool) {
+	walkOwnCode(pass.Pkg, rs.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && orderSinks[sel.Sel.Name] {
+			return true
+		}
+		for _, callee := range pass.Prog.Callees(pass.Pkg, call) {
+			if !callee.OrderEffect {
+				continue
+			}
+			if !reported[call.Pos()] {
+				reported[call.Pos()] = true
+				pass.Reportf(call.Pos(),
+					"map iteration order is nondeterministic, and this call reaches an order-bearing side effect (%s); iterate sorted keys instead",
+					callee.OrderChain())
+			}
+			break
 		}
 		return true
 	})

@@ -40,15 +40,14 @@ func TestModuleSelfCheck(t *testing.T) {
 	}
 }
 
-// TestSuiteIsComplete pins the suite roster: all twelve rules — the
-// three syntactic ones, the four interprocedural ones built on the CFG
-// and call-graph layer, the delivery-contract rule, the two
-// heat-propagated perf rules, and the two protocol-lifecycle rules —
-// must be registered, in deterministic order.
+// TestSuiteIsComplete pins the suite roster: all nine rules — the three
+// syntactic ones, the three interprocedural ones built on the CFG and
+// call-graph layer, the delivery-contract rule, and the two
+// protocol-lifecycle rules — must be registered, in deterministic order.
 func TestSuiteIsComplete(t *testing.T) {
 	want := []string{"simtime", "maprange", "nilrecv",
-		"vtblock", "epochset", "nilflow", "maprange-deep", "dropresult",
-		"hotalloc", "hotbox", "roundflow", "roundterm"}
+		"vtblock", "epochset", "nilflow", "dropresult",
+		"roundflow", "roundterm"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(got), len(want))

@@ -168,23 +168,19 @@ func (v *Var) validate() error {
 // per-step encode path; each runs once per malformed input, never per
 // well-formed step.
 
-//iocheck:cold
 func typeMismatch(v *Var, got string) error {
 	return fmt.Errorf("bp: var %q declared %v but data is []%s", v.Name, v.Type, got)
 }
 
-//iocheck:cold
 func errUnsupportedData(v *Var) error {
 	return fmt.Errorf("bp: var %q has unsupported data %T", v.Name, v.Data)
 }
 
-//iocheck:cold
 func errDimsMismatch(v *Var, n int) error {
 	return fmt.Errorf("bp: var %q dims %v imply %d elements, data has %d",
 		v.Name, v.Dims, v.Count(), n)
 }
 
-//iocheck:cold
 func errNegativeDim(v *Var) error {
 	return fmt.Errorf("bp: var %q has negative dim", v.Name)
 }
@@ -388,17 +384,9 @@ type encodeState struct {
 // when it is already wide enough.
 func (es *encodeState) grow(n int) []byte {
 	if cap(es.scratch) < n {
-		es.scratch = es.allocScratch(n)
+		es.scratch = make([]byte, n)
 	}
 	return es.scratch[:n]
-}
-
-// allocScratch services a scratch miss; steady state reuses the widest
-// buffer seen so far.
-//
-//iocheck:cold
-func (es *encodeState) allocScratch(n int) []byte {
-	return make([]byte, n)
 }
 
 // encodePG serializes a process group body into es.body (valid until the
@@ -454,6 +442,9 @@ func encodePG(es *encodeState, pg *ProcessGroup) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// maxVarElems bounds a decoded variable's element count.
+const maxVarElems = 1 << 28
+
 func decodePG(r io.Reader) (*ProcessGroup, error) {
 	pg := &ProcessGroup{}
 	var err error
@@ -491,17 +482,25 @@ func decodePG(r io.Reader) (*ProcessGroup, error) {
 			return nil, fmt.Errorf("bp: implausible rank %d", ndims)
 		}
 		v.Dims = make([]int, ndims)
+		count := 1
 		for j := range v.Dims {
 			d, err := readUvarint(r)
 			if err != nil {
 				return nil, err
 			}
+			// A dimension that does not fit an int would wrap negative;
+			// bounding each factor by maxVarElems keeps the running
+			// product from overflowing before the check below sees it.
+			if d > maxVarElems {
+				return nil, fmt.Errorf("bp: var %q dim %d too large", v.Name, d)
+			}
 			v.Dims[j] = int(d)
+			count *= int(d)
+			if count > maxVarElems {
+				return nil, fmt.Errorf("bp: var %q too large", v.Name)
+			}
 		}
-		if v.Count() > 1<<28 {
-			return nil, fmt.Errorf("bp: var %q too large", v.Name)
-		}
-		if v.Data, err = readVarData(r, v.Type, v.Count()); err != nil {
+		if v.Data, err = readVarData(r, v.Type, count); err != nil {
 			return nil, err
 		}
 	}
@@ -533,7 +532,6 @@ func decodePG(r io.Reader) (*ProcessGroup, error) {
 // sorted order.
 func sortedKeysInto(dst []string, m map[string]string) []string {
 	for k := range m {
-		//iocheck:allow hotalloc reuses the encoder's key scratch; grows only to the widest attr set seen
 		dst = append(dst, k)
 	}
 	sort.Strings(dst)

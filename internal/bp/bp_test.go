@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -454,5 +455,87 @@ func TestDescribeTruncatedBody(t *testing.T) {
 	}
 	if _, err := Describe(r, 0); err != nil {
 		t.Fatalf("clean describe failed: %v", err)
+	}
+}
+
+// craftStream frames body as a one-step BP stream: head, the step's length
+// prefix and body, a one-entry index, and the tail.
+func craftStream(t *testing.T, body []byte) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	b.Write(headMagic[:])
+	b.Write([]byte{byte(Version), 0, 0, 0})
+	if err := writeUvarint(&b, uint64(len(body))); err != nil {
+		t.Fatal(err)
+	}
+	b.Write(body)
+	indexOff := b.Len()
+	for _, err := range []error{
+		writeUvarint(&b, 1),
+		writeString(&b, "g"),
+		writeU64(&b, 0),
+		writeU64(&b, 8),
+		writeU64(&b, uint64(indexOff-8)),
+		writeU64(&b, uint64(indexOff)),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.Write(tailMagic[:])
+	return b.Bytes()
+}
+
+// A 24-byte stream whose index claims 2^24 entries: the head, the count
+// alone in the index region, and a valid tail. The count cannot fit in
+// the bytes before the tail, so NewReader must refuse it without sizing
+// an index from it.
+func TestNewReaderBoundsIndexCount(t *testing.T) {
+	var b bytes.Buffer
+	b.Write(headMagic[:])
+	b.Write([]byte{byte(Version), 0, 0, 0})
+	writeUvarint(&b, 1<<24)
+	writeU64(&b, 8)
+	b.Write(tailMagic[:])
+	data := b.Bytes()
+	if len(data) != 24 {
+		t.Fatalf("crafted stream is %d bytes, want 24", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewReader(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("NewReader accepted an index count larger than the stream")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("NewReader allocated %d bytes on a 24-byte stream, want under 1 MiB", alloc)
+	}
+}
+
+// A step whose one variable has a dimension of 2^64-1, which does not fit
+// an int: ReadStep must reject it, not wrap it negative and panic sizing
+// the data.
+func TestReadStepRejectsOversizedDim(t *testing.T) {
+	var body bytes.Buffer
+	for _, err := range []error{
+		writeString(&body, "g"),
+		writeU64(&body, 0),
+		writeUvarint(&body, 1), // one var
+		writeString(&body, "x"),
+		body.WriteByte(byte(TFloat64)),
+		writeUvarint(&body, 1), // rank 1
+		writeUvarint(&body, math.MaxUint64),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := NewReader(bytes.NewReader(craftStream(t, body.Bytes())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ReadStep(0); err == nil {
+		t.Fatal("ReadStep accepted a 2^64-1 dimension")
 	}
 }

@@ -149,8 +149,11 @@ func NewReader(r io.ReadSeeker) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > 1<<24 {
-		return nil, fmt.Errorf("bp: implausible index size %d", n)
+	// An entry takes at least 25 bytes (a 1-byte string length and three
+	// u64s), so the bytes between the index offset and the tail bound
+	// the count before it sizes anything.
+	if n > uint64(end-indexOff)/25 {
+		return nil, fmt.Errorf("bp: index of %d entries overruns the stream", n)
 	}
 	br := &Reader{r: r, index: make([]indexEntry, n)}
 	for i := range br.index {

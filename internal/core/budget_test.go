@@ -1,0 +1,55 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/smartpointer"
+)
+
+// TestControlRoundAllocBudget pins the allocations of one control round
+// once the pipeline has drained: the global manager issues query rounds
+// back to back to the bonds container over the control bridge, the
+// container's manager loop serves each, and the response comes back to
+// the caller. The round deadline is cut to 10 ms so that the deadlines of
+// earlier rounds fire, and their timers recycle, within the warm-up. A
+// new allocation fails the test, and so does an unrecorded saving.
+func TestControlRoundAllocBudget(t *testing.T) {
+	cfg := protoConfig(2, smartpointer.ModelRR)
+	cfg.Policy.CallTimeout = 10 * sim.Millisecond
+	rt, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := 0
+	rt.eng.GoAt(300*sim.Second, "driver", func(p *sim.Proc) {
+		for rt.gm.Query(p, "bonds", 4) != nil {
+			rounds++
+		}
+		t.Error("query round got no answer")
+	})
+	round := func() {
+		for n := rounds; rounds == n; {
+			rt.eng.Step()
+		}
+	}
+	rt.eng.RunUntil(300 * sim.Second)
+	for i := 0; i < 2000; i++ {
+		round()
+	}
+	if rt.eng.Now() < 300*sim.Second+2*cfg.Policy.CallTimeout {
+		t.Fatalf("warm-up ended at %v, before the first deadlines fired", rt.eng.Now())
+	}
+	// 17: the request and its event; the round and serve span names,
+	// concatenated per round; the slid items of the four queues on the
+	// way (the container-bound bridge, the container's mailbox, the
+	// GM-bound bridge, the GM's response mailbox) and the slid getters of
+	// the two mailboxes; the response and its event; the two copies the
+	// GM's inbox makes fanning the response out to its two routes; and the
+	// three numbers Span.AttrInt formats before its nil check (the round's
+	// seq and each bridge send's bytes).
+	const budget = 17
+	if got := testing.AllocsPerRun(100, round); got != budget {
+		t.Errorf("%v allocations per query round, budget %d", got, budget)
+	}
+}

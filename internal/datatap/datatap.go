@@ -438,7 +438,6 @@ func (w *Writer) WriteTraced(p *sim.Proc, step int64, size int64, data any, pare
 	if w.ch.mach != nil {
 		w.ch.mach.Send(p, w.node, w.node, size)
 	}
-	//iocheck:allow hotalloc descriptors are retained in the metadata queue by design; the payload reference must outlive this call
 	m := &Meta{
 		Step:    step,
 		Size:    size,

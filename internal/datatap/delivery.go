@@ -189,7 +189,6 @@ func (c *Channel) noteGap(missing int64) {
 
 // retain records m as written-but-unacked.
 func (w *Writer) retain(m *Meta, buffered bool) *retEntry {
-	//iocheck:allow hotalloc ledger entries are retained until acked by design
 	e := &retEntry{m: m, buffered: buffered}
 	w.retained[m.Seq] = e
 	return e
@@ -198,8 +197,6 @@ func (w *Writer) retain(m *Meta, buffered bool) *retEntry {
 // sortedRetained returns the retained sequences in ascending order,
 // filtered by state, so replay and forfeiture are deterministic. It runs
 // on repair ticks, resend rounds, and crash forfeiture — never per event.
-//
-//iocheck:cold
 func (w *Writer) sortedRetained(states ...retState) []int64 {
 	var seqs []int64
 	for seq, e := range w.retained {
@@ -322,7 +319,6 @@ func (w *Writer) writeALO(p *sim.Proc, step, size int64, data any, parent trace.
 	start := w.ch.eng.Now()
 	w.busy = true
 	w.nextSeq++
-	//iocheck:allow hotalloc descriptors are retained until acked by design; the ledger needs each one live
 	m := &Meta{
 		Step:    step,
 		Size:    size,
@@ -485,8 +481,6 @@ type spillStore struct {
 
 // spillStoreFor lazily creates the channel's spill store. Once-per-
 // channel initialization plus crash/pressure paths only.
-//
-//iocheck:cold
 func (c *Channel) spillStoreFor() *spillStore {
 	if c.spill == nil {
 		c.spill = &spillStore{}
@@ -498,8 +492,6 @@ func (c *Channel) spillStoreFor() *spillStore {
 // record appends one provenance process group to the BP stream. Runs
 // only when a step spills or is lost to a crash — pressure degradation,
 // not the per-event path.
-//
-//iocheck:cold
 func (s *spillStore) record(channel string, m *Meta, kind, reason string) {
 	if s.err != nil || s.bw == nil {
 		return
@@ -528,8 +520,6 @@ func (s *spillStore) tombstone(channel string, m *Meta, reason string) {
 // a provenance record is appended, and the step joins the drain queue.
 // Spilling is the pressure-degradation path, deliberately off the
 // per-event allocation budget.
-//
-//iocheck:cold
 func (c *Channel) spillIn(p *sim.Proc, e *retEntry, reason string) {
 	w := e.m.writer
 	if w != nil {

@@ -367,8 +367,6 @@ func (h *SubHub) evict() {
 // write itself is modeled asynchronously (local storage accepts the burst;
 // catch-up reads pay the disk cost), so eviction — which runs under a
 // writer's Publish — charges no time.
-//
-//iocheck:cold
 func (h *SubHub) spillToStore(seq int64, m *Meta) {
 	h.spillRes[seq] = m
 	h.ch.spillStoreFor().record(h.ch.name, m, "sub-payload", "sub-lag")
@@ -589,8 +587,6 @@ func (h *SubHub) Crash(id string) bool {
 // subscriber at its durable cursor, restages what the tail still holds,
 // and reports where catch-up must come from. Idempotent — resuming a live
 // subscriber (a retried round) just reports its current state.
-//
-//iocheck:cold
 func (h *SubHub) Resume(id string) (cursor, lag int64, fromSpill, ok bool) {
 	s := h.subs[id]
 	if s == nil {
@@ -614,8 +610,6 @@ func (h *SubHub) Resume(id string) (cursor, lag int64, fromSpill, ok bool) {
 // past the given cursor for a resumed subscriber whose catch-up starts in
 // the tail (no spill residency). Idempotent; returns how many
 // descriptors are staged after the call.
-//
-//iocheck:cold
 func (h *SubHub) Replay(id string, from int64) (staged int64, ok bool) {
 	s := h.subs[id]
 	if s == nil {
@@ -670,8 +664,6 @@ func (s SubSnapshot) Unaccounted() int64 {
 }
 
 // Snapshot captures one subscriber's ledger.
-//
-//iocheck:cold
 func (s *Subscriber) Snapshot() SubSnapshot {
 	h := s.hub
 	snap := SubSnapshot{

@@ -1,0 +1,54 @@
+package evpath
+
+import (
+	"testing"
+
+	"repro/internal/trace"
+)
+
+// TestBridgeHopAllocBudget pins the steady-state allocations of one
+// bridge hop: Submit on node 0, the queued drain, the wire transfer, and
+// the delivery into a filter stone on node 1 whose output reaches a
+// terminal. The caller's Event is reused, so the count is what the
+// overlay itself allocates per hop; a new allocation fails the test, and
+// so does an unrecorded saving.
+func TestBridgeHopAllocBudget(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		traced bool
+		want   float64
+		why    string
+	}{
+		{"untraced", false, 2, "the bridge queue's take slides items, so each put reallocates it; " +
+			"Span.AttrInt formats the bytes attr before its nil check, so an untraced send pays for the string too"},
+		{"traced", true, 2, "the queue slide, and the send span's bytes attr formats a number above 99"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng, _, m0, m1 := bridgedManagers(t)
+			if c.traced {
+				rec := trace.New(eng, trace.Config{RingCap: 64})
+				m0.SetTracer(rec)
+				m1.SetTracer(rec)
+			}
+			var got int
+			sink := m1.NewStone(Terminal(func(*Event) { got++ }))
+			filter := m1.NewStone(Filter(func(*Event) bool { return true })).Link(sink)
+			br := m0.NewBridge(filter, 0)
+			ev := &Event{Type: "ctl.query", Size: 256, Data: 1}
+			hop := func() {
+				ev.Span, ev.Submitted = 1, 0
+				br.Submit(ev)
+				eng.Run()
+			}
+			for i := 0; i < 2*64; i++ {
+				hop() // fill the freelists and the trace ring
+			}
+			if n := testing.AllocsPerRun(100, hop); n != c.want {
+				t.Errorf("%v allocations per hop, budget %v (%s)", n, c.want, c.why)
+			}
+			if want := 2*64 + 101; got != want {
+				t.Fatalf("delivered %d events, want %d", got, want)
+			}
+		})
+	}
+}

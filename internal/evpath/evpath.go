@@ -51,7 +51,6 @@ func (ev *Event) Ctx() trace.SpanID {
 func (ev *Event) clone() *Event {
 	c := *ev
 	if ev.Attrs != nil {
-		//iocheck:allow hotalloc only attr-carrying events pay the deep copy; hot control/monitoring events use the typed Span field and carry no attrs
 		c.Attrs = make(map[string]string, len(ev.Attrs))
 		for k, v := range ev.Attrs {
 			c.Attrs[k] = v

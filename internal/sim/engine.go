@@ -280,24 +280,17 @@ func (e *Engine) schedule(t Time, what string, fn func()) {
 		t = e.now
 	}
 	e.seq++
+	// Step recycles retired events here, so fresh allocations happen
+	// only while the pending set is still growing.
 	ev := e.free
 	if ev == nil {
-		ev = e.allocEvent()
+		ev = &event{}
 	} else {
 		e.free = ev.next
 		ev.next = nil
 	}
 	ev.at, ev.seq, ev.what, ev.fn = t, e.seq, what, fn
 	e.queue.push(ev)
-}
-
-// allocEvent services a freelist miss; steady state recycles the events
-// Step retires, so fresh allocations happen only while the pending set
-// is still growing.
-//
-//iocheck:cold
-func (e *Engine) allocEvent() *event {
-	return &event{}
 }
 
 // Pending reports the number of scheduled (not yet executed) events.

@@ -126,17 +126,12 @@ func (p *Proc) SleepWhile(d Time, cond func() bool) {
 		d = 0
 	}
 	if p.tickFn == nil {
-		p.bindTick()
+		p.tickFn = p.tick // bound once per process
 	}
 	p.tickD, p.tickCond = d, cond
 	p.eng.schedule(p.eng.now+d, p.wakeWhat, p.tickFn)
 	p.park()
 }
-
-// bindTick builds the process's tick callback, once per process.
-//
-//iocheck:cold
-func (p *Proc) bindTick() { p.tickFn = p.tick }
 
 // tick ends one SleepWhile tick: it re-arms while the predicate holds and
 // wakes the process once it fails.
@@ -239,7 +234,6 @@ func (ev *Event) WaitTimeout(p *Proc, d Time) bool {
 	}
 	r := p.newWait()
 	ev.waiters = append(ev.waiters, r)
-	//iocheck:allow hotbox timer closures arm only on the blocking path, not per event
 	p.eng.schedule(p.eng.now+d, "event timeout", func() {
 		p.eng.stats.Timeouts++
 		if r.valid() && !r.w.woken {

@@ -101,11 +101,6 @@ func (q *Queue[T]) takePutWaiter(p *Proc, v T) *putWaiter[T] {
 		pw.val = v
 		return pw
 	}
-	return q.allocPutWaiter(p, v)
-}
-
-//iocheck:cold
-func (q *Queue[T]) allocPutWaiter(p *Proc, v T) *putWaiter[T] {
 	return &putWaiter[T]{waiter: waiter{proc: p}, val: v}
 }
 
@@ -236,16 +231,11 @@ type getTimer[T any] struct {
 func (q *Queue[T]) takeTimer() *getTimer[T] {
 	t := q.timers
 	if t == nil {
-		return q.allocTimer()
+		t = &getTimer[T]{q: q}
+		t.fire = t.expire
+		return t
 	}
 	q.timers, t.next = t.next, nil
-	return t
-}
-
-//iocheck:cold
-func (q *Queue[T]) allocTimer() *getTimer[T] {
-	t := &getTimer[T]{q: q}
-	t.fire = t.expire
 	return t
 }
 
@@ -356,7 +346,6 @@ func (q *Queue[T]) admitPutters() {
 		if pw.cancelled {
 			continue
 		}
-		//iocheck:allow hotalloc amortized growth of the queue's ring buffer, not per-event garbage
 		q.items = append(q.items, pw.val)
 		pw.n = 1 // delivered
 		pw.woken = true

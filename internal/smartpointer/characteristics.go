@@ -108,34 +108,55 @@ type Characteristics struct {
 	DynamicBranching bool
 }
 
-// Table1 returns the paper's Table I rows.
-func Table1() []Characteristics {
-	return []Characteristics{
-		{KindHelper, "O(n)", 1, []ComputeModel{ModelTree}, false},
-		{KindBonds, "O(n^2)", 2, []ComputeModel{ModelSerial, ModelRR, ModelParallel}, true},
-		{KindCSym, "O(n)", 1, []ComputeModel{ModelSerial, ModelRR}, false},
-		{KindCNA, "O(n^3)", 3, []ComputeModel{ModelSerial, ModelRR}, false},
-	}
+// table1 holds the paper's Table I rows. It is shared: Table1 and
+// CharacteristicsFor hand out copies, and ServiceTime reads it in place.
+var table1 = [...]Characteristics{
+	{KindHelper, "O(n)", 1, []ComputeModel{ModelTree}, false},
+	{KindBonds, "O(n^2)", 2, []ComputeModel{ModelSerial, ModelRR, ModelParallel}, true},
+	{KindCSym, "O(n)", 1, []ComputeModel{ModelSerial, ModelRR}, false},
+	{KindCNA, "O(n^3)", 3, []ComputeModel{ModelSerial, ModelRR}, false},
 }
 
-// CharacteristicsFor returns the Table I row for a kind. Custom
-// components get a permissive row: every compute model, linear default
-// scaling (override via CostModel.ExponentOverride).
-func CharacteristicsFor(k Kind) Characteristics {
-	for _, c := range Table1() {
-		if c.Kind == k {
-			return c
+// customRow is the permissive row of a custom component: every compute
+// model, linear default scaling (override via CostModel.ExponentOverride).
+var customRow = Characteristics{
+	Kind:       KindCustom,
+	Complexity: "custom",
+	Exponent:   1,
+	Models:     []ComputeModel{ModelSerial, ModelRR, ModelParallel, ModelTree},
+}
+
+// Table1 returns a copy of the paper's Table I rows.
+func Table1() []Characteristics {
+	rows := make([]Characteristics, len(table1))
+	for i := range table1 {
+		rows[i] = table1[i].clone()
+	}
+	return rows
+}
+
+// CharacteristicsFor returns a copy of the Table I row for a kind, or of
+// customRow for KindCustom.
+func CharacteristicsFor(k Kind) Characteristics { return rowFor(k).clone() }
+
+// rowFor returns the shared row for a kind; callers must not modify it.
+func rowFor(k Kind) *Characteristics {
+	for i := range table1 {
+		if table1[i].Kind == k {
+			return &table1[i]
 		}
 	}
 	if k == KindCustom {
-		return Characteristics{
-			Kind:       KindCustom,
-			Complexity: "custom",
-			Exponent:   1,
-			Models:     []ComputeModel{ModelSerial, ModelRR, ModelParallel, ModelTree},
-		}
+		return &customRow
 	}
 	panic("smartpointer: unknown kind")
+}
+
+// clone copies the row with its own Models slice.
+func (c *Characteristics) clone() Characteristics {
+	out := *c
+	out.Models = append([]ComputeModel(nil), c.Models...)
+	return out
 }
 
 // Supports reports whether the component may run under model m.
@@ -204,7 +225,7 @@ func (cm CostModel) ServiceTime(nAtoms int64, model ComputeModel, k int, crack b
 	if k < 1 {
 		k = 1
 	}
-	exp := CharacteristicsFor(cm.Kind).Exponent
+	exp := rowFor(cm.Kind).Exponent
 	if cm.ExponentOverride > 0 {
 		exp = cm.ExponentOverride
 	}

@@ -21,8 +21,6 @@ func NewKernel(r *Recorder) *Kernel {
 
 // Event implements sim.Tracer. It runs once per executed engine event —
 // the hottest instrumentation point in the repository.
-//
-//iocheck:hot
 func (k *Kernel) Event(at sim.Time, what string) {
 	if k == nil {
 		return

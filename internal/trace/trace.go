@@ -147,14 +147,15 @@ func (r *Recorder) Begin(parent SpanID, cat, name string) *Span {
 		return nil
 	}
 	r.nextID++
+	// Spans recycle through the freelist End refills; at most
+	// max-open-spans are ever allocated.
 	s := r.spanFree
 	if s == nil {
-		s = r.newSpan()
+		s = &Span{r: r}
 	} else {
 		r.spanFree = s.next
 		s.next = nil
 	}
-	//iocheck:allow nilflow newSpan returns nil only on a nil Recorder, and r was checked above
 	s.done = false
 	s.rec = Record{
 		ID:     r.nextID,
@@ -166,17 +167,6 @@ func (r *Recorder) Begin(parent SpanID, cat, name string) *Span {
 		Start:  r.eng.Now(),
 	}
 	return s
-}
-
-// newSpan services a freelist miss; the steady state recycles the spans
-// End retires, so at most max-open-spans are ever allocated.
-//
-//iocheck:cold
-func (r *Recorder) newSpan() *Span {
-	if r == nil {
-		return nil
-	}
-	return &Span{r: r}
 }
 
 // ID returns the span's identifier (0 for nil, so a nil span chains as
