@@ -22,10 +22,26 @@ type expectation struct {
 	matched bool
 }
 
+type goldenFixture struct {
+	dir string // under testdata/src; also the subtest name
+	a   *Analyzer
+}
+
+// extraFixtures names fixture packages beyond the one per rule: the
+// callee-chain cases of maprange keep their own package.
+var extraFixtures = []goldenFixture{
+	{"maprange-deep", MapRange},
+}
+
 func TestGolden(t *testing.T) {
+	var fixtures []goldenFixture
 	for _, a := range Analyzers() {
-		t.Run(a.Name, func(t *testing.T) {
-			dir := filepath.Join("testdata", "src", a.Name)
+		fixtures = append(fixtures, goldenFixture{a.Name, a})
+	}
+	for _, fx := range append(fixtures, extraFixtures...) {
+		a := fx.a
+		t.Run(fx.dir, func(t *testing.T) {
+			dir := filepath.Join("testdata", "src", fx.dir)
 			pkg, err := LoadDir(dir)
 			if err != nil {
 				t.Fatalf("loading %s: %v", dir, err)
