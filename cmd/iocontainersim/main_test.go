@@ -33,16 +33,23 @@ func TestMain(m *testing.M) {
 const digestsFile = "testdata/digests.txt"
 
 // TestScenarioDigests pins same-seed behaviour across commits: for every
-// checked-in scenario it hashes the stdout of `iocontainersim -config F`
-// and the Chrome trace JSON of the same run, and compares both against
-// testdata/digests.txt. A refactor that claims byte-identical behaviour
+// checked-in scenario — scenarios/*.json and the shrunk chaos reproducers
+// in scenarios/regressions/ — it hashes the stdout of `iocontainersim
+// -config F` and the Chrome trace JSON of the same run, and compares both
+// against testdata/digests.txt. A refactor that claims byte-identical behaviour
 // must leave every line unchanged; a deliberate behaviour change
 // regenerates the file with -update.
 func TestScenarioDigests(t *testing.T) {
-	paths, err := filepath.Glob("../../scenarios/*.json")
+	const dir = "../../scenarios"
+	paths, err := filepath.Glob(dir + "/*.json")
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no scenarios found (%v)", err)
 	}
+	regressions, err := filepath.Glob(dir + "/regressions/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths = append(paths, regressions...)
 	var got []string
 	for _, path := range paths {
 		trace := filepath.Join(t.TempDir(), "trace.json")
@@ -56,8 +63,12 @@ func TestScenarioDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		name, err := filepath.Rel(dir, path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got = append(got, fmt.Sprintf("%s stdout=%x trace=%x",
-			filepath.Base(path), sha256.Sum256(stdout), sha256.Sum256(traceJSON)))
+			filepath.ToSlash(name), sha256.Sum256(stdout), sha256.Sum256(traceJSON)))
 	}
 
 	if *update {
