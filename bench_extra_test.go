@@ -82,7 +82,7 @@ func BenchmarkResizeRRvsParallel(b *testing.B) {
 				p.Sleep(30 * sim.Second)
 				nodes := rt.TakeSpare(4)
 				start := p.Now()
-				resp := rt.GM().Increase(p, "bonds", nodes)
+				resp := rt.ShardManager(0).Increase(p, "bonds", nodes)
 				if resp == nil {
 					b.Error("increase failed")
 					return

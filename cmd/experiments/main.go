@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/scenario"
 )
@@ -98,8 +99,8 @@ func writeShardsScenario(path string) error {
 	)
 	f := &scenario.File{
 		SimNodes: 256,
-		// meta + shards*(1+standbys) managers, one node per stage, spares.
-		StagingNodes:    1 + nShards*(1+nStandbys) + nStages + nSpares,
+		// The control plane, one node per stage, spares.
+		StagingNodes:    core.ControlNodes(nShards, nStandbys) + nStages + nSpares,
 		OutputPeriodSec: 5,
 		Steps:           2,
 		CrackStep:       -1,

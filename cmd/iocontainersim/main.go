@@ -45,9 +45,8 @@ func main() {
 	noSteal := flag.Bool("no-steal", false, "never steal nodes from other containers")
 	configPath := flag.String("config", "", "JSON scenario file (overrides the other flags)")
 	chart := flag.Bool("chart", false, "render ASCII charts of the key series")
-	standby := flag.Bool("standby", false, "deploy a standby global manager")
-	shards := flag.Int("shards", 0, "shard the control plane: per-shard managers under a meta-manager (0/1 = legacy single manager)")
-	shardStandbys := flag.Int("shard-standbys", 0, "standby managers per shard (0 or 1; requires -shards > 1)")
+	shards := flag.Int("shards", 0, "shard the control plane: per-shard managers under a meta-manager (0/1 = one global manager)")
+	shardStandbys := flag.Int("shard-standbys", 0, "standby managers per shard, 0 or 1 (with one shard: a standby global manager)")
 	killGM := flag.Float64("kill-gm", 0, "kill the primary global manager at this virtual second (0 = never)")
 	crashNode := flag.Int("crash-node", -1, "machine node to fail-stop (-1 = none; staging IDs start at -sim)")
 	crashAt := flag.Float64("crash-at", 60, "virtual second at which -crash-node dies")
@@ -72,10 +71,7 @@ func main() {
 	// On sharded runs the first staging nodes host the control plane
 	// (meta + per-shard managers and standbys); size the containers for
 	// the region that remains.
-	sizeNodes := *staging
-	if *shards > 1 {
-		sizeNodes -= 1 + *shards*(1+*shardStandbys)
-	}
+	sizeNodes := *staging - core.ControlNodes(*shards, *shardStandbys)
 	cfg := core.Config{
 		SimNodes:      *simNodes,
 		StagingNodes:  *staging,
@@ -84,7 +80,6 @@ func main() {
 		OutputPeriod:  sim.Time(*period * float64(sim.Second)),
 		CrackStep:     *crack,
 		Seed:          *seed,
-		StandbyGM:     *standby,
 		Shards:        *shards,
 		ShardStandbys: *shardStandbys,
 		Policy: core.PolicyConfig{

@@ -43,7 +43,7 @@ func main() {
 				ExponentOverride: 1,
 			},
 		}
-		c, err := rt.GM().LaunchContainer(p, viz, 2, "bonds")
+		c, err := rt.ShardManager(0).LaunchContainer(p, viz, 2, "bonds")
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	gm := rt.GM()
+	gm := rt.ShardManager(0)
 	eng := rt.Engine()
 	eng.Go("operator", func(p *iocontainer.Proc) {
 		p.Sleep(20 * iocontainer.Second)

@@ -233,26 +233,21 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func writeUvarint(w io.Writer, v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := w.Write(buf[:n])
-	return err
+// The put helpers encode straight into the spare capacity of an encoder's
+// own buffer, so no number passes through a temporary that an io.Writer
+// call would move to the heap.
+
+func putUvarint(b *bytes.Buffer, v uint64) {
+	b.Write(binary.AppendUvarint(b.AvailableBuffer(), v))
 }
 
-func writeString(w io.Writer, s string) error {
-	if err := writeUvarint(w, uint64(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
+func putString(b *bytes.Buffer, s string) {
+	putUvarint(b, uint64(len(s)))
+	b.WriteString(s)
 }
 
-func writeU64(w io.Writer, v uint64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	_, err := w.Write(buf[:])
-	return err
+func putU64(b *bytes.Buffer, v uint64) {
+	b.Write(binary.LittleEndian.AppendUint64(b.AvailableBuffer(), v))
 }
 
 type byteReader struct{ r io.Reader }
@@ -394,50 +389,32 @@ func (es *encodeState) grow(n int) []byte {
 func encodePG(es *encodeState, pg *ProcessGroup) ([]byte, error) {
 	buf := &es.body
 	buf.Reset()
-	if err := writeString(buf, pg.Group); err != nil {
-		return nil, err
-	}
-	if err := writeU64(buf, uint64(pg.Timestep)); err != nil {
-		return nil, err
-	}
-	if err := writeUvarint(buf, uint64(len(pg.Vars))); err != nil {
-		return nil, err
-	}
+	putString(buf, pg.Group)
+	putU64(buf, uint64(pg.Timestep))
+	putUvarint(buf, uint64(len(pg.Vars)))
 	for i := range pg.Vars {
 		v := &pg.Vars[i]
 		if err := v.validate(); err != nil {
 			return nil, err
 		}
-		if err := writeString(buf, v.Name); err != nil {
-			return nil, err
-		}
+		putString(buf, v.Name)
 		buf.WriteByte(byte(v.Type))
-		if err := writeUvarint(buf, uint64(len(v.Dims))); err != nil {
-			return nil, err
-		}
+		putUvarint(buf, uint64(len(v.Dims)))
 		for _, d := range v.Dims {
 			if d < 0 {
 				return nil, errNegativeDim(v)
 			}
-			if err := writeUvarint(buf, uint64(d)); err != nil {
-				return nil, err
-			}
+			putUvarint(buf, uint64(d))
 		}
 		if err := writeVarData(buf, es, v); err != nil {
 			return nil, err
 		}
 	}
-	if err := writeUvarint(buf, uint64(len(pg.Attrs))); err != nil {
-		return nil, err
-	}
+	putUvarint(buf, uint64(len(pg.Attrs)))
 	es.keys = sortedKeysInto(es.keys[:0], pg.Attrs)
 	for _, k := range es.keys {
-		if err := writeString(buf, k); err != nil {
-			return nil, err
-		}
-		if err := writeString(buf, pg.Attrs[k]); err != nil {
-			return nil, err
-		}
+		putString(buf, k)
+		putString(buf, pg.Attrs[k])
 	}
 	return buf.Bytes(), nil
 }

@@ -465,23 +465,15 @@ func craftStream(t *testing.T, body []byte) []byte {
 	var b bytes.Buffer
 	b.Write(headMagic[:])
 	b.Write([]byte{byte(Version), 0, 0, 0})
-	if err := writeUvarint(&b, uint64(len(body))); err != nil {
-		t.Fatal(err)
-	}
+	putUvarint(&b, uint64(len(body)))
 	b.Write(body)
 	indexOff := b.Len()
-	for _, err := range []error{
-		writeUvarint(&b, 1),
-		writeString(&b, "g"),
-		writeU64(&b, 0),
-		writeU64(&b, 8),
-		writeU64(&b, uint64(indexOff-8)),
-		writeU64(&b, uint64(indexOff)),
-	} {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	putUvarint(&b, 1)
+	putString(&b, "g")
+	putU64(&b, 0)
+	putU64(&b, 8)
+	putU64(&b, uint64(indexOff-8))
+	putU64(&b, uint64(indexOff))
 	b.Write(tailMagic[:])
 	return b.Bytes()
 }
@@ -494,8 +486,8 @@ func TestNewReaderBoundsIndexCount(t *testing.T) {
 	var b bytes.Buffer
 	b.Write(headMagic[:])
 	b.Write([]byte{byte(Version), 0, 0, 0})
-	writeUvarint(&b, 1<<24)
-	writeU64(&b, 8)
+	putUvarint(&b, 1<<24)
+	putU64(&b, 8)
 	b.Write(tailMagic[:])
 	data := b.Bytes()
 	if len(data) != 24 {
@@ -518,19 +510,13 @@ func TestNewReaderBoundsIndexCount(t *testing.T) {
 // the data.
 func TestReadStepRejectsOversizedDim(t *testing.T) {
 	var body bytes.Buffer
-	for _, err := range []error{
-		writeString(&body, "g"),
-		writeU64(&body, 0),
-		writeUvarint(&body, 1), // one var
-		writeString(&body, "x"),
-		body.WriteByte(byte(TFloat64)),
-		writeUvarint(&body, 1), // rank 1
-		writeUvarint(&body, math.MaxUint64),
-	} {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	putString(&body, "g")
+	putU64(&body, 0)
+	putUvarint(&body, 1) // one var
+	putString(&body, "x")
+	body.WriteByte(byte(TFloat64))
+	putUvarint(&body, 1) // rank 1
+	putUvarint(&body, math.MaxUint64)
 	r, err := NewReader(bytes.NewReader(craftStream(t, body.Bytes())))
 	if err != nil {
 		t.Fatal(err)

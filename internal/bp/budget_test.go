@@ -6,13 +6,11 @@ import (
 )
 
 // TestAppendAllocBudget pins the steady-state allocations of one
-// Writer.Append of a three-variable, two-attribute step. The body buffer,
-// the conversion scratch and the sorted attr keys are the writer's own
-// and reused across steps, and the footer index grows amortized. What
-// remains is writeUvarint: it hands its stack buffer to an io.Writer, so
-// every call moves that buffer to the heap — one per string, count and
-// dimension of the step, plus the body's length prefix, 18 here. A new
-// allocation fails the test, and so does an unrecorded saving.
+// Writer.Append of a three-variable, two-attribute step at zero. The body
+// buffer, the conversion scratch, the sorted attr keys and the length
+// prefix scratch are the writer's own and reused across steps, numbers
+// are encoded straight into them, and the footer index grows amortized.
+// A new allocation fails the test.
 func TestAppendAllocBudget(t *testing.T) {
 	w, err := NewWriter(io.Discard)
 	if err != nil {
@@ -29,7 +27,7 @@ func TestAppendAllocBudget(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		step()
 	}
-	if got := testing.AllocsPerRun(100, step); got != 18 {
-		t.Errorf("%v allocations per Append, budget 18 (writeUvarint's escaping buffer, once per call)", got)
+	if got := testing.AllocsPerRun(100, step); got != 0 {
+		t.Errorf("%v allocations per Append, budget 0", got)
 	}
 }

@@ -2,6 +2,7 @@ package bp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -15,6 +16,7 @@ type Writer struct {
 	closed bool
 	err    error
 	es     encodeState // per-writer encode scratch, reused across Appends
+	prefix []byte      // scratch for each step's length prefix
 }
 
 // NewWriter starts a BP stream on w.
@@ -47,7 +49,8 @@ func (w *Writer) Append(pg *ProcessGroup) error {
 		return w.fail(err)
 	}
 	off := w.cw.off
-	if err := writeUvarint(&w.cw, uint64(len(body))); err != nil {
+	w.prefix = binary.AppendUvarint(w.prefix[:0], uint64(len(body)))
+	if _, err := w.cw.Write(w.prefix); err != nil {
 		return w.fail(err)
 	}
 	if _, err := w.cw.Write(body); err != nil {
@@ -74,28 +77,21 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
+	// The footer (index, its offset, the tail magic) is encoded in the
+	// body scratch and written at once.
 	indexOff := w.cw.off
-	if err := writeUvarint(&w.cw, uint64(len(w.index))); err != nil {
-		return w.fail(err)
-	}
+	b := &w.es.body
+	b.Reset()
+	putUvarint(b, uint64(len(w.index)))
 	for _, e := range w.index {
-		if err := writeString(&w.cw, e.Group); err != nil {
-			return w.fail(err)
-		}
-		if err := writeU64(&w.cw, uint64(e.Timestep)); err != nil {
-			return w.fail(err)
-		}
-		if err := writeU64(&w.cw, uint64(e.Offset)); err != nil {
-			return w.fail(err)
-		}
-		if err := writeU64(&w.cw, uint64(e.Size)); err != nil {
-			return w.fail(err)
-		}
+		putString(b, e.Group)
+		putU64(b, uint64(e.Timestep))
+		putU64(b, uint64(e.Offset))
+		putU64(b, uint64(e.Size))
 	}
-	if err := writeU64(&w.cw, uint64(indexOff)); err != nil {
-		return w.fail(err)
-	}
-	if _, err := w.cw.Write(tailMagic[:]); err != nil {
+	putU64(b, uint64(indexOff))
+	b.Write(tailMagic[:])
+	if _, err := w.cw.Write(b.Bytes()); err != nil {
 		return w.fail(err)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
@@ -83,14 +84,11 @@ func Generate(seed int64, base *scenario.File, gc GenConfig) *scenario.Faults {
 	// indexes (meta, then the shard primaries, then their standbys); bias
 	// toward that region so meta-manager and shard-manager crashes are
 	// fair targets rather than diluted across a large container region.
-	// ctl stays 0 for legacy bases, keeping their draw sequence (and thus
-	// every historical seed's schedule) byte-identical.
+	// ctl stays 0 for single-shard bases, keeping their draw sequence (and
+	// thus every historical seed's schedule) byte-identical.
 	ctl := 0
-	if base.Shards != nil && base.Shards.Count > 1 {
-		ctl = 1 + base.Shards.Count*(1+base.Shards.Standbys)
-		if ctl > staging {
-			ctl = staging
-		}
+	if base.Shards != nil {
+		ctl = min(core.ControlNodes(base.Shards.Count, base.Shards.Standbys), staging)
 	}
 	stagingRef := func() scenario.NodeRef {
 		idx := r.Intn(staging)

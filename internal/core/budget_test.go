@@ -23,7 +23,7 @@ func TestControlRoundAllocBudget(t *testing.T) {
 	}
 	rounds := 0
 	rt.eng.GoAt(300*sim.Second, "driver", func(p *sim.Proc) {
-		for rt.gm.Query(p, "bonds", 4) != nil {
+		for rt.shardPrimary[0].Query(p, "bonds", 4) != nil {
 			rounds++
 		}
 		t.Error("query round got no answer")
@@ -40,15 +40,12 @@ func TestControlRoundAllocBudget(t *testing.T) {
 	if rt.eng.Now() < 300*sim.Second+2*cfg.Policy.CallTimeout {
 		t.Fatalf("warm-up ended at %v, before the first deadlines fired", rt.eng.Now())
 	}
-	// 17: the request and its event; the round and serve span names,
-	// concatenated per round; the slid items of the four queues on the
-	// way (the container-bound bridge, the container's mailbox, the
+	// 12: the request and its event; the slid items of the four queues on
+	// the way (the container-bound bridge, the container's mailbox, the
 	// GM-bound bridge, the GM's response mailbox) and the slid getters of
-	// the two mailboxes; the response and its event; the two copies the
-	// GM's inbox makes fanning the response out to its two routes; and the
-	// three numbers Span.AttrInt formats before its nil check (the round's
-	// seq and each bridge send's bytes).
-	const budget = 17
+	// the two mailboxes; the response and its event; and the two copies
+	// the GM's inbox makes fanning the response out to its two routes.
+	const budget = 12
 	if got := testing.AllocsPerRun(100, round); got != budget {
 		t.Errorf("%v allocations per query round, budget %d", got, budget)
 	}

@@ -72,10 +72,9 @@ type Container struct {
 	// subscriber fleet on this container's input channel).
 	subHub *datatap.SubHub
 
-	// shard is the control-plane shard managing this container (-1 on
-	// legacy single-manager runs). It picks the upward bridge target and
-	// labels compute spans so the critical-path analyzer can name the
-	// hot shard.
+	// shard is the control-plane shard managing this container. It picks
+	// the upward bridge target and, on sharded runs, labels compute spans
+	// so the critical-path analyzer can name the hot shard.
 	shard int
 
 	state  State
@@ -215,7 +214,6 @@ func (rt *Runtime) newContainer(spec ComponentSpec, nodes []*cluster.Node,
 		input:      input,
 		output:     output,
 		downstream: downstream,
-		shard:      -1,
 		state:      StateOnline,
 		active:     !spec.ActivateOnCrack,
 	}
@@ -230,7 +228,7 @@ func (rt *Runtime) newContainer(spec ComponentSpec, nodes []*cluster.Node,
 // initial replicas (without aprun cost: the initial deployment happens
 // inside the batch job's startup, as in the paper's experiments).
 func (c *Container) start() {
-	c.toGM = c.mgrEV.NewBridge(c.rt.managerFor(c).inbox(), 0)
+	c.toGM = c.mgrEV.NewBridge(c.rt.shardPrimary[c.shard].inbox(), 0)
 	if c.rt.cfg.MonitorSampleEvery > 0 || c.rt.cfg.MonitorAggregateN > 1 {
 		c.probe = monitor.NewProbe(c.toGM)
 		c.probe.Every = c.rt.cfg.MonitorSampleEvery
@@ -240,7 +238,7 @@ func (c *Container) start() {
 		c.addReplica(n)
 	}
 	c.rt.eng.Go(c.spec.Name+"-mgr", c.managerLoop)
-	c.every(func() bool { return c.rt.managerFor(c).ctl.Closed() }, c.heartbeat)
+	c.every(func() bool { return c.rt.shardPrimary[c.shard].ctl.Closed() }, c.heartbeat)
 }
 
 // every runs tick once per policy interval as a chain of engine
@@ -412,7 +410,7 @@ func (r *replica) process(p *sim.Proc, m *datatap.Meta) {
 	c := r.c
 	sp := c.rt.tracer.Begin(m.Span, "core", "compute").
 		Container(c.spec.Name).Node(r.node.ID).Step(m.Step)
-	if c.shard >= 0 {
+	if c.rt.Sharded() {
 		sp.AttrInt("shard", int64(c.shard))
 	}
 	// A stalled node freezes mid-step: the process is alive but makes no

@@ -9,7 +9,7 @@ import (
 
 func TestFailoverStandbyTakesOver(t *testing.T) {
 	cfg := fig7Config()
-	cfg.StandbyGM = true
+	cfg.ShardStandbys = 1
 	cfg.Policy.KillGMAt = 40 * sim.Second // before any management action
 	res := runScenario(t, cfg)
 	// The failover is on the record...
@@ -45,7 +45,7 @@ func TestFailoverStandbyTakesOver(t *testing.T) {
 
 func TestStandbyStaysQuietWhilePrimaryHealthy(t *testing.T) {
 	cfg := fig7Config()
-	cfg.StandbyGM = true // no kill: the primary stays up
+	cfg.ShardStandbys = 1 // no kill: the primary stays up
 	res := runScenario(t, cfg)
 	if hasAction(res, "failover", "global-manager") {
 		t.Fatalf("spurious failover: %v", res.Actions)
@@ -72,7 +72,7 @@ func TestFailoverDuringOverloadStillOfflines(t *testing.T) {
 	// The harsher scenario: the primary dies mid-crisis at 1024 nodes;
 	// the standby must pick up the overflow handling (offline cascade).
 	cfg := fig9Config()
-	cfg.StandbyGM = true
+	cfg.ShardStandbys = 1
 	cfg.Policy.KillGMAt = 100 * sim.Second // after the spare increase
 	cfg.Policy.OfflinePatience = 6
 	res := runScenario(t, cfg)
@@ -89,7 +89,7 @@ func TestFailoverDuringOverloadStillOfflines(t *testing.T) {
 
 func TestFailoverWithMonitoringProbe(t *testing.T) {
 	cfg := fig7Config()
-	cfg.StandbyGM = true
+	cfg.ShardStandbys = 1
 	cfg.Policy.KillGMAt = 40 * sim.Second
 	cfg.MonitorAggregateN = 2 // probes active
 	res := runScenario(t, cfg)
@@ -130,7 +130,7 @@ func TestFailoverMidResizeDoesNotLeakNodes(t *testing.T) {
 			continue
 		}
 		cfg := fig7Config()
-		cfg.StandbyGM = true
+		cfg.ShardStandbys = 1
 		cfg.Policy.KillGMAt = killAt
 		rt, err := Build(cfg)
 		if err != nil {
@@ -151,7 +151,7 @@ func TestFailoverMidResizeDoesNotLeakNodes(t *testing.T) {
 				owner[n.ID] = c.Name()
 			}
 		}
-		for _, n := range rt.GM().SpareNodes() {
+		for _, n := range rt.ShardManager(0).SpareNodes() {
 			if prev, dup := owner[n.ID]; dup {
 				t.Fatalf("kill at %v: node %d both spare and owned by %s",
 					killAt, n.ID, prev)
@@ -194,5 +194,42 @@ func TestShutdownDuringParallelRelaunch(t *testing.T) {
 	// wake events.
 	if rt.Engine().Pending() != 0 {
 		t.Fatalf("engine still has %d pending events", rt.Engine().Pending())
+	}
+}
+
+// TestFailoverResultKeepsPrimaryActions checks that a failover run's
+// Result.Actions is the whole control plane's log: what the original
+// primary did before it died stays on the record next to the standby's
+// takeover, in time order.
+func TestFailoverResultKeepsPrimaryActions(t *testing.T) {
+	cfg := Config{StagingNodes: 16, Sizes: DefaultSizes(13), Steps: 12,
+		ShardStandbys: 1, Seed: 7}
+	cfg.Policy.KillGMAt = 40 * sim.Second
+	rt, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rt.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary := rt.Managers()[0]
+	if len(primary.Actions()) == 0 || !hasAction(res, "failover", "global-manager") {
+		t.Fatalf("scenario lost its shape: primary %v, result %v", primary.Actions(), res.Actions)
+	}
+	want := 0
+	for _, gm := range rt.Managers() {
+		want += len(gm.Actions())
+	}
+	if len(res.Actions) != want {
+		t.Fatalf("result has %d actions, managers recorded %d: %v", len(res.Actions), want, res.Actions)
+	}
+	if first := primary.Actions()[0]; res.Actions[0] != first {
+		t.Fatalf("first action %+v, want the primary's %+v", res.Actions[0], first)
+	}
+	for i := 1; i < len(res.Actions); i++ {
+		if res.Actions[i].T < res.Actions[i-1].T {
+			t.Fatalf("actions out of time order: %v", res.Actions)
+		}
 	}
 }

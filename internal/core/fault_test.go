@@ -226,7 +226,7 @@ func TestLinkDegradationWindowSlowsTransfers(t *testing.T) {
 // over later.
 func TestCrashedStandbyNeverTakesOver(t *testing.T) {
 	cfg := fig7Config()
-	cfg.StandbyGM = true
+	cfg.ShardStandbys = 1
 	cfg.Faults = &fault.Config{
 		// The standby lives on the second staging node (257).
 		Crashes: []fault.Crash{{Node: 257, At: 30 * sim.Second}},

@@ -97,8 +97,8 @@ type RoundRecord struct {
 	Target string
 	Kind   string
 	Retry  int
-	// Shard is the issuing manager's shard (-1 on legacy single-manager
-	// runs); epochs are per-shard, so the oracle keys on (Shard, Epoch).
+	// Shard is the issuing manager's shard (-1 on single-shard runs);
+	// epochs are per-shard, so the oracle keys on (Shard, Epoch).
 	Shard int
 }
 

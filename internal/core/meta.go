@@ -214,7 +214,7 @@ func (mm *MetaManager) broadcastCrack(data *CrackRelay) {
 
 // tick checks shard liveness: a shard silent for three intervals whose
 // standby exists gets a one-shot PromoteNotice. The grace period runs
-// from t=0 for shards that have never beaten, exactly like the legacy
+// from t=0 for shards that have never beaten, exactly like the single-shard
 // standby's own silence detector.
 func (mm *MetaManager) tick(p *sim.Proc) {
 	grace := 3 * mm.interval

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/datatap"
@@ -160,6 +159,23 @@ func (*ActivateReq) kind() string  { return msgActivate }
 func (*AddTapReq) kind() string    { return msgAddTap }
 func (*ResendReq) kind() string    { return msgResend }
 
+// roundSpans holds each round type's two span names as constants — the
+// issuer's "round.*" and the container's "serve.*" — so that no round
+// builds a string. TestRoundServeContract covers every type.
+var roundSpans = map[string]struct{ round, serve string }{
+	msgIncrease:  {"round.increase", "serve.increase"},
+	msgDecrease:  {"round.decrease", "serve.decrease"},
+	msgOffline:   {"round.offline", "serve.offline"},
+	msgSetOutput: {"round.set_output", "serve.set_output"},
+	msgQuery:     {"round.query", "serve.query"},
+	msgActivate:  {"round.activate", "serve.activate"},
+	msgAddTap:    {"round.add_tap", "serve.add_tap"},
+	msgResend:    {"round.resend", "serve.resend"},
+	msgRehome:    {"round.rehome", "serve.rehome"},
+	msgSubResume: {"round.sub_resume", "serve.sub_resume"},
+	msgSubReplay: {"round.sub_replay", "serve.sub_replay"},
+}
+
 // CrackNotice informs the global manager of observed crack formation.
 type CrackNotice struct {
 	From string
@@ -271,8 +287,7 @@ func (c *Container) managerLoop(p *sim.Proc) {
 			c.reply(cached)
 			continue
 		}
-		sp := c.rt.tracer.Begin(ev.Ctx(), "ctl",
-			"serve."+strings.TrimPrefix(ev.Type, "ctl.")).
+		sp := c.rt.tracer.Begin(ev.Ctx(), "ctl", roundSpans[ev.Type].serve).
 			Container(c.spec.Name).Node(c.mgrEV.Node())
 		var resp roundMsg
 		exit := false

@@ -102,9 +102,9 @@ func TestIncreaseProtocolBreakdown(t *testing.T) {
 	var resp *IncreaseResp
 	rt.eng.Go("driver", func(p *sim.Proc) {
 		p.Sleep(5 * sim.Second)
-		nodes := rt.gm.spare[:2]
-		rt.gm.spare = rt.gm.spare[2:]
-		resp = rt.gm.Increase(p, "bonds", nodes)
+		nodes := rt.shardPrimary[0].spare[:2]
+		rt.shardPrimary[0].spare = rt.shardPrimary[0].spare[2:]
+		resp = rt.shardPrimary[0].Increase(p, "bonds", nodes)
 	})
 	rt.eng.RunUntil(120 * sim.Second)
 	if resp == nil {
@@ -134,7 +134,7 @@ func TestDecreaseProtocolReleasesNodes(t *testing.T) {
 	var resp *DecreaseResp
 	rt.eng.Go("driver", func(p *sim.Proc) {
 		p.Sleep(5 * sim.Second)
-		resp = rt.gm.Decrease(p, "bonds", 2)
+		resp = rt.shardPrimary[0].Decrease(p, "bonds", 2)
 	})
 	rt.eng.RunUntil(200 * sim.Second)
 	if resp == nil {
@@ -146,8 +146,8 @@ func TestDecreaseProtocolReleasesNodes(t *testing.T) {
 	if rt.Container("bonds").Size() != 2 {
 		t.Fatalf("container size %d", rt.Container("bonds").Size())
 	}
-	if rt.gm.Spare() < 2 {
-		t.Fatalf("spare %d after release", rt.gm.Spare())
+	if rt.shardPrimary[0].Spare() < 2 {
+		t.Fatalf("spare %d after release", rt.shardPrimary[0].Spare())
 	}
 	// Decrease must not lose steps: the channel was paused during the
 	// removal and remaining replicas continue.
@@ -160,7 +160,7 @@ func TestDecreaseMoreThanSizeClamps(t *testing.T) {
 	var resp *DecreaseResp
 	rt.eng.Go("driver", func(p *sim.Proc) {
 		p.Sleep(2 * sim.Second)
-		resp = rt.gm.Decrease(p, "bonds", 99)
+		resp = rt.shardPrimary[0].Decrease(p, "bonds", 99)
 	})
 	rt.eng.RunUntil(200 * sim.Second)
 	if resp == nil || len(resp.Nodes) != 2 {
@@ -175,9 +175,9 @@ func TestParallelIncreaseTearsDownAndRelaunches(t *testing.T) {
 	var resp *IncreaseResp
 	rt.eng.Go("driver", func(p *sim.Proc) {
 		p.Sleep(20 * sim.Second) // let a step get in flight
-		nodes := rt.gm.spare[:3]
-		rt.gm.spare = rt.gm.spare[3:]
-		resp = rt.gm.Increase(p, "bonds", nodes)
+		nodes := rt.shardPrimary[0].spare[:3]
+		rt.shardPrimary[0].spare = rt.shardPrimary[0].spare[3:]
+		resp = rt.shardPrimary[0].Increase(p, "bonds", nodes)
 	})
 	rt.eng.RunUntil(400 * sim.Second)
 	if resp == nil {
@@ -205,8 +205,8 @@ func TestOfflineDirectCall(t *testing.T) {
 	var offResp *OfflineResp
 	rt.eng.Go("driver", func(p *sim.Proc) {
 		p.Sleep(5 * sim.Second)
-		rt.gm.SetOutput(p, "helper", "bonds,csym,cna")
-		offResp = rt.gm.Offline(p, "bonds")
+		rt.shardPrimary[0].SetOutput(p, "helper", "bonds,csym,cna")
+		offResp = rt.shardPrimary[0].Offline(p, "bonds")
 	})
 	rt.eng.RunUntil(300 * sim.Second)
 	if offResp == nil {
@@ -235,7 +235,7 @@ func TestQueryRound(t *testing.T) {
 	var q *QueryResp
 	rt.eng.Go("driver", func(p *sim.Proc) {
 		p.Sleep(sim.Second)
-		q = rt.gm.Query(p, "bonds", 24)
+		q = rt.shardPrimary[0].Query(p, "bonds", 24)
 	})
 	rt.eng.RunUntil(30 * sim.Second)
 	if q == nil {
@@ -262,11 +262,11 @@ func TestActivateRound(t *testing.T) {
 		if rt.Container("cna").Active() {
 			t.Error("cna should start passive")
 		}
-		rt.gm.Activate(p, "cna", true)
+		rt.shardPrimary[0].Activate(p, "cna", true)
 		if !rt.Container("cna").Active() {
 			t.Error("cna not activated")
 		}
-		rt.gm.Activate(p, "cna", false)
+		rt.shardPrimary[0].Activate(p, "cna", false)
 		if rt.Container("cna").Active() {
 			t.Error("cna not deactivated")
 		}

@@ -24,8 +24,8 @@ func TestRoundServeContract(t *testing.T) {
 		mk   func(rt *Runtime) roundReq
 	}{
 		{"increase", func(rt *Runtime) roundReq {
-			nodes := rt.gm.spare[:1]
-			rt.gm.spare = rt.gm.spare[1:]
+			nodes := rt.shardPrimary[0].spare[:1]
+			rt.shardPrimary[0].spare = rt.shardPrimary[0].spare[1:]
 			return &IncreaseReq{Nodes: nodes}
 		}},
 		{"decrease", func(*Runtime) roundReq { return &DecreaseReq{N: 1} }},
@@ -35,10 +35,10 @@ func TestRoundServeContract(t *testing.T) {
 		{"activate", func(*Runtime) roundReq { return &ActivateReq{Active: true} }},
 		{"add_tap", func(rt *Runtime) roundReq {
 			return &AddTapReq{Ch: datatap.NewChannel(rt.eng, rt.mach, "ch.tap.test",
-				datatap.Config{HomeNode: rt.gm.spare[0].ID})}
+				datatap.Config{HomeNode: rt.shardPrimary[0].spare[0].ID})}
 		}},
 		{"resend", func(*Runtime) roundReq { return &ResendReq{} }},
-		{"rehome", func(rt *Runtime) roundReq { return &RehomeReq{Inbox: rt.gm.inbox()} }},
+		{"rehome", func(rt *Runtime) roundReq { return &RehomeReq{Inbox: rt.shardPrimary[0].inbox()} }},
 		{"sub_resume", func(*Runtime) roundReq { return &SubResumeReq{SubID: "s"} }},
 		{"sub_replay", func(*Runtime) roundReq { return &SubReplayReq{SubID: "s"} }},
 	}
@@ -54,7 +54,7 @@ func TestRoundServeContract(t *testing.T) {
 			var answers []any
 			rt.eng.Go("driver", func(p *sim.Proc) {
 				p.Sleep(5 * sim.Second)
-				stone := rt.gm.toContainer[target]
+				stone := rt.shardPrimary[0].toContainer[target]
 				rt.ctlSeq++
 				seq := rt.ctlSeq
 				// send submits a copy of the request stamped (seq, e) and
@@ -63,7 +63,7 @@ func TestRoundServeContract(t *testing.T) {
 					req := tc.mk(rt)
 					*req.hdr() = RoundHdr{Seq: seq, Epoch: e}
 					stone.Submit(&evpath.Event{Type: req.kind(), Size: ctlMsgBytes, Data: req})
-					if ev, ok := rt.gm.rsp.RecvTimeout(p, 60*sim.Second); ok {
+					if ev, ok := rt.shardPrimary[0].rsp.RecvTimeout(p, 60*sim.Second); ok {
 						answers = append(answers, ev.Data)
 					}
 				}

@@ -597,7 +597,7 @@ func TestRandomConfigTortureProperty(t *testing.T) {
 			cfg.Policy.TransactionalTrades = true
 		}
 		if knobs&4 != 0 {
-			cfg.StandbyGM = true
+			cfg.ShardStandbys = 1
 		}
 		if knobs&8 != 0 {
 			cfg.Policy.DisableStealing = true

@@ -122,7 +122,7 @@ type PromoteNotice struct {
 }
 
 // managed returns the containers this manager is responsible for: its
-// shard scope when sharded, the whole pipeline on legacy runs.
+// shard scope when sharded, the whole pipeline on a single shard.
 func (gm *GlobalManager) managed() []*Container {
 	if gm.scope != nil {
 		return gm.scope
@@ -130,8 +130,14 @@ func (gm *GlobalManager) managed() []*Container {
 	return gm.rt.containers
 }
 
-// ShardID returns the manager's shard (-1 for the legacy single manager).
-func (gm *GlobalManager) ShardID() int { return gm.shard }
+// ShardID returns the manager's shard, or -1 on a single-shard run, whose
+// rounds, spans and oracle verdicts carry no shard label.
+func (gm *GlobalManager) ShardID() int {
+	if !gm.rt.Sharded() {
+		return -1
+	}
+	return gm.shard
+}
 
 // Node returns the staging node hosting this manager.
 func (gm *GlobalManager) Node() int { return gm.node }
@@ -144,7 +150,7 @@ func (gm *GlobalManager) InStandby() bool { return gm.standbyMode }
 
 // shardDispatch handles the shard round messages that land in a shard
 // manager's control mailbox. It is called first from dispatch and
-// reports whether it consumed the event; legacy messages fall through.
+// reports whether it consumed the event; container notices fall through.
 // Like dispatch it runs on the pump and must never park.
 //
 //iocheck:nonblocking
@@ -262,7 +268,7 @@ func (gm *GlobalManager) relayGap(upstream string) {
 }
 
 // relayCrack forwards an observed crack to the meta-manager exactly once
-// so every other shard learns to run its branch. Legacy runs (no meta)
+// so every other shard learns to run its branch. Single-shard runs (no meta)
 // are a no-op. Runs from the pump; must not park.
 //
 //iocheck:nonblocking

@@ -23,16 +23,15 @@ func TestStepAllocBudget(t *testing.T) {
 		want   float64
 		why    string
 	}{
-		{"best-effort", Config{HomeNode: 1}, false, 5,
+		{"best-effort", Config{HomeNode: 1}, false, 3,
 			"the descriptor, retained in the queue by design; the queue's take slides items and getters, " +
-				"so the next put and the next parked reader each reallocate one; Span.AttrInt formats " +
-				"the write's and the pull's bytes attrs before its nil check, so an untraced step pays for both strings"},
+				"so the next put and the next parked reader each reallocate one"},
 		{"best-effort full queue traced", Config{HomeNode: 1, QueueCap: 1}, true, 7,
 			"the descriptor; the slid items and putters slices of the full queue; the slid waiters of " +
 				"the tx and rx ports the descriptor push and the pull contend for; the two bytes attrs"},
-		{"at-least-once", Config{HomeNode: 1, Delivery: DeliveryConfig{Mode: DeliveryAtLeastOnce}}, false, 6,
+		{"at-least-once", Config{HomeNode: 1, Delivery: DeliveryConfig{Mode: DeliveryAtLeastOnce}}, false, 4,
 			"the descriptor and its ledger entry, retained until the ack by design; the slid items and " +
-				"getters slices; the two bytes attrs Span.AttrInt formats before its nil check"},
+				"getters slices"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			eng := sim.NewEngine(1)

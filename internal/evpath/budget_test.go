@@ -19,8 +19,7 @@ func TestBridgeHopAllocBudget(t *testing.T) {
 		want   float64
 		why    string
 	}{
-		{"untraced", false, 2, "the bridge queue's take slides items, so each put reallocates it; " +
-			"Span.AttrInt formats the bytes attr before its nil check, so an untraced send pays for the string too"},
+		{"untraced", false, 1, "the bridge queue's take slides items, so each put reallocates it"},
 		{"traced", true, 2, "the queue slide, and the send span's bytes attr formats a number above 99"},
 	} {
 		t.Run(c.name, func(t *testing.T) {

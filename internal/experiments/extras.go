@@ -189,14 +189,14 @@ func ExtraBranch(seed int64) (*Output, error) {
 // standby's takeover timeline — the §III-B single-point-of-failure story.
 func ExtraFailover(seed int64) (*Output, error) {
 	cfg := core.Config{
-		SimNodes:     256,
-		StagingNodes: 13,
-		Sizes:        core.DefaultSizes(13),
-		Steps:        20,
-		CrackStep:    -1,
-		Seed:         seed,
-		StandbyGM:    true,
-		Policy:       core.PolicyConfig{KillGMAt: 40 * sim.Second},
+		SimNodes:      256,
+		StagingNodes:  13,
+		Sizes:         core.DefaultSizes(13),
+		Steps:         20,
+		CrackStep:     -1,
+		Seed:          seed,
+		ShardStandbys: 1,
+		Policy:        core.PolicyConfig{KillGMAt: 40 * sim.Second},
 	}
 	res, err := runScenario(cfg)
 	if err != nil {

@@ -46,7 +46,7 @@ func Fig3(seed int64) (*Output, error) {
 		p.Sleep(2 * sim.Second)
 		nodes := rt.TakeSpare(n)
 		start := p.Now()
-		resp = rt.GM().Increase(p, "bonds", nodes)
+		resp = rt.ShardManager(0).Increase(p, "bonds", nodes)
 		total = p.Now() - start
 	})
 	rt.Engine().RunUntil(200 * sim.Second)
@@ -99,7 +99,7 @@ func Fig4(seed int64) (*Output, error) {
 			p.Sleep(2 * sim.Second)
 			nodes := rt.TakeSpare(n)
 			start := p.Now()
-			resp := rt.GM().Increase(p, "bonds", nodes)
+			resp := rt.ShardManager(0).Increase(p, "bonds", nodes)
 			if resp == nil {
 				return
 			}
@@ -184,7 +184,7 @@ func Fig5(seed int64) (*Output, error) {
 		rt.Engine().Go("driver", func(p *sim.Proc) {
 			p.Sleep(60 * sim.Second) // deep into the overloaded regime
 			start := p.Now()
-			resp := rt.GM().Decrease(p, "bonds", n)
+			resp := rt.ShardManager(0).Decrease(p, "bonds", n)
 			if resp == nil {
 				return
 			}

@@ -45,8 +45,6 @@ type File struct {
 	CheckpointNodes int `json:"checkpointNodes"`
 	// AtomsOverride replaces the Table II scale derived from SimNodes.
 	AtomsOverride int64 `json:"atomsOverride"`
-	// StandbyGM deploys a standby global manager.
-	StandbyGM bool `json:"standbyGM"`
 	// SpreadPlacement interleaves container node assignment.
 	SpreadPlacement bool `json:"spreadPlacement"`
 	// MonitorSampleEverySec rate-limits monitoring reports.
@@ -61,8 +59,9 @@ type File struct {
 	// Delivery selects the data plane's delivery guarantee and tunes its
 	// retry/spill machinery (nil = best-effort, the legacy semantics).
 	Delivery *Delivery `json:"delivery,omitempty"`
-	// Shards enables the sharded hierarchical control plane (nil or
-	// count ≤ 1 = the legacy single global manager).
+	// Shards sizes the control plane: the shard count (nil or count ≤ 1 =
+	// the single global manager) and the standby per shard, which is also
+	// how a single-manager run deploys its standby.
 	Shards *ShardsSpec `json:"shards,omitempty"`
 	// Subscribers attaches a streaming subscriber fleet — dashboards,
 	// ad-hoc readers — to one stage channel's fan-out hub (nil = none).
@@ -482,7 +481,6 @@ func (f *File) ToConfig() (core.Config, error) {
 		Seed:            f.Seed,
 		CheckpointEvery: f.CheckpointEvery,
 		CheckpointNodes: f.CheckpointNodes,
-		StandbyGM:       f.StandbyGM,
 		SpreadPlacement: f.SpreadPlacement,
 		MonitorSampleEvery: sim.Time(
 			f.MonitorSampleEverySec * float64(sim.Second)),

@@ -178,14 +178,14 @@ func writeFile(path, content string) error {
 func TestScenarioAdvancedKnobs(t *testing.T) {
 	cfg, err := Load(strings.NewReader(`{
 		"simNodes": 64, "stagingNodes": 14, "steps": 4, "seed": 1,
-		"standbyGM": true, "spreadPlacement": true,
+		"shards": {"standbys": 1}, "spreadPlacement": true,
 		"monitorSampleEverySec": 30, "monitorAggregateN": 4,
 		"policy": {"killGMAtSec": 40}
 	}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cfg.StandbyGM || !cfg.SpreadPlacement {
+	if cfg.ShardStandbys != 1 || !cfg.SpreadPlacement {
 		t.Fatalf("bool knobs lost: %+v", cfg)
 	}
 	if cfg.MonitorSampleEvery != 30*sim.Second || cfg.MonitorAggregateN != 4 {

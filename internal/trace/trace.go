@@ -230,6 +230,9 @@ func (r *Recorder) grabAttrs() []Attr {
 
 // AttrInt adds an integer annotation.
 func (s *Span) AttrInt(key string, val int64) *Span {
+	if s == nil {
+		return nil // untraced: format nothing
+	}
 	return s.Attr(key, strconv.FormatInt(val, 10))
 }
 
