@@ -19,14 +19,16 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# lint runs the nine in-repo invariant analyzers (cmd/iocheck): the
-# syntactic rules (simtime, maprange, nilrecv, dropresult; maprange also
-# follows calls down the call graph), the interprocedural ones built on
-# the CFG + call-graph layer (vtblock, epochset, nilflow) and the
-# protocol-lifecycle rules (roundflow, roundterm), which recognise round
-# messages by their embedded RoundHdr. Hot-path allocation is not a lint
-# rule: each hot layer pins its steady-state count in an AllocsPerRun
-# budget test, which `go test` runs.
+# lint runs the seven in-repo invariant analyzers (cmd/iocheck): the
+# syntactic rules (simtime, maprange, dropresult; maprange also follows
+# calls down the call graph), the interprocedural ones built on the CFG +
+# call-graph layer (vtblock, nilflow) and the protocol-lifecycle rules
+# (roundflow, roundterm), which recognise round messages by their
+# embedded RoundHdr. Contracts that a runtime test pins are not lint
+# rules: hot-path allocation (an AllocsPerRun budget test per hot layer),
+# nil-receiver safety of the fault and trace handles (every exported
+# method called on nil) and the Epoch stamp on control rounds (the core
+# round-contract tests); `go test` runs them all.
 # Zero-dependency; lint-baseline.json is a per-rule ratchet over both
 # unsuppressed findings and audited //iocheck:allow counts. Finding
 # growth fails; finding shrinkage also fails until the baseline is
@@ -102,8 +104,8 @@ race-smoke:
 
 # fuzz-smoke explores past the checked-in seed corpora (plain go test only
 # replays those): about 10 s of coverage-guided fuzzing each for the
-# subscriber-cursor fuzzer, the kernel event-order fuzzer and the
-# poll-tick equivalence fuzzer. A failing input is written under the
+# subscriber-cursor fuzzer, the kernel event-order fuzzer, the poll-tick
+# equivalence fuzzer and the BP stream reader fuzzer. A failing input is written under the
 # package's testdata/fuzz/ for replay. -fuzzminimizetime 1s caps the
 # minimisation of each new interesting input: at Go's default of 60 s a
 # single minimisation can eat the rest of a 10 s run, and fuzzing stops
@@ -112,3 +114,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSubHubCursors$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/datatap
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzPollEquivalence$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzBPReader$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/bp

@@ -462,19 +462,19 @@ func TestJSONRoundRules(t *testing.T) {
 	}
 }
 
-// TestRosterNineRules pins the CLI side of the roster: all nine rule
+// TestRosterSevenRules pins the CLI side of the roster: all seven rule
 // names resolve through -rules, including the two protocol-lifecycle
 // rules.
-func TestRosterNineRules(t *testing.T) {
-	names := []string{"simtime", "maprange", "nilrecv",
-		"vtblock", "epochset", "nilflow", "dropresult",
+func TestRosterSevenRules(t *testing.T) {
+	names := []string{"simtime", "maprange",
+		"vtblock", "nilflow", "dropresult",
 		"roundflow", "roundterm"}
 	got, err := selectAnalyzers(strings.Join(names, ","))
 	if err != nil {
 		t.Fatalf("selectAnalyzers rejected the full roster: %v", err)
 	}
-	if len(got) != 9 {
-		t.Fatalf("roster has %d analyzers, want 9", len(got))
+	if len(got) != 7 {
+		t.Fatalf("roster has %d analyzers, want 7", len(got))
 	}
 	for i, a := range got {
 		if a.Name != names[i] {

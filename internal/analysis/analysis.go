@@ -3,16 +3,19 @@
 // golang.org/x/tools dependency, so the module stays zero-dep and the
 // checks run network-free. It exists to machine-check the invariants the
 // compiler cannot see and the simulator's correctness rests on:
-// bit-deterministic replay from a seed, nil-safe fault schedules, and the
-// crash-tolerance protocol's round lifecycle.
+// bit-deterministic replay from a seed, nil-checked nilable values, and
+// the crash-tolerance protocol's round lifecycle.
 //
-// The analyzers (simtime, maprange, nilrecv, the CFG-based
-// vtblock/epochset/nilflow, dropresult, and the protocol-lifecycle rules
-// roundflow/roundterm — one file per rule) are run by cmd/iocheck over
-// the whole module (`make lint`) and by the repo-wide self-check test, so
-// `go test ./...` enforces them too. Allocation on the hot paths is not a
-// rule: each hot layer pins its steady-state allocations in a
-// testing.AllocsPerRun budget test next to its code.
+// The seven analyzers (simtime, maprange, the CFG-based vtblock/nilflow,
+// dropresult, and the protocol-lifecycle rules roundflow/roundterm — one
+// file per rule) are run by cmd/iocheck over the whole module (`make
+// lint`) and by the repo-wide self-check test, so `go test ./...`
+// enforces them too. Contracts a runtime test pins as tightly are tests,
+// not rules: allocation on the hot paths (an AllocsPerRun budget test per
+// hot layer), "nil means disabled" on fault.Schedule/Config and
+// trace.Recorder/Span (every exported method called on a nil receiver),
+// and the Epoch stamp on every control round (the core round-contract
+// and stale-epoch tests).
 //
 // Audited exceptions are suppressed — but stay visible — with a comment on
 // the flagged line or on the line directly above it:
@@ -80,12 +83,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzers returns the full suite in a stable order: the syntactic
 // rules from the original suite (maprange also sees through callees when
-// the call graph is there), the three interprocedural rules built on the
+// the call graph is there), the two interprocedural rules built on the
 // CFG/call-graph layer, the delivery-contract rule from the at-least-once
 // data plane, then the two protocol-lifecycle rules built on the round
 // summaries.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{SimTime, MapRange, NilRecv, VTBlock, EpochSet, NilFlow, DropResult, RoundFlow, RoundTerm}
+	return []*Analyzer{SimTime, MapRange, VTBlock, NilFlow, DropResult, RoundFlow, RoundTerm}
 }
 
 // Run executes the given analyzers over the packages and returns all

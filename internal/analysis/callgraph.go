@@ -10,8 +10,8 @@ import (
 // The interprocedural half of the dataflow layer: a class-hierarchy-
 // analysis (CHA) call graph over every loaded package, plus transitive
 // effect summaries the whole-program analyzers consume — "may block
-// virtual time", "performs an order-bearing send", "stamps .Epoch on
-// parameter i", "may return nil", "dereferences parameter i unguarded".
+// virtual time", "performs an order-bearing send", "may return nil",
+// "dereferences parameter i unguarded", "safe on a nil receiver".
 //
 // Resolution rules (documented approximations — this is a convention
 // checker, not a verifier):
@@ -33,17 +33,9 @@ type Program struct {
 	nodes []*FuncNode // build order: pkg path, file, declaration
 
 	methodsByName map[string][]*FuncNode
-	// nilsafe holds the type names carrying the `iocheck:nilsafe` doc
-	// marker, program-wide — their methods tolerate nil receivers.
-	nilsafe map[*types.TypeName]bool
 	// roundsDone: the lazy round-summary fixpoint (roundsummary.go) has
 	// run.
 	roundsDone bool
-}
-
-// NilSafeType reports whether tn carries the iocheck:nilsafe marker.
-func (prog *Program) NilSafeType(tn *types.TypeName) bool {
-	return prog.nilsafe[tn]
 }
 
 // CallSite is one resolved call expression inside a function body.
@@ -80,22 +72,26 @@ type FuncNode struct {
 	orderPrim   string
 
 	// Per-parameter summaries (indexed like Signature.Params, receiver
-	// excluded). StampsEpoch: the callee assigns .Epoch on the argument
-	// (directly or through type-switch/assert bindings, transitively).
-	// SinksEventData: the argument ends up as the Data field of an
-	// evpath-style Event composite literal. DerefsParam: the callee
-	// dereferences the argument with no nil comparison anywhere in its
-	// body.
-	StampsEpoch    []bool
+	// excluded). SinksEventData: the argument ends up as the Data field
+	// of an evpath-style Event composite literal (directly or through
+	// type-switch/assert/header bindings, transitively). DerefsParam:
+	// the callee dereferences the argument with no nil comparison
+	// anywhere in its body.
 	SinksEventData []bool
 	DerefsParam    []bool
 
 	// NilableResult[i]: result i may be a literal nil (transitively).
 	NilableResult []bool
 
-	// NilGuarded: a method that opens with a receiver nil-guard or has an
-	// empty body — safe to call on a possibly-nil receiver.
+	// NilGuarded: a pointer-receiver method that is safe to call on a nil
+	// receiver. It opens with a receiver nil-guard, has an empty body or
+	// an anonymous receiver, or touches the receiver only to compare it
+	// with nil and to call NilGuarded methods on it (Stalled delegating
+	// to StallRemaining, Enabled's `return r != nil`).
 	NilGuarded bool
+	// recvDelegates are the methods a delegating method calls on its
+	// receiver; NilGuarded follows once all of them are.
+	recvDelegates []*FuncNode
 
 	// Round holds the protocol-lifecycle summaries (roundsummary.go;
 	// valid after ensureRounds): issues-request, registers-deadline/
@@ -107,7 +103,6 @@ type FuncNode struct {
 	// seeds, kept separate so fixpoint recomputation is idempotent
 	summariesInit   bool
 	seedBlocks      bool
-	seedStamps      []bool
 	seedSinks       []bool
 	seedDerefs      []bool
 	seedNilable     []bool
@@ -197,14 +192,6 @@ func NewProgram(pkgs []*Package) *Program {
 		Pkgs:          pkgs,
 		Funcs:         make(map[*types.Func]*FuncNode),
 		methodsByName: make(map[string][]*FuncNode),
-		nilsafe:       make(map[*types.TypeName]bool),
-	}
-	for _, pkg := range pkgs {
-		for name := range collectNilsafeTypes(&Pass{Pkg: pkg}) {
-			if tn, ok := pkg.Types.Scope().Lookup(name).(*types.TypeName); ok {
-				prog.nilsafe[tn] = true
-			}
-		}
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -382,7 +369,7 @@ func (prog *Program) collect(n *FuncNode) {
 	// Marker seeds. The blocking root is (*Proc).park — the one primitive
 	// every sim wait path funnels through — or an explicit iocheck:blocks
 	// marker for code the graph cannot see through.
-	typeName, recvName, _ := receiverOf(n.Decl)
+	typeName, recvName, ptr := receiverOf(n.Decl)
 	if n.Obj.Name() == "park" && typeName == "Proc" {
 		n.seedBlocks = true
 	}
@@ -397,7 +384,6 @@ func (prog *Program) collect(n *FuncNode) {
 		nparams = sig.Params().Len()
 		nresults = sig.Results().Len()
 	}
-	n.seedStamps = make([]bool, nparams)
 	n.seedSinks = make([]bool, nparams)
 	n.seedDerefs = make([]bool, nparams)
 	n.seedNilable = make([]bool, nresults)
@@ -411,10 +397,8 @@ func (prog *Program) collect(n *FuncNode) {
 		}
 	}
 
-	// Receiver nil-guard classification, reused from nilrecv's contract.
-	if n.Decl.Recv != nil && recvName != "" {
-		pass := &Pass{Pkg: pkg}
-		n.NilGuarded = opensWithNilGuard(pass, n.Decl, recvName)
+	if ptr {
+		prog.classifyNilGuard(n, recvName)
 	}
 
 	paramAt := func(e ast.Expr) int {
@@ -460,18 +444,6 @@ func (prog *Program) collect(n *FuncNode) {
 			n.recordSpecSources(info, node)
 		case *ast.AssignStmt:
 			n.recordAssignSources(info, node)
-			// Epoch-stamp seed: `p.Epoch = …` on a parameter, one of its
-			// type-switch/assert/header bindings (registered below via
-			// Implicits/Defs before this assignment is reached — handled
-			// by a second look at paramIndex which aliases share), or
-			// `p.hdr().Epoch = …`.
-			for _, lhs := range node.Lhs {
-				if obj := epochStampTarget(info, nil, lhs); obj != nil {
-					if i, ok := n.paramIndex[obj]; ok {
-						n.seedStamps[i] = true
-					}
-				}
-			}
 			// Alias registration: q := p.(*T) and h := p.hdr() bind q
 			// and h to param p.
 			if h, x := hdrAlias(info, node); h != nil {
@@ -587,16 +559,7 @@ func (prog *Program) collect(n *FuncNode) {
 // returned-local nilability seeds: nil literals, comma-ok bindings, and
 // call results.
 func (n *FuncNode) recordAssignSources(info *types.Info, as *ast.AssignStmt) {
-	objAt := func(e ast.Expr) types.Object {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		if !ok || id.Name == "_" {
-			return nil
-		}
-		if obj := info.Defs[id]; obj != nil {
-			return obj
-		}
-		return info.Uses[id]
-	}
+	objAt := func(e ast.Expr) types.Object { return defOrUseObj(info, e) }
 	if len(as.Rhs) == 1 && len(as.Lhs) > 1 {
 		if call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); ok {
 			if !errorPairedCall(info, call) {
@@ -734,12 +697,108 @@ func isNilCompare(be *ast.BinaryExpr) bool {
 		id, ok := ast.Unparen(e).(*ast.Ident)
 		return ok && id.Name == "nil"
 	}
-	return (be.Op.String() == "==" || be.Op.String() == "!=") && (isNil(be.X) || isNil(be.Y))
+	return (be.Op == token.EQL || be.Op == token.NEQ) && (isNil(be.X) || isNil(be.Y))
+}
+
+// receiverOf returns the receiver's base type name, the receiver variable
+// name ("" when anonymous), and whether the receiver is a pointer.
+func receiverOf(fd *ast.FuncDecl) (typeName, recvName string, ptr bool) {
+	if fd.Recv == nil || len(fd.Recv.List) != 1 {
+		return "", "", false
+	}
+	field := fd.Recv.List[0]
+	t := field.Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		ptr = true
+		t = star.X
+	}
+	id, ok := t.(*ast.Ident)
+	if !ok {
+		return "", "", false
+	}
+	if len(field.Names) == 1 && field.Names[0].Name != "_" {
+		recvName = field.Names[0].Name
+	}
+	return id.Name, recvName, ptr
+}
+
+// classifyNilGuard seeds NilGuarded for a pointer-receiver method, or
+// records the receiver methods it delegates to when every other use of
+// the receiver is a nil comparison (the fixpoint then decides).
+func (prog *Program) classifyNilGuard(n *FuncNode, recvName string) {
+	if recvName == "" {
+		n.NilGuarded = true // an anonymous receiver cannot be dereferenced
+		return
+	}
+	info := n.Pkg.Info
+	recv := info.Defs[n.Decl.Recv.List[0].Names[0]]
+	isRecv := func(e ast.Expr) bool { return useObj(info, e) == recv }
+	if opensWithNilGuard(n.Decl.Body, isRecv) {
+		n.NilGuarded = true
+		return
+	}
+	safe := make(map[ast.Expr]bool) // receiver uses that dereference nothing
+	var delegates []*FuncNode
+	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
+		switch node := node.(type) {
+		case *ast.BinaryExpr:
+			if isNilCompare(node) {
+				for _, e := range []ast.Expr{node.X, node.Y} {
+					if isRecv(e) {
+						safe[e] = true
+					}
+				}
+			}
+		case *ast.SelectorExpr:
+			// A promoted method (len(Index) > 1) reaches through an
+			// embedded field first, which dereferences the receiver.
+			if s, ok := info.Selections[node]; ok && s.Kind() == types.MethodVal &&
+				len(s.Index()) == 1 && isRecv(node.X) {
+				m, _ := s.Obj().(*types.Func)
+				if d := prog.Node(m); d != nil {
+					safe[node.X] = true
+					delegates = append(delegates, d)
+				}
+			}
+		}
+		return true
+	})
+	ok := true
+	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
+		if id, isID := node.(*ast.Ident); isID && isRecv(id) && !safe[id] {
+			ok = false
+		}
+		return ok
+	})
+	if ok {
+		n.NilGuarded = len(delegates) == 0
+		n.recvDelegates = delegates
+	}
+}
+
+// opensWithNilGuard reports whether the body is empty or its first
+// statement is an if whose condition compares the receiver with nil.
+func opensWithNilGuard(body *ast.BlockStmt, isRecv func(ast.Expr) bool) bool {
+	if len(body.List) == 0 {
+		return true // empty body cannot dereference anything
+	}
+	ifStmt, ok := body.List[0].(*ast.IfStmt)
+	if !ok {
+		return false
+	}
+	found := false
+	ast.Inspect(ifStmt.Cond, func(node ast.Node) bool {
+		if be, ok := node.(*ast.BinaryExpr); ok && isNilCompare(be) && (isRecv(be.X) || isRecv(be.Y)) {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 // isEventLit reports whether the composite literal constructs a struct
-// type named Event (the evpath overlay message) — the send-sink shape the
-// epochset rule watches for.
+// type named Event (the evpath overlay message) — the send-sink shape
+// roundflow and roundterm watch for.
 func isEventLit(info *types.Info, lit *ast.CompositeLit) bool {
 	tv, ok := info.Types[lit]
 	if !ok {
@@ -801,13 +860,9 @@ func (prog *Program) recompute(n *FuncNode) bool {
 	set(&n.OrderEffect, n.orderPrim != "")
 	if !n.summariesInit {
 		n.summariesInit = true
-		n.StampsEpoch = make([]bool, len(n.seedStamps))
 		n.SinksEventData = make([]bool, len(n.seedSinks))
 		n.DerefsParam = make([]bool, len(n.seedDerefs))
 		n.NilableResult = make([]bool, len(n.seedNilable))
-	}
-	for i, v := range n.seedStamps {
-		set(&n.StampsEpoch[i], v)
 	}
 	for i, v := range n.seedSinks {
 		set(&n.SinksEventData[i], v)
@@ -817,6 +872,16 @@ func (prog *Program) recompute(n *FuncNode) bool {
 	}
 	for i, v := range n.seedNilable {
 		set(&n.NilableResult[i], v)
+	}
+
+	// A method that calls only NilGuarded methods on its receiver is
+	// NilGuarded itself.
+	if !n.NilGuarded && n.recvDelegates != nil {
+		all := true
+		for _, d := range n.recvDelegates {
+			all = all && d.NilGuarded
+		}
+		set(&n.NilGuarded, all)
 	}
 
 	// Call-edge propagation.
@@ -836,9 +901,6 @@ func (prog *Program) recompute(n *FuncNode) bool {
 				i, isParam := n.paramIndex[obj]
 				if !isParam || obj == nil {
 					continue
-				}
-				if j < len(callee.StampsEpoch) && callee.StampsEpoch[j] {
-					set(&n.StampsEpoch[i], true)
 				}
 				if callee.SinksEventData != nil && j < len(callee.SinksEventData) && callee.SinksEventData[j] {
 					set(&n.SinksEventData[i], true)

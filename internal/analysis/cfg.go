@@ -9,7 +9,7 @@ import (
 // layer: a control-flow-graph builder over go/ast function bodies. The
 // graph is statement-granular with conditions decomposed to their
 // short-circuit leaves, so branch-sensitive analyses (nilflow's nil-check
-// refinement, epochset's all-paths definite assignment) see exactly the
+// refinement, roundflow's all-paths round obligations) see exactly the
 // edges the runtime takes. It stays zero-dependency like the rest of the
 // framework: go/ast and go/token only.
 

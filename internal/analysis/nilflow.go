@@ -6,21 +6,24 @@ import (
 	"go/types"
 )
 
-// NilFlow is the interprocedural extension of nilrecv: it follows nilable
-// return values into dereferences. A function whose result may be a
-// literal nil (transitively, through the call graph) taints the local the
-// caller assigns it to; a dereference of that local — field access, *x,
-// indexing, a method call on it, or passing it to a callee that
-// dereferences its parameter unguarded — is a finding unless a nil check
-// dominates it. The check is branch-sensitive over the CFG: the analysis
+// NilFlow follows nilable return values into dereferences. A function
+// whose result may be a literal nil (transitively, through the call graph)
+// taints the local the caller assigns it to; a dereference of that local —
+// field access, *x, indexing, a method call on it, or passing it to a
+// callee that dereferences its parameter unguarded — is a finding unless
+// a nil check dominates it. The check is branch-sensitive over the CFG: the analysis
 // decomposes short-circuit conditions and refines facts along `x == nil`
 // / `x != nil` edges, so the repo's `q := gm.Query(…); if q == nil {
-// continue }` idiom proves itself safe. Methods that open with a receiver
-// nil-guard, and methods of iocheck:nilsafe types, are safe to call on a
-// possibly-nil value.
+// continue }` idiom proves itself safe. A method call on a possibly-nil
+// value is safe when the callee's NilGuarded summary says so: it opens
+// with a receiver nil-guard or touches the receiver only through nil
+// comparisons and other NilGuarded methods. That summary is computed, not
+// declared, so "nil means disabled" types (fault.Schedule, trace.Recorder)
+// are trusted exactly as far as their method bodies earn it; the runtime
+// half of that contract is the nil-receiver tests in their packages.
 var NilFlow = &Analyzer{
 	Name:    "nilflow",
-	Doc:     "nilable return values must be nil-checked before dereference (CFG + call-graph extension of nilrecv)",
+	Doc:     "nilable return values must be nil-checked before dereference (CFG + call-graph summaries)",
 	Applies: internalPkg,
 	Run:     runNilFlow,
 }
@@ -338,22 +341,15 @@ func (p *nilProblem) checkDerefs(n ast.Node, fact nilFact) nilFact {
 }
 
 // safeSelector reports whether selecting through a possibly-nil receiver
-// is harmless: a method value whose method nil-guards its receiver or
-// whose type is marked iocheck:nilsafe.
+// is harmless: a method value whose summary proves it NilGuarded.
 func (p *nilProblem) safeSelector(sel *ast.SelectorExpr) bool {
 	s, ok := p.pass.Pkg.Info.Selections[sel]
-	if !ok || s.Kind() == types.FieldVal {
+	if !ok || s.Kind() == types.FieldVal || len(s.Index()) > 1 {
 		return false
 	}
-	m, ok := s.Obj().(*types.Func)
-	if !ok {
-		return false
-	}
-	if named := namedRecvType(m); named != nil && p.pass.Prog.NilSafeType(named.Obj()) {
-		return true
-	}
-	if node := p.pass.Prog.Node(m); node != nil && node.NilGuarded {
-		return true
+	m, _ := s.Obj().(*types.Func)
+	if node := p.pass.Prog.Node(m); node != nil {
+		return node.NilGuarded
 	}
 	return false
 }
@@ -367,27 +363,11 @@ func (p *nilProblem) report(pos token.Pos, obj types.Object, format string, args
 	p.pass.Reportf(pos, msg, append([]any{obj.Name()}, args...)...)
 }
 
-func (p *nilProblem) objOf(e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	return p.pass.Pkg.Info.Uses[id]
-}
+func (p *nilProblem) objOf(e ast.Expr) types.Object { return useObj(p.pass.Pkg.Info, e) }
 
 // defOrUse resolves an assignment target whether it defines (:=) or
 // reuses (=) the identifier.
-func (p *nilProblem) defOrUse(e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	info := p.pass.Pkg.Info
-	if obj := info.Defs[id]; obj != nil {
-		return obj
-	}
-	return info.Uses[id]
-}
+func (p *nilProblem) defOrUse(e ast.Expr) types.Object { return defOrUseObj(p.pass.Pkg.Info, e) }
 
 func setOrDelete(f nilFact, obj types.Object, state nilState) nilFact {
 	if f[obj] == state {
@@ -408,20 +388,6 @@ func copyNilFact(f nilFact) nilFact {
 		out[k] = v
 	}
 	return out
-}
-
-// namedRecvType returns a method's receiver base type, nil for functions.
-func namedRecvType(m *types.Func) *types.Named {
-	sig, _ := m.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil {
-		return nil
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named
 }
 
 func pointerLike(t types.Type) bool {

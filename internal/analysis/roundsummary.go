@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -16,8 +17,7 @@ import (
 // fixpoint over the CHA call graph, so the analyzers can ask "does some
 // call on this path register a deadline?" without re-walking bodies.
 //
-// Round-path message classification, shared by roundflow, roundterm and
-// epochset:
+// Round-path message classification, shared by roundflow and roundterm:
 //
 //   - A *round message* is a named struct that embeds a struct named
 //     RoundHdr (the header carrying Seq and Epoch). The header type
@@ -202,10 +202,11 @@ func hdrAliases(info *types.Info, body ast.Node) map[types.Object]types.Object {
 	return out
 }
 
-// epochStampTarget resolves an assignment target `x.Epoch` — written
-// directly, through `x.hdr().Epoch`, or through a header alias of x — to
-// x's object (nil for every other target).
-func epochStampTarget(info *types.Info, aliases map[types.Object]types.Object, lhs ast.Expr) types.Object {
+// stampedReq resolves an assignment target `x.Epoch` — written directly,
+// through `x.hdr().Epoch`, or through a header alias of x — to x's object
+// when x is a round Req: the stamp that marks x as an issued request (nil
+// for every other target).
+func stampedReq(info *types.Info, aliases map[types.Object]types.Object, lhs ast.Expr) types.Object {
 	sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Epoch" {
 		return nil
@@ -218,17 +219,20 @@ func epochStampTarget(info *types.Info, aliases map[types.Object]types.Object, l
 	if owner, ok := aliases[obj]; ok {
 		obj = owner
 	}
-	return obj
-}
-
-// stampedReq is epochStampTarget narrowed to round Reqs: the stamp that
-// marks x as an issued request.
-func stampedReq(info *types.Info, aliases map[types.Object]types.Object, lhs ast.Expr) types.Object {
-	obj := epochStampTarget(info, aliases, lhs)
 	if obj == nil || !reqTyped(obj.Type()) {
 		return nil
 	}
 	return obj
+}
+
+// compositeOf unwraps `&T{…}` / `T{…}` to the literal.
+func compositeOf(e ast.Expr) *ast.CompositeLit {
+	e = ast.Unparen(e)
+	if ue, ok := e.(*ast.UnaryExpr); ok && ue.Op == token.AND {
+		e = ue.X
+	}
+	lit, _ := e.(*ast.CompositeLit)
+	return lit
 }
 
 // isRoundField reports a Seq or Epoch selection on a round message or

@@ -40,13 +40,13 @@ func TestModuleSelfCheck(t *testing.T) {
 	}
 }
 
-// TestSuiteIsComplete pins the suite roster: all nine rules — the three
-// syntactic ones, the three interprocedural ones built on the CFG and
+// TestSuiteIsComplete pins the suite roster: all seven rules — the two
+// syntactic ones, the two interprocedural ones built on the CFG and
 // call-graph layer, the delivery-contract rule, and the two
 // protocol-lifecycle rules — must be registered, in deterministic order.
 func TestSuiteIsComplete(t *testing.T) {
-	want := []string{"simtime", "maprange", "nilrecv",
-		"vtblock", "epochset", "nilflow", "dropresult",
+	want := []string{"simtime", "maprange",
+		"vtblock", "nilflow", "dropresult",
 		"roundflow", "roundterm"}
 	got := Analyzers()
 	if len(got) != len(want) {

@@ -74,3 +74,93 @@ func audited(c *cache) int64 {
 	//iocheck:allow nilflow fixture: key 3 is seeded at construction, audited
 	return s.Size
 }
+
+// Sched stands in for fault.Schedule: a nil *Sched means "disabled", and
+// the NilGuarded summary decides, method by method, whether a call on a
+// possibly-nil value is safe.
+type Sched struct {
+	n    int
+	down map[int]bool
+}
+
+// lookup returns nil when disabled.
+func lookup(on bool) *Sched {
+	if !on {
+		return nil
+	}
+	return &Sched{}
+}
+
+// Guarded opens with the canonical guard.
+func (s *Sched) Guarded() int {
+	if s == nil {
+		return 0
+	}
+	return s.n
+}
+
+// ShortCircuit guards inside a compound condition; the short-circuit
+// makes the map read safe.
+func (s *Sched) ShortCircuit(k int) bool {
+	if s == nil || s.down[k] {
+		return false
+	}
+	return true
+}
+
+// Delegates touches the receiver only through a guarded method.
+func (s *Sched) Delegates() bool { return s.Guarded() > 0 }
+
+// Chain delegates to a delegating method.
+func (s *Sched) Chain() bool { return s.Delegates() }
+
+// Enabled only compares the receiver with nil.
+func (s *Sched) Enabled() bool { return s != nil }
+
+// Anonymous cannot dereference a receiver it never names.
+func (*Sched) Anonymous() int { return 7 }
+
+func (s *Sched) Unguarded() int { return s.n }
+
+// LateGuard dereferences before its check.
+func (s *Sched) LateGuard(k int) bool {
+	v := s.down[k]
+	if s == nil {
+		return false
+	}
+	return v
+}
+
+// DelegatesBadly delegates to a method that is not guarded.
+func (s *Sched) DelegatesBadly() bool { return s.Unguarded() > 0 }
+
+// ByValue copies the receiver, which dereferences a nil pointer before
+// the body runs.
+func (s Sched) ByValue() int { return s.n }
+
+// nilSafe calls only methods whose summaries prove them NilGuarded.
+func nilSafe(on bool) bool {
+	s := lookup(on)
+	return s.Guarded() > 0 && s.ShortCircuit(1) && s.Delegates() &&
+		s.Chain() && s.Enabled() && s.Anonymous() > 0
+}
+
+func callsUnguarded(on bool) int {
+	s := lookup(on)
+	return s.Unguarded() // want "dereferenced via .Unguarded"
+}
+
+func callsLateGuard(on bool) bool {
+	s := lookup(on)
+	return s.LateGuard(1) // want "dereferenced via .LateGuard"
+}
+
+func callsDelegatesBadly(on bool) bool {
+	s := lookup(on)
+	return s.DelegatesBadly() // want "dereferenced via .DelegatesBadly"
+}
+
+func callsByValue(on bool) int {
+	s := lookup(on)
+	return s.ByValue() // want "dereferenced via .ByValue"
+}

@@ -264,13 +264,18 @@ func readUvarint(r io.Reader) (uint64, error) {
 
 const maxStringLen = 1 << 20
 
-func readString(r io.Reader) (string, error) {
+// readString reads a length-prefixed string. The length is checked
+// against the bytes left in r before anything is sized from it.
+func readString(r *io.LimitedReader) (string, error) {
 	n, err := readUvarint(r)
 	if err != nil {
 		return "", err
 	}
 	if n > maxStringLen {
 		return "", fmt.Errorf("bp: string length %d exceeds limit", n)
+	}
+	if n > uint64(r.N) {
+		return "", fmt.Errorf("bp: string length %d overruns the %d bytes left", n, r.N)
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -326,10 +331,16 @@ func writeVarData(w io.Writer, es *encodeState, v *Var) error {
 	return errUnsupportedData(v)
 }
 
-func readVarData(r io.Reader, t DType, count int) (any, error) {
+// readVarData reads count elements of type t. Their size is checked
+// against the bytes left in r before the buffer is sized, so a crafted
+// dimension cannot allocate more than the stream holds.
+func readVarData(r *io.LimitedReader, t DType, count int) (any, error) {
 	size := t.elemSize()
 	if size == 0 {
 		return nil, fmt.Errorf("bp: unknown dtype %d", t)
+	}
+	if int64(size)*int64(count) > r.N {
+		return nil, fmt.Errorf("bp: %d elements of %v overrun the %d bytes left", count, t, r.N)
 	}
 	buf := make([]byte, size*count)
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -422,7 +433,9 @@ func encodePG(es *encodeState, pg *ProcessGroup) ([]byte, error) {
 // maxVarElems bounds a decoded variable's element count.
 const maxVarElems = 1 << 28
 
-func decodePG(r io.Reader) (*ProcessGroup, error) {
+// decodePG decodes one process group body; r holds exactly the body, and
+// every count read from it is bounded by the bytes r has left.
+func decodePG(r *io.LimitedReader) (*ProcessGroup, error) {
 	pg := &ProcessGroup{}
 	var err error
 	if pg.Group, err = readString(r); err != nil {
@@ -437,7 +450,8 @@ func decodePG(r io.Reader) (*ProcessGroup, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nvars > 1<<16 {
+	// A var takes at least three bytes (name length, dtype, rank).
+	if nvars > 1<<16 || nvars > uint64(r.N)/3 {
 		return nil, fmt.Errorf("bp: implausible var count %d", nvars)
 	}
 	pg.Vars = make([]Var, nvars)
@@ -485,7 +499,8 @@ func decodePG(r io.Reader) (*ProcessGroup, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nattrs > 1<<16 {
+	// An attr takes at least two bytes (key and value lengths).
+	if nattrs > 1<<16 || nattrs > uint64(r.N)/2 {
 		return nil, fmt.Errorf("bp: implausible attr count %d", nattrs)
 	}
 	if nattrs > 0 {

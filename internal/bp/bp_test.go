@@ -460,12 +460,16 @@ func TestDescribeTruncatedBody(t *testing.T) {
 
 // craftStream frames body as a one-step BP stream: head, the step's length
 // prefix and body, a one-entry index, and the tail.
-func craftStream(t *testing.T, body []byte) []byte {
-	t.Helper()
+func craftStream(body []byte) []byte {
+	return craftStreamLen(body, uint64(len(body)))
+}
+
+// craftStreamLen is craftStream with a length prefix claiming bodyLen.
+func craftStreamLen(body []byte, bodyLen uint64) []byte {
 	var b bytes.Buffer
 	b.Write(headMagic[:])
 	b.Write([]byte{byte(Version), 0, 0, 0})
-	putUvarint(&b, uint64(len(body)))
+	putUvarint(&b, bodyLen)
 	b.Write(body)
 	indexOff := b.Len()
 	putUvarint(&b, 1)
@@ -478,29 +482,54 @@ func craftStream(t *testing.T, body []byte) []byte {
 	return b.Bytes()
 }
 
-// A 24-byte stream whose index claims 2^24 entries: the head, the count
-// alone in the index region, and a valid tail. The count cannot fit in
-// the bytes before the tail, so NewReader must refuse it without sizing
-// an index from it.
-func TestNewReaderBoundsIndexCount(t *testing.T) {
+// oneVarBody is a step body declaring one rank-1 float64 variable of the
+// given dimension, with no data behind it.
+func oneVarBody(dim uint64) []byte {
+	var body bytes.Buffer
+	putString(&body, "g")
+	putU64(&body, 0)
+	putUvarint(&body, 1) // one var
+	putString(&body, "x")
+	body.WriteByte(byte(TFloat64))
+	putUvarint(&body, 1) // rank 1
+	putUvarint(&body, dim)
+	return body.Bytes()
+}
+
+// indexCountStream is a 24-byte stream whose index claims 2^24 entries:
+// the head, the count alone in the index region, and a valid tail.
+func indexCountStream() []byte {
 	var b bytes.Buffer
 	b.Write(headMagic[:])
 	b.Write([]byte{byte(Version), 0, 0, 0})
 	putUvarint(&b, 1<<24)
 	putU64(&b, 8)
 	b.Write(tailMagic[:])
-	data := b.Bytes()
+	return b.Bytes()
+}
+
+// allocated returns the bytes allocated while fn runs.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// The index count cannot fit in the bytes before the tail, so NewReader
+// must refuse it without sizing an index from it.
+func TestNewReaderBoundsIndexCount(t *testing.T) {
+	data := indexCountStream()
 	if len(data) != 24 {
 		t.Fatalf("crafted stream is %d bytes, want 24", len(data))
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := NewReader(bytes.NewReader(data))
-	runtime.ReadMemStats(&after)
+	var err error
+	alloc := allocated(func() { _, err = NewReader(bytes.NewReader(data)) })
 	if err == nil {
 		t.Fatal("NewReader accepted an index count larger than the stream")
 	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+	if alloc >= 1<<20 {
 		t.Fatalf("NewReader allocated %d bytes on a 24-byte stream, want under 1 MiB", alloc)
 	}
 }
@@ -509,19 +538,44 @@ func TestNewReaderBoundsIndexCount(t *testing.T) {
 // an int: ReadStep must reject it, not wrap it negative and panic sizing
 // the data.
 func TestReadStepRejectsOversizedDim(t *testing.T) {
-	var body bytes.Buffer
-	putString(&body, "g")
-	putU64(&body, 0)
-	putUvarint(&body, 1) // one var
-	putString(&body, "x")
-	body.WriteByte(byte(TFloat64))
-	putUvarint(&body, 1) // rank 1
-	putUvarint(&body, math.MaxUint64)
-	r, err := NewReader(bytes.NewReader(craftStream(t, body.Bytes())))
+	r, err := NewReader(bytes.NewReader(craftStream(oneVarBody(math.MaxUint64))))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.ReadStep(0); err == nil {
 		t.Fatal("ReadStep accepted a 2^64-1 dimension")
+	}
+}
+
+// Streams whose one float64 variable claims 2^23 elements (64 MiB) with
+// no data behind them. The dimension is within maxVarElems, so only the
+// bytes that back the step can refuse it, and ReadStep must do so before
+// sizing a buffer from the dimension: the bytes left in the 19-byte body
+// of the 67-byte stream, and the bytes before the index when the length
+// prefix claims a 2^40-byte body.
+func TestReadStepBoundsVarData(t *testing.T) {
+	body := oneVarBody(1 << 23)
+	if data := craftStream(body); len(data) != 67 {
+		t.Fatalf("crafted stream is %d bytes, want 67", len(data))
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"body", craftStream(body)},
+		{"body-length", craftStreamLen(body, 1<<40)},
+	} {
+		r, err := NewReader(bytes.NewReader(tc.data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc := allocated(func() { _, err = r.ReadStep(0) })
+		if err == nil {
+			t.Errorf("%s: ReadStep accepted 2^23 float64s the stream does not hold", tc.name)
+		}
+		if alloc >= 1<<20 {
+			t.Errorf("%s: ReadStep allocated %d bytes on a %d-byte stream, want under 1 MiB",
+				tc.name, alloc, len(tc.data))
+		}
 	}
 }

@@ -106,6 +106,9 @@ func (w *Writer) fail(err error) error {
 type Reader struct {
 	r     io.ReadSeeker
 	index []indexEntry
+	// indexOff is where the footer index starts; every step body ends
+	// before it.
+	indexOff int64
 }
 
 // NewReader opens a BP stream, reading its footer index. The stream must
@@ -141,33 +144,34 @@ func NewReader(r io.ReadSeeker) (*Reader, error) {
 	if _, err := r.Seek(indexOff, io.SeekStart); err != nil {
 		return nil, err
 	}
-	n, err := readUvarint(r)
+	ir := &io.LimitedReader{R: r, N: end - indexOff}
+	n, err := readUvarint(ir)
 	if err != nil {
 		return nil, err
 	}
 	// An entry takes at least 25 bytes (a 1-byte string length and three
 	// u64s), so the bytes between the index offset and the tail bound
 	// the count before it sizes anything.
-	if n > uint64(end-indexOff)/25 {
+	if n > uint64(ir.N)/25 {
 		return nil, fmt.Errorf("bp: index of %d entries overruns the stream", n)
 	}
-	br := &Reader{r: r, index: make([]indexEntry, n)}
+	br := &Reader{r: r, index: make([]indexEntry, n), indexOff: indexOff}
 	for i := range br.index {
 		e := &br.index[i]
-		if e.Group, err = readString(r); err != nil {
+		if e.Group, err = readString(ir); err != nil {
 			return nil, err
 		}
-		ts, err := readU64(r)
+		ts, err := readU64(ir)
 		if err != nil {
 			return nil, err
 		}
 		e.Timestep = int64(ts)
-		off, err := readU64(r)
+		off, err := readU64(ir)
 		if err != nil {
 			return nil, err
 		}
 		e.Offset = int64(off)
-		sz, err := readU64(r)
+		sz, err := readU64(ir)
 		if err != nil {
 			return nil, err
 		}
@@ -200,7 +204,16 @@ func (r *Reader) ReadStep(i int) (*ProcessGroup, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodePG(io.LimitReader(r.r, int64(bodyLen)))
+	// The body must end before the index: decodePG bounds every size it
+	// reads by the body length, and this bounds that by the stream.
+	pos, err := r.r.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return nil, err
+	}
+	if pos > r.indexOff || bodyLen > uint64(r.indexOff-pos) {
+		return nil, fmt.Errorf("bp: step %d body of %d bytes overruns the stream", i, bodyLen)
+	}
+	return decodePG(&io.LimitedReader{R: r.r, N: int64(bodyLen)})
 }
 
 // FindSteps returns the step indices whose group matches (all groups if

@@ -401,12 +401,6 @@ func (gm *GlobalManager) dispatch(p *sim.Proc, ev *evpath.Event) {
 	if gm.shardDispatch(p, ev) {
 		return
 	}
-	// The notice pump is not a round handler: SubNotices dedupe per
-	// subscriber inside the arm (latest reconnect generation wins, so a
-	// reconnect storm collapses to one resume round), and the rounds they
-	// trigger are deferred to the tick and issued through gm.call, whose
-	// responses are seq-deduped and epoch-fenced there. Audited 2026-08.
-	//iocheck:allow roundflow sub-notices dedupe per-subscriber in the arm; triggered rounds go through the fully fenced gm.call path
 	switch data := ev.Data.(type) {
 	case monitor.Sample:
 		gm.agg.Ingest(data)
@@ -457,11 +451,11 @@ func (gm *GlobalManager) dispatch(p *sim.Proc, ev *evpath.Event) {
 	case *SubNotice:
 		gm.lastHeard[data.From] = p.Now()
 		gm.rt.tracer.Instant(ev.Ctx(), "ctl", "sub-notice").
-			Container(data.From).Node(gm.node).AttrInt("seq", data.Seq).End()
+			Container(data.From).Node(gm.node).AttrInt("seq", data.Gen).End()
 		// Dedupe per subscriber on the reconnect generation: a reconnect
 		// storm collapses to one resume round per subscriber. Defer the
 		// round to the tick — dispatch must not park.
-		if cur, ok := gm.pendingSubs[data.SubID]; !ok || data.Seq > cur.Seq {
+		if cur, ok := gm.pendingSubs[data.SubID]; !ok || data.Gen > cur.Gen {
 			gm.pendingSubs[data.SubID] = data
 		}
 	case *SpareReq:

@@ -24,19 +24,19 @@ import (
 //	       └─ lag still in the tail? SubReplayReq round restages it
 //
 // SubNotice is a pump message like GapNotice: it carries the subscriber's
-// reconnect generation as its Seq so a storm of duplicate notices for the
-// same subscriber collapses to one resume round. SubResume/SubReplay are
+// reconnect generation so a storm of duplicate notices for the same
+// subscriber collapses to one resume round. SubResume/SubReplay are
 // full container rounds: they ride the manager's retry/backoff machinery,
 // are deduplicated by the container's served cache, and are refused by the
 // epoch fence when a deposed manager issues them — the container-side
 // serve (SubHub.Resume/Replay) is idempotent on top of that, so even a
 // round that executes twice across a failover cannot corrupt a cursor.
 //
-// Every message below embeds RoundHdr and carries a SubID. The Req/Resp
-// pairs are ordinary container rounds: the compiler holds them to the
-// roundReq interface gm.call takes, and managerLoop serves them with the
-// other rounds. SubNotice embeds the header for its epoch and generation
-// but is served by the manager's notice pump, not as a round.
+// The Req/Resp pairs below embed RoundHdr and carry a SubID. They are
+// ordinary container rounds: the compiler holds them to the roundReq
+// interface gm.call takes, and managerLoop serves them with the other
+// rounds. SubNotice embeds no header: it is served by the manager's
+// notice pump, not as a round.
 
 // Subscriber round message types on the management overlay.
 const (
@@ -49,12 +49,10 @@ const (
 // host container's manager. Like GapNotice it is a pump message, not a
 // synchronous round: the manager dedupes notices per subscriber (keeping
 // the highest generation) and issues the SubResume round at its next tick.
-// Seq is the subscriber's reconnect generation, not a manager round
-// number.
 type SubNotice struct {
-	RoundHdr // Seq: reconnect generation (dedupe key together with SubID)
-	SubID    string
-	From     string // host container name
+	Gen   int64 // reconnect generation (dedupe key together with SubID)
+	SubID string
+	From  string // host container name
 }
 
 // SubResumeReq asks the container hosting the subscriber hub to revive a
@@ -124,8 +122,7 @@ func (c *Container) noteSubReconnect(subID string, gen int64) {
 		return
 	}
 	c.toGM.Submit(&evpath.Event{Type: msgSubNotice, Size: ctlMsgBytes,
-		Data: &SubNotice{RoundHdr: RoundHdr{Seq: gen, Epoch: c.fencedEpoch},
-			SubID: subID, From: c.spec.Name}})
+		Data: &SubNotice{Gen: gen, SubID: subID, From: c.spec.Name}})
 }
 
 // SubResume runs the epoch-fenced resume round for one reconnecting

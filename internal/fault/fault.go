@@ -31,9 +31,8 @@ import (
 
 // Config describes a fault schedule. It is JSON-friendly so scenario files
 // can embed one; all times are virtual. A nil *Config means "no faults";
-// every method tolerates a nil receiver.
-//
-// iocheck:nilsafe
+// every method tolerates a nil receiver (TestEmpty calls each exported
+// method on a nil *Config).
 type Config struct {
 	// Seed feeds the schedule's private random stream (message drops).
 	// Zero derives a default; the stream is separate from the engine's so
@@ -166,9 +165,8 @@ type Stats struct {
 
 // Schedule is an armed fault plan bound to an engine. The zero of the type
 // is not used; a nil *Schedule is valid everywhere and means "no faults",
-// so every method must guard its nil receiver.
-//
-// iocheck:nilsafe
+// so every method must guard its nil receiver (TestNilScheduleIsFaultFree
+// calls each exported method on a nil *Schedule).
 type Schedule struct {
 	eng     *sim.Engine
 	cfg     Config

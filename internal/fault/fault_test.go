@@ -1,10 +1,39 @@
 package fault
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
 )
+
+// callEveryMethodOnNil calls each exported method of the pointer type of
+// nilPtr on a nil receiver with zero-valued arguments and fails on a
+// panic, so a method added later is held to the "nil means no faults"
+// contract without a test of its own.
+func callEveryMethodOnNil(t *testing.T, nilPtr any) {
+	t.Helper()
+	recv := reflect.ValueOf(nilPtr)
+	for i := 0; i < recv.Type().NumMethod(); i++ {
+		m := recv.Type().Method(i)
+		nin := m.Type.NumIn()
+		if m.Type.IsVariadic() {
+			nin-- // Call passes an empty variadic slice
+		}
+		args := []reflect.Value{recv}
+		for j := 1; j < nin; j++ {
+			args = append(args, reflect.Zero(m.Type.In(j)))
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("(%v).%s panicked on a nil receiver: %v", recv.Type(), m.Name, r)
+				}
+			}()
+			m.Func.Call(args)
+		}()
+	}
+}
 
 func TestNilScheduleIsFaultFree(t *testing.T) {
 	var s *Schedule
@@ -29,6 +58,7 @@ func TestNilScheduleIsFaultFree(t *testing.T) {
 	if s.DownNodes() != nil {
 		t.Fatal("nil schedule has no down nodes")
 	}
+	callEveryMethodOnNil(t, s)
 }
 
 func TestScheduledCrashFiresAtTime(t *testing.T) {
@@ -210,4 +240,5 @@ func TestEmpty(t *testing.T) {
 	if (&Config{Crashes: []Crash{{Node: 1}}}).Empty() {
 		t.Fatal("crash config is not empty")
 	}
+	callEveryMethodOnNil(t, nilCfg)
 }

@@ -93,9 +93,9 @@ const DefaultRingCap = 1 << 16
 
 // Recorder collects spans into the flight-recorder ring. All interaction
 // must happen from the simulation's driving goroutine (the recorder, like
-// the engine, relies on the cooperative scheduler for exclusion).
-//
-// iocheck:nilsafe
+// the engine, relies on the cooperative scheduler for exclusion). A nil
+// *Recorder means tracing is off, and every method tolerates it
+// (TestNilRecorderIsSafe calls each exported method on nil).
 type Recorder struct {
 	eng     *sim.Engine
 	cfg     Config
@@ -129,9 +129,8 @@ func New(eng *sim.Engine, cfg Config) *Recorder {
 func (r *Recorder) Enabled() bool { return r != nil }
 
 // Span is an open (not yet committed) span. Setter methods chain and are
-// nil-safe, so instrumentation reads as one expression.
-//
-// iocheck:nilsafe
+// nil-safe (a nil *Recorder begins nil spans), so instrumentation reads as
+// one expression.
 type Span struct {
 	r    *Recorder
 	rec  Record

@@ -1,10 +1,39 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
 )
+
+// callEveryMethodOnNil calls each exported method of the pointer type of
+// nilPtr on a nil receiver with zero-valued arguments and fails on a
+// panic, so a method added later is held to the "nil means tracing off"
+// contract without a test of its own.
+func callEveryMethodOnNil(t *testing.T, nilPtr any) {
+	t.Helper()
+	recv := reflect.ValueOf(nilPtr)
+	for i := 0; i < recv.Type().NumMethod(); i++ {
+		m := recv.Type().Method(i)
+		nin := m.Type.NumIn()
+		if m.Type.IsVariadic() {
+			nin-- // Call passes an empty variadic slice
+		}
+		args := []reflect.Value{recv}
+		for j := 1; j < nin; j++ {
+			args = append(args, reflect.Zero(m.Type.In(j)))
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("(%v).%s panicked on a nil receiver: %v", recv.Type(), m.Name, r)
+				}
+			}()
+			m.Func.Call(args)
+		}()
+	}
+}
 
 func newEngine(t *testing.T) *sim.Engine {
 	t.Helper()
@@ -33,6 +62,8 @@ func TestNilRecorderIsSafe(t *testing.T) {
 		t.Fatal("nil recorder holds records")
 	}
 	r.OnTrigger(func(string) {})
+	callEveryMethodOnNil(t, r)
+	callEveryMethodOnNil(t, sp)
 }
 
 func TestSpanCommitAndLabels(t *testing.T) {
