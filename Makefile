@@ -104,14 +104,16 @@ race-smoke:
 
 # fuzz-smoke explores past the checked-in seed corpora (plain go test only
 # replays those): about 10 s of coverage-guided fuzzing each for the
-# subscriber-cursor fuzzer, the kernel event-order fuzzer, the poll-tick
-# equivalence fuzzer and the BP stream reader fuzzer. A failing input is written under the
-# package's testdata/fuzz/ for replay. -fuzzminimizetime 1s caps the
+# subscriber-cursor fuzzer, the kernel event-order fuzzer, the kernel
+# FIFO model fuzzer, the poll-tick equivalence fuzzer and the BP stream
+# reader fuzzer. A failing input is written under the package's
+# testdata/fuzz/ for replay. -fuzzminimizetime 1s caps the
 # minimisation of each new interesting input: at Go's default of 60 s a
 # single minimisation can eat the rest of a 10 s run, and fuzzing stops
 # after 3-6 s with the exec counter frozen.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSubHubCursors$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/datatap
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzFIFO$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzPollEquivalence$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzBPReader$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/bp

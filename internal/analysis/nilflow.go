@@ -14,7 +14,10 @@ import (
 // a nil check dominates it. The check is branch-sensitive over the CFG: the analysis
 // decomposes short-circuit conditions and refines facts along `x == nil`
 // / `x != nil` edges, so the repo's `q := gm.Query(…); if q == nil {
-// continue }` idiom proves itself safe. A method call on a possibly-nil
+// continue }` idiom proves itself safe. A short-circuit expression outside
+// a branch condition (`return x != nil && x.F`, `ok := x == nil || x.F`)
+// is refined the same way: its right operand is checked under what the
+// left operand proves when the right one runs. A method call on a possibly-nil
 // value is safe when the callee's NilGuarded summary says so: it opens
 // with a receiver nil-guard or touches the receiver only through nil
 // comparisons and other NilGuarded methods. That summary is computed, not
@@ -137,6 +140,23 @@ func (p *nilProblem) Refine(cond ast.Expr, branch bool, f Fact) Fact {
 	out := copyNilFact(fact)
 	out[obj] = nilNot
 	return out
+}
+
+// refineExpr is Refine over a whole boolean expression: what e
+// evaluating to branch proves. A true && proves both operands true and a
+// false || both false; ! flips the branch; anything else is a leaf.
+func (p *nilProblem) refineExpr(e ast.Expr, branch bool, f nilFact) nilFact {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.UnaryExpr:
+		if x.Op == token.NOT {
+			return p.refineExpr(x.X, !branch, f)
+		}
+	case *ast.BinaryExpr:
+		if x.Op == token.LAND && branch || x.Op == token.LOR && !branch {
+			return p.refineExpr(x.Y, branch, p.refineExpr(x.X, branch, f))
+		}
+	}
+	return p.Refine(e, branch, f).(nilFact)
 }
 
 func (p *nilProblem) Transfer(n ast.Node, f Fact) Fact {
@@ -297,6 +317,17 @@ func (p *nilProblem) checkDerefs(n ast.Node, fact nilFact) nilFact {
 	out := fact
 	WalkCFGNode(n, func(m ast.Node) bool {
 		switch m := m.(type) {
+		case *ast.BinaryExpr:
+			if m.Op != token.LAND && m.Op != token.LOR {
+				return true
+			}
+			// The right operand runs only when the left one is true
+			// (&&) or false (||), so it is checked under that outcome.
+			// It may not run at all, so the values it survives stay as
+			// the left operand left them.
+			out = p.checkDerefs(m.X, out)
+			p.checkDerefs(m.Y, p.refineExpr(m.X, m.Op == token.LAND, out))
+			return false
 		case *ast.SelectorExpr:
 			obj := p.objOf(m.X)
 			if obj == nil || out[obj] != nilMaybe {
@@ -348,10 +379,8 @@ func (p *nilProblem) safeSelector(sel *ast.SelectorExpr) bool {
 		return false
 	}
 	m, _ := s.Obj().(*types.Func)
-	if node := p.pass.Prog.Node(m); node != nil {
-		return node.NilGuarded
-	}
-	return false
+	node := p.pass.Prog.Node(m)
+	return node != nil && node.NilGuarded
 }
 
 func (p *nilProblem) report(pos token.Pos, obj types.Object, format string, args ...any) {

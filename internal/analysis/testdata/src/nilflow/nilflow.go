@@ -49,6 +49,47 @@ func goodNe(c *cache) int64 {
 	return 0
 }
 
+// goodReturnAnd guards inside a short-circuit that is not a branch
+// condition: the right operand runs only when the left proves s non-nil.
+func goodReturnAnd(c *cache) bool {
+	s := c.find(1)
+	return s != nil && s.Size > 0
+}
+
+// goodAssignOr is the || form in an assignment.
+func goodAssignOr(c *cache) bool {
+	s := c.find(1)
+	empty := s == nil || s.Size == 0
+	return empty
+}
+
+// goodNested guards through a negation and a nested conjunction.
+func goodNested(c *cache, on bool) bool {
+	s := c.find(1)
+	return !(s == nil || !on) && s.Size > 0
+}
+
+// badGuardAfter checks too late: the left operand runs first.
+func badGuardAfter(c *cache) bool {
+	s := c.find(1)
+	return s.Size > 0 && s != nil // want "may be nil"
+}
+
+// badAfterShortCircuit: the short-circuit proves nothing past itself,
+// since s is nil whenever it is false.
+func badAfterShortCircuit(c *cache) int64 {
+	s := c.find(1)
+	ok := s != nil && s.Size > 0
+	_ = ok
+	return s.Size // want "may be nil"
+}
+
+// badWrongBranch: the right operand of || runs when s != nil is false.
+func badWrongBranch(c *cache) bool {
+	s := c.find(1)
+	return s != nil || s.Size > 0 // want "may be nil"
+}
+
 // bad dereferences the unchecked result.
 func bad(c *cache) int64 {
 	s := c.find(1)

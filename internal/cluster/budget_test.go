@@ -19,7 +19,7 @@ func TestNetworkAllocBudget(t *testing.T) {
 		why   string
 		start func(eng *sim.Engine, m *Machine)
 	}{
-		{"Send", 1, "the tx port's dispatch slides its waiters, so the next parked sender reallocates them",
+		{"Send", 0, "the ports' wait lists are head-indexed FIFOs, and the wait is the proc's own",
 			func(eng *sim.Engine, m *Machine) {
 				for _, to := range []int{1, 2, 3} {
 					eng.Go("sender", func(p *sim.Proc) {
@@ -28,7 +28,7 @@ func TestNetworkAllocBudget(t *testing.T) {
 					})
 				}
 			}},
-		{"Transfer", 1, "the tx port's dispatch slides its waiters, so the next queued continuation reallocates them",
+		{"Transfer", 0, "the ports' wait lists are head-indexed FIFOs, and the transfer's step is bound once",
 			func(eng *sim.Engine, m *Machine) {
 				for _, to := range []int{1, 2, 3} {
 					var x *Transfer
@@ -59,5 +59,22 @@ func TestNetworkAllocBudget(t *testing.T) {
 				t.Errorf("%v allocations per message, budget %v (%s)", got, c.want, c.why)
 			}
 		})
+	}
+}
+
+// TestMachineBuildAllocBudget pins the allocations of building a machine
+// to a count that does not grow with its size: the Machine, its node
+// slab and its free map. A per-node allocation would make the 1,048-node
+// build (the paper's Fig. 9 machine) cost more than the 64-node one.
+func TestMachineBuildAllocBudget(t *testing.T) {
+	const budget = 3
+	eng := sim.NewEngine(1)
+	for _, nodes := range []int{64, 1048} {
+		cfg := Franklin()
+		cfg.Nodes = nodes
+		if got := testing.AllocsPerRun(20, func() { New(eng, cfg) }); got != budget {
+			t.Errorf("%d nodes: %v allocations per build, budget %d (the machine, the node slab, the free map)",
+				nodes, got, budget)
+		}
 	}
 }

@@ -337,28 +337,3 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatalf("RedSky config drifted: %+v", rs)
 	}
 }
-
-func TestNodeResources(t *testing.T) {
-	eng, m := testMachine(2)
-	n := m.Node(0)
-	if n.Cores().Capacity() != 4 {
-		t.Fatalf("cores = %d", n.Cores().Capacity())
-	}
-	if n.MemMB().Capacity() != 8192 {
-		t.Fatalf("mem = %d", n.MemMB().Capacity())
-	}
-	// Core contention: 5 single-core tasks on 4 cores -> last waits.
-	var finish []sim.Time
-	for i := 0; i < 5; i++ {
-		eng.Go("task", func(p *sim.Proc) {
-			n.Cores().Acquire(p, 1)
-			p.Sleep(10 * sim.Second)
-			n.Cores().Release(1)
-			finish = append(finish, p.Now())
-		})
-	}
-	eng.Run()
-	if finish[4] != 20*sim.Second {
-		t.Fatalf("fifth task finished at %v, want 20s", finish[4])
-	}
-}

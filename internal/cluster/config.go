@@ -1,8 +1,9 @@
 // Package cluster models the high-end machine the paper's experiments run
-// on: compute nodes with cores and memory, an interconnect with per-node
-// NIC serialization and configurable topology, batch-style allocation into
-// simulation and staging partitions, and an aprun-like launcher whose cost
-// matches the 3–27 s range the paper reports on Cray platforms.
+// on: compute nodes with a per-core compute rate, an interconnect with
+// per-node NIC serialization and configurable topology, batch-style
+// allocation into simulation and staging partitions, and an aprun-like
+// launcher whose cost matches the 3–27 s range the paper reports on Cray
+// platforms.
 //
 // All timing flows through the sim kernel, so experiments are deterministic
 // and fast regardless of the virtual scales involved.
@@ -19,8 +20,6 @@ type Config struct {
 	Nodes int
 	// CoresPerNode is the number of cores on each node (Franklin: 4).
 	CoresPerNode int
-	// MemPerNodeMB is per-node memory in MiB (Franklin: 8 GiB).
-	MemPerNodeMB int
 	// CoreGFlops is the per-core compute rate used by analytic cost
 	// models, in GFLOP/s.
 	CoreGFlops float64
@@ -48,7 +47,6 @@ func Franklin() Config {
 	return Config{
 		Nodes:             9572,
 		CoresPerNode:      4,
-		MemPerNodeMB:      8192,
 		CoreGFlops:        9.2, // 2.3 GHz x 4 FLOP/cycle
 		LinkLatency:       8 * sim.Microsecond,
 		LinkBandwidthMBps: 1600,
@@ -64,7 +62,6 @@ func RedSky() Config {
 	return Config{
 		Nodes:             2823,
 		CoresPerNode:      8,
-		MemPerNodeMB:      12288,
 		CoreGFlops:        11.7,
 		LinkLatency:       2 * sim.Microsecond,
 		LinkBandwidthMBps: 3200,
@@ -83,9 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CoresPerNode <= 0 {
 		c.CoresPerNode = 4
-	}
-	if c.MemPerNodeMB <= 0 {
-		c.MemPerNodeMB = 8192
 	}
 	if c.CoreGFlops <= 0 {
 		c.CoreGFlops = 9.2

@@ -12,23 +12,21 @@ import (
 type Machine struct {
 	eng    *sim.Engine
 	cfg    Config
-	nodes  []*Node
+	nodes  []Node // one slab: every node, indexed by ID
 	free   []bool // free[i] reports whether nodes[i] is unallocated
 	nfree  int
 	stats  NetStats
 	faults *fault.Schedule // nil = no faults
 }
 
-// Node is one machine node. Cores and memory are sim resources so
-// components contend realistically; the tx/rx fields serialize the NIC.
+// Node is one machine node. Its tx and rx ports are sim resources that
+// serialize the NIC, held by value so that a node costs no allocation of
+// its own.
 type Node struct {
-	ID    int
-	cores *sim.Resource
-	memMB *sim.Resource
-	tx    *sim.Resource
-	rx    *sim.Resource
-	m     *Machine
-	down  bool
+	ID   int
+	tx   sim.Resource
+	rx   sim.Resource
+	down bool
 }
 
 // NetStats aggregates interconnect activity for experiment reporting.
@@ -42,16 +40,13 @@ type NetStats struct {
 func New(eng *sim.Engine, cfg Config) *Machine {
 	cfg = cfg.withDefaults()
 	m := &Machine{eng: eng, cfg: cfg}
-	m.nodes = make([]*Node, cfg.Nodes)
+	m.nodes = make([]Node, cfg.Nodes)
 	m.free = make([]bool, cfg.Nodes)
 	for i := range m.nodes {
-		m.nodes[i] = &Node{
-			ID:    i,
-			cores: sim.NewResource(eng, cfg.CoresPerNode),
-			memMB: sim.NewResource(eng, cfg.MemPerNodeMB),
-			tx:    sim.NewResource(eng, 1),
-			rx:    sim.NewResource(eng, 1),
-			m:     m,
+		m.nodes[i] = Node{
+			ID: i,
+			tx: sim.MakeResource(eng, 1),
+			rx: sim.MakeResource(eng, 1),
 		}
 		m.free[i] = true
 	}
@@ -67,7 +62,7 @@ func (m *Machine) Config() Config { return m.cfg }
 
 // Node returns the node with the given ID.
 func (m *Machine) Node(id int) *Node {
-	return m.nodes[id]
+	return &m.nodes[id]
 }
 
 // FreeNodes returns the number of unallocated nodes.
@@ -82,7 +77,7 @@ func (m *Machine) SetFaults(s *fault.Schedule) {
 		if id < 0 || id >= len(m.nodes) {
 			return
 		}
-		n := m.nodes[id]
+		n := &m.nodes[id]
 		n.down = true
 		// Unwedge anything parked on the dead node's NIC: grow the ports
 		// effectively without bound so blocked transfers complete (their
@@ -98,12 +93,6 @@ func (m *Machine) Faults() *fault.Schedule { return m.faults }
 
 // Stats returns a snapshot of interconnect statistics.
 func (m *Machine) Stats() NetStats { return m.stats }
-
-// Cores returns the node's core resource.
-func (n *Node) Cores() *sim.Resource { return n.cores }
-
-// MemMB returns the node's memory resource (MiB units).
-func (n *Node) MemMB() *sim.Resource { return n.memMB }
 
 // Up reports whether the node is alive (not crashed by the fault schedule).
 func (n *Node) Up() bool { return !n.down }
@@ -127,11 +116,11 @@ func (m *Machine) Allocate(n int) (*Allocation, error) {
 	if n > m.nfree {
 		return nil, fmt.Errorf("cluster: requested %d nodes, only %d free", n, m.nfree)
 	}
-	a := &Allocation{m: m}
+	a := &Allocation{m: m, nodes: make([]*Node, 0, n)}
 	for i := 0; i < len(m.nodes) && len(a.nodes) < n; i++ {
 		if m.free[i] {
 			m.free[i] = false
-			a.nodes = append(a.nodes, m.nodes[i])
+			a.nodes = append(a.nodes, &m.nodes[i])
 		}
 	}
 	m.nfree -= n

@@ -70,7 +70,7 @@ func (m *Machine) Send(p *sim.Proc, from, to int, size int64) bool {
 		m.account(size, m.eng.Now()-start)
 		return true
 	}
-	src, dst := m.nodes[from], m.nodes[to]
+	src, dst := &m.nodes[from], &m.nodes[to]
 	src.tx.Acquire(p, 1)
 	p.Sleep(m.transferTime(size))
 	src.tx.Release(1)
@@ -106,7 +106,7 @@ func (m *Machine) RDMAGet(p *sim.Proc, reader, target int, size int64) bool {
 		return false
 	}
 	// Response: serialized on target's tx port and reader's rx port.
-	src, dst := m.nodes[target], m.nodes[reader]
+	src, dst := &m.nodes[target], &m.nodes[reader]
 	src.tx.Acquire(p, 1)
 	p.Sleep(m.transferTime(size))
 	src.tx.Release(1)

@@ -40,12 +40,12 @@ func TestControlRoundAllocBudget(t *testing.T) {
 	if rt.eng.Now() < 300*sim.Second+2*cfg.Policy.CallTimeout {
 		t.Fatalf("warm-up ended at %v, before the first deadlines fired", rt.eng.Now())
 	}
-	// 12: the request and its event; the slid items of the four queues on
-	// the way (the container-bound bridge, the container's mailbox, the
-	// GM-bound bridge, the GM's response mailbox) and the slid getters of
-	// the two mailboxes; the response and its event; and the two copies
-	// the GM's inbox makes fanning the response out to its two routes.
-	const budget = 12
+	// 6: the request and its event; the response and its event; and the
+	// two copies the GM's inbox makes fanning the response out to its two
+	// routes. The four queues on the way (the container-bound bridge, the
+	// container's mailbox, the GM-bound bridge, the GM's response mailbox)
+	// reuse their FIFOs' arrays.
+	const budget = 6
 	if got := testing.AllocsPerRun(100, round); got != budget {
 		t.Errorf("%v allocations per query round, budget %d", got, budget)
 	}

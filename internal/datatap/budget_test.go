@@ -23,15 +23,12 @@ func TestStepAllocBudget(t *testing.T) {
 		want   float64
 		why    string
 	}{
-		{"best-effort", Config{HomeNode: 1}, false, 3,
-			"the descriptor, retained in the queue by design; the queue's take slides items and getters, " +
-				"so the next put and the next parked reader each reallocate one"},
-		{"best-effort full queue traced", Config{HomeNode: 1, QueueCap: 1}, true, 7,
-			"the descriptor; the slid items and putters slices of the full queue; the slid waiters of " +
-				"the tx and rx ports the descriptor push and the pull contend for; the two bytes attrs"},
-		{"at-least-once", Config{HomeNode: 1, Delivery: DeliveryConfig{Mode: DeliveryAtLeastOnce}}, false, 4,
-			"the descriptor and its ledger entry, retained until the ack by design; the slid items and " +
-				"getters slices"},
+		{"best-effort", Config{HomeNode: 1}, false, 1,
+			"the descriptor, retained in the queue by design"},
+		{"best-effort full queue traced", Config{HomeNode: 1, QueueCap: 1}, true, 3,
+			"the descriptor; the two bytes attrs"},
+		{"at-least-once", Config{HomeNode: 1, Delivery: DeliveryConfig{Mode: DeliveryAtLeastOnce}}, false, 2,
+			"the descriptor and its ledger entry, retained until the ack by design"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			eng := sim.NewEngine(1)

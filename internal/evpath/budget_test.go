@@ -19,8 +19,8 @@ func TestBridgeHopAllocBudget(t *testing.T) {
 		want   float64
 		why    string
 	}{
-		{"untraced", false, 1, "the bridge queue's take slides items, so each put reallocates it"},
-		{"traced", true, 2, "the queue slide, and the send span's bytes attr formats a number above 99"},
+		{"untraced", false, 0, "the bridge queue's items are a head-indexed FIFO, and the event is reused"},
+		{"traced", true, 1, "the send span's bytes attr formats a number above 99"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			eng, _, m0, m1 := bridgedManagers(t)

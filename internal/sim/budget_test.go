@@ -6,8 +6,9 @@ import "testing"
 // primitive in a steady state and pins the exact number of heap
 // allocations per cycle: a new allocation fails the test, and so does a
 // saving that is not recorded here. A nonzero budget names what
-// allocates. The engine's own event loop, SleepWhile ticks and GetPoll
-// re-arms are pinned at zero in engine_test.go and queue_test.go.
+// allocates; a zero budget says why nothing does. The engine's own event
+// loop, SleepWhile ticks and GetPoll re-arms are pinned at zero in
+// engine_test.go and queue_test.go.
 
 // allocBudget is one pinned steady-state path: setup builds it and
 // returns the cycle to measure.
@@ -31,7 +32,7 @@ func (b allocBudget) check(t *testing.T) {
 
 func TestQueueAllocBudget(t *testing.T) {
 	for _, b := range []allocBudget{
-		{"TryPut/TryGet", 1, "take slides items, so the next put reallocates it (a ring buffer would make this 0)",
+		{"TryPut/TryGet", 0, "items is a head-indexed FIFO that rewinds when it empties",
 			func() func() {
 				q := NewQueue[int](NewEngine(1), 0)
 				return func() {
@@ -39,7 +40,7 @@ func TestQueueAllocBudget(t *testing.T) {
 					q.TryGet()
 				}
 			}},
-		{"Put blocks on a full queue/Get", 2, "take slides items and admitPutters slides putters, so the admitted value and the next parked putter each reallocate one",
+		{"Put blocks on a full queue/Get", 0, "items and putters are head-indexed FIFOs, and the put entry is recycled",
 			func() func() {
 				e := NewEngine(1)
 				q := NewQueue[int](e, 1)
@@ -55,7 +56,7 @@ func TestQueueAllocBudget(t *testing.T) {
 				})
 				return func() { e.RunUntil(e.Now() + Second) }
 			}},
-		{"Get parks on an empty queue/Put", 2, "take slides items and wakeGetters slides getters, so the next put and the next parked getter each reallocate one",
+		{"Get parks on an empty queue/Put", 0, "items and getters are head-indexed FIFOs, and the wait is the proc's own",
 			func() func() {
 				e := NewEngine(1)
 				q := NewQueue[int](e, 0)
@@ -122,7 +123,7 @@ func TestEventAllocBudget(t *testing.T) {
 
 func TestResourceAllocBudget(t *testing.T) {
 	for _, b := range []allocBudget{
-		{"Acquire/Release contended", 1, "dispatch slides waiters, so the next parked acquirer reallocates it",
+		{"Acquire/Release contended", 0, "waiters is a head-indexed FIFO, and the wait is the proc's own",
 			func() func() {
 				e := NewEngine(1)
 				r := NewResource(e, 1)
@@ -137,7 +138,7 @@ func TestResourceAllocBudget(t *testing.T) {
 				}
 				return func() { e.RunUntil(e.Now() + Second) }
 			}},
-		{"AcquireThen/Release contended", 1, "dispatch slides waiters, so the next queued continuation reallocates it",
+		{"AcquireThen/Release contended", 0, "waiters is a head-indexed FIFO, and the continuation is built once",
 			func() func() {
 				e := NewEngine(1)
 				r := NewResource(e, 1)

@@ -49,7 +49,6 @@ import (
 // simulated processes.
 type Engine struct {
 	now     Time
-	seq     uint64
 	queue   eventQueue
 	rng     *Rand
 	procs   map[*Proc]struct{}
@@ -144,13 +143,14 @@ type Tracer interface {
 
 type event struct {
 	at   Time
-	seq  uint64
 	what string
 	fn   func()
 	next *event // freelist link while recycled
 }
 
-// eventQueue is a radix heap: a monotone priority queue over (at, seq).
+// eventQueue is a radix heap: a monotone priority queue over (at,
+// schedule order). Events carry no sequence number: the order of the
+// pushes is the tie-break, and the buckets keep it.
 // It relies on the kernel's clock never running backwards. schedule
 // clamps every time to now, and now is never below the last popped time,
 // so no pending event is ever keyed below last, the time of the latest
@@ -161,10 +161,10 @@ type event struct {
 // differs from last at bit i-1. pop takes bucket 0 front to back; when it
 // runs dry, refill makes the minimum time of the lowest non-empty bucket
 // the new last and re-files that bucket's events, all of which land in
-// lower buckets. Each bucket stays in seq order: pushes append in seq
-// order, and a refill only fills buckets that are empty at that moment.
-// So the pop sequence is exactly (at, seq) order, with same-time events
-// FIFO.
+// lower buckets. Each bucket stays in schedule order: pushes append in
+// schedule order, and a refill only fills buckets that are empty at that
+// moment. So the pop sequence is exactly (at, schedule order), with
+// same-time events FIFO.
 //
 // min must not move last: RunUntil peeks and may stop short, then set
 // the clock below the peeked time, and a later schedule between the two
@@ -279,7 +279,6 @@ func (e *Engine) schedule(t Time, what string, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
-	e.seq++
 	// Step recycles retired events here, so fresh allocations happen
 	// only while the pending set is still growing.
 	ev := e.free
@@ -289,7 +288,7 @@ func (e *Engine) schedule(t Time, what string, fn func()) {
 		e.free = ev.next
 		ev.next = nil
 	}
-	ev.at, ev.seq, ev.what, ev.fn = t, e.seq, what, fn
+	ev.at, ev.what, ev.fn = t, what, fn
 	e.queue.push(ev)
 }
 

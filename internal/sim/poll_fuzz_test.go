@@ -196,8 +196,8 @@ func runPollOps(t *testing.T, data []byte) {
 			cursor = (max(cursor, worlds[0].e.Now())/d + 1) * d
 		}
 		each(func(w *pollWorld) {
-			if len(w.q.getters) > pollers {
-				t.Fatalf("op %d: %d getter entries for %d pollers", i/2, len(w.q.getters), pollers)
+			if w.q.getters.len() > pollers {
+				t.Fatalf("op %d: %d getter entries for %d pollers", i/2, w.q.getters.len(), pollers)
 			}
 		})
 	}
@@ -221,8 +221,8 @@ func runPollOps(t *testing.T, data []byte) {
 		t.Fatalf("stats: loop form %+v, callback form %+v", ls, cs)
 	}
 	each(func(w *pollWorld) {
-		if b := w.e.Blocked(); len(b) != 0 || len(w.q.getters) != 0 {
-			t.Fatalf("after the run (loop form %v): parked %v, %d getter entries", w.loop, b, len(w.q.getters))
+		if b := w.e.Blocked(); len(b) != 0 || w.q.getters.len() != 0 {
+			t.Fatalf("after the run (loop form %v): parked %v, %d getter entries", w.loop, b, w.q.getters.len())
 		}
 	})
 }

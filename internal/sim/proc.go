@@ -253,7 +253,7 @@ type Resource struct {
 	eng      *Engine
 	capacity int
 	inUse    int
-	waiters  []resWait
+	waiters  fifo[resWait]
 }
 
 // resWait is one Resource wait-list entry: a parked process's wait, or
@@ -266,7 +266,16 @@ type resWait struct {
 
 // NewResource returns a resource with the given number of units.
 func NewResource(e *Engine, capacity int) *Resource {
-	return &Resource{eng: e, capacity: capacity}
+	r := MakeResource(e, capacity)
+	return &r
+}
+
+// MakeResource returns a resource with the given number of units as a
+// value, for embedding in a larger structure (a cluster node holds its
+// NIC ports this way). Embed it before first use: a Resource must not be
+// copied once it has waiters.
+func MakeResource(e *Engine, capacity int) Resource {
+	return Resource{eng: e, capacity: capacity}
 }
 
 // Capacity returns the total units.
@@ -280,7 +289,7 @@ func (r *Resource) Available() int { return r.capacity - r.inUse }
 
 // TryAcquire acquires n units if immediately available, reporting success.
 func (r *Resource) TryAcquire(n int) bool {
-	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
+	if r.waiters.len() == 0 && r.inUse+n <= r.capacity {
 		r.inUse += n
 		return true
 	}
@@ -292,7 +301,7 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	if r.TryAcquire(n) {
 		return
 	}
-	r.waiters = append(r.waiters, resWait{ref: p.newWait(), n: n})
+	r.waiters.push(resWait{ref: p.newWait(), n: n})
 	p.park()
 }
 
@@ -305,7 +314,7 @@ func (r *Resource) AcquireThen(n int, fn func()) bool {
 	if r.TryAcquire(n) {
 		return true
 	}
-	r.waiters = append(r.waiters, resWait{fn: fn, n: n})
+	r.waiters.push(resWait{fn: fn, n: n})
 	return false
 }
 
@@ -326,16 +335,16 @@ func (r *Resource) Grow(n int) {
 }
 
 func (r *Resource) dispatch() {
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
+	for r.waiters.len() > 0 {
+		w := r.waiters.front()
 		if w.fn == nil && (!w.ref.valid() || w.ref.w.cancelled) {
-			r.waiters = r.waiters[1:]
+			r.waiters.pop()
 			continue
 		}
 		if r.inUse+w.n > r.capacity {
 			return
 		}
-		r.waiters = r.waiters[1:]
+		r.waiters.pop()
 		r.inUse += w.n
 		if w.fn != nil {
 			r.eng.schedule(r.eng.now, "callback", w.fn)

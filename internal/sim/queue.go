@@ -6,9 +6,9 @@ package sim
 type Queue[T any] struct {
 	eng     *Engine
 	cap     int // 0 = unbounded
-	items   []T
-	getters []waiterRef
-	putters []*putWaiter[T]
+	items   fifo[T]
+	getters fifo[waiterRef]
+	putters fifo[*putWaiter[T]]
 	putFree []*putWaiter[T] // recycled put entries
 	timers  *getTimer[T]    // recycled get deadlines, chained through next
 	closed  bool
@@ -25,7 +25,7 @@ func NewQueue[T any](e *Engine, capacity int) *Queue[T] {
 }
 
 // Len returns the number of buffered items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Cap returns the capacity (0 = unbounded).
 func (q *Queue[T]) Cap() int { return q.cap }
@@ -34,7 +34,7 @@ func (q *Queue[T]) Cap() int { return q.cap }
 func (q *Queue[T]) Closed() bool { return q.closed }
 
 // Full reports whether a Put would block right now.
-func (q *Queue[T]) Full() bool { return q.cap > 0 && len(q.items) >= q.cap }
+func (q *Queue[T]) Full() bool { return q.cap > 0 && q.items.len() >= q.cap }
 
 // Close marks the queue closed. Blocked getters receive zero values with
 // ok=false once the buffer drains; blocked putters are woken with their
@@ -44,22 +44,28 @@ func (q *Queue[T]) Close() {
 		return
 	}
 	q.closed = true
-	for _, pw := range q.putters {
+	for _, pw := range q.putters.all() {
 		if !pw.cancelled {
 			pw.woken = true
 			pw.proc.wake("queue closed (putter)")
 		}
 	}
-	q.putters = nil
-	if len(q.items) == 0 {
-		for _, g := range q.getters {
-			if g.valid() && !g.w.cancelled {
-				g.w.woken = true
-				g.w.proc.wake("queue closed (getter)")
-			}
-		}
-		q.getters = nil
+	q.putters.reset()
+	if q.items.len() == 0 {
+		q.wakeClosedGetters()
 	}
+}
+
+// wakeClosedGetters wakes every parked getter of a closed, drained queue
+// and empties the getter list.
+func (q *Queue[T]) wakeClosedGetters() {
+	for _, g := range q.getters.all() {
+		if g.valid() && !g.w.cancelled {
+			g.w.woken = true
+			g.w.proc.wake("queue closed (getter)")
+		}
+	}
+	q.getters.reset()
 }
 
 // TryPut appends v if the queue is open and not full, reporting success.
@@ -82,7 +88,7 @@ func (q *Queue[T]) Put(p *Proc, v T) bool {
 		return true
 	}
 	pw := q.takePutWaiter(p, v)
-	q.putters = append(q.putters, pw)
+	q.putters.push(pw)
 	p.park()
 	ok := !q.closed || pw.delivered()
 	q.recyclePutWaiter(pw)
@@ -119,14 +125,13 @@ func (pw *putWaiter[T]) delivered() bool { return pw.n == 1 }
 
 // deliver places v either directly into a waiting getter or the buffer.
 func (q *Queue[T]) deliver(v T) {
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.wakeGetters()
 }
 
 func (q *Queue[T]) wakeGetters() {
-	for len(q.getters) > 0 && len(q.items) > 0 {
-		g := q.getters[0]
-		q.getters = q.getters[1:]
+	for q.getters.len() > 0 && q.items.len() > 0 {
+		g := q.getters.pop()
 		if !g.valid() || g.w.cancelled {
 			continue
 		}
@@ -139,7 +144,7 @@ func (q *Queue[T]) wakeGetters() {
 // empty. ok is false if the queue closed and drained.
 func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 	for {
-		if len(q.items) > 0 {
+		if q.items.len() > 0 {
 			return q.take(), true
 		}
 		if q.closed {
@@ -151,13 +156,13 @@ func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 
 // await parks p as a getter until an item or close wakes it.
 func (q *Queue[T]) await(p *Proc) {
-	q.getters = append(q.getters, p.newWait())
+	q.getters.push(p.newWait())
 	p.park()
 }
 
 // TryGet removes the oldest item without blocking.
 func (q *Queue[T]) TryGet() (v T, ok bool) {
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
 		return v, false
 	}
 	return q.take(), true
@@ -186,7 +191,7 @@ func (q *Queue[T]) GetTimeout(p *Proc, d Time) (v T, ok bool) {
 // failed attempt keeps to the re-armed deadline.
 func (q *Queue[T]) GetPoll(p *Proc, deadline, period Time, keep func() bool) (v T, ok bool, at Time) {
 	for {
-		if len(q.items) > 0 {
+		if q.items.len() > 0 {
 			return q.take(), true, deadline
 		}
 		if q.closed || q.eng.now >= deadline {
@@ -208,7 +213,7 @@ func (q *Queue[T]) awaitTimeout(p *Proc, deadline, period Time, keep func() bool
 	t := q.takeTimer()
 	t.ref, t.period, t.keep = p.newWait(), period, keep
 	p.w.at = deadline
-	q.getters = append(q.getters, t.ref)
+	q.getters.push(t.ref)
 	q.eng.schedule(deadline, "queue get timeout", t.fire)
 	p.park()
 	return p.w.cancelled, p.w.at
@@ -253,10 +258,10 @@ func (t *getTimer[T]) expire() {
 		return
 	}
 	q.unlist(r)
-	if t.keep != nil && !q.closed && len(q.items) == 0 && t.keep() {
+	if t.keep != nil && !q.closed && q.items.len() == 0 && t.keep() {
 		t.ref = r.w.proc.newWait()
 		r.w.at = q.eng.now + t.period
-		q.getters = append(q.getters, t.ref)
+		q.getters.push(t.ref)
 		q.eng.schedule(r.w.at, "queue get timeout", t.fire)
 		return
 	}
@@ -273,11 +278,9 @@ func (q *Queue[T]) retireTimer(t *getTimer[T]) {
 
 // unlist drops a getter entry, keeping the order of the others.
 func (q *Queue[T]) unlist(r waiterRef) {
-	for i, g := range q.getters {
+	for i, g := range q.getters.all() {
 		if g == r {
-			n := copy(q.getters[i:], q.getters[i+1:])
-			q.getters[i+n] = waiterRef{}
-			q.getters = q.getters[:i+n]
+			q.getters.removeAt(i)
 			return
 		}
 	}
@@ -286,18 +289,7 @@ func (q *Queue[T]) unlist(r waiterRef) {
 // RemoveWhere deletes buffered items matching pred, preserving order, and
 // returns the number removed. Freed capacity admits blocked putters.
 func (q *Queue[T]) RemoveWhere(pred func(T) bool) int {
-	kept := q.items[:0]
-	for _, v := range q.items {
-		if !pred(v) {
-			kept = append(kept, v)
-		}
-	}
-	removed := len(q.items) - len(kept)
-	var zero T
-	for i := len(kept); i < len(q.items); i++ {
-		q.items[i] = zero
-	}
-	q.items = kept
+	removed := q.items.removeWhere(pred)
 	if removed > 0 {
 		q.admitPutters()
 	}
@@ -308,45 +300,35 @@ func (q *Queue[T]) RemoveWhere(pred func(T) bool) int {
 // Auditors (e.g. byte-conservation checks) use it to account for items
 // still in flight at the end of a run.
 func (q *Queue[T]) Each(fn func(T)) {
-	for _, v := range q.items {
+	for _, v := range q.items.all() {
 		fn(v)
 	}
 }
 
 // Peek returns the oldest item without removing it.
 func (q *Queue[T]) Peek() (v T, ok bool) {
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
 		return v, false
 	}
-	return q.items[0], true
+	return q.items.front(), true
 }
 
 func (q *Queue[T]) take() T {
-	v := q.items[0]
-	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
+	v := q.items.pop()
 	q.admitPutters()
-	if q.closed && len(q.items) == 0 {
-		for _, g := range q.getters {
-			if g.valid() && !g.w.cancelled {
-				g.w.woken = true
-				g.w.proc.wake("queue closed (getter)")
-			}
-		}
-		q.getters = nil
+	if q.closed && q.items.len() == 0 {
+		q.wakeClosedGetters()
 	}
 	return v
 }
 
 func (q *Queue[T]) admitPutters() {
-	for len(q.putters) > 0 && !q.Full() {
-		pw := q.putters[0]
-		q.putters = q.putters[1:]
+	for q.putters.len() > 0 && !q.Full() {
+		pw := q.putters.pop()
 		if pw.cancelled {
 			continue
 		}
-		q.items = append(q.items, pw.val)
+		q.items.push(pw.val)
 		pw.n = 1 // delivered
 		pw.woken = true
 		pw.proc.wake("queue put admitted")

@@ -223,7 +223,7 @@ func TestQueueTimedOutGettersLeaveWaitList(t *testing.T) {
 	})
 	e.Go("second", func(p *Proc) { second, _ = q.Get(p) })
 	e.RunUntil(2000 * Second)
-	if n := len(q.getters); n != 2 {
+	if n := q.getters.len(); n != 2 {
 		t.Fatalf("%d getter entries after 1,000 timed-out polls, want the 2 live getters", n)
 	}
 	q.TryPut(1)
@@ -290,7 +290,7 @@ func TestQueueGetPollRearmAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("%v allocations per re-armed deadline, want 0", allocs)
 	}
-	if n := len(q.getters); n != 1 {
+	if n := q.getters.len(); n != 1 {
 		t.Fatalf("%d getter entries, want 1", n)
 	}
 }
