@@ -19,16 +19,15 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# lint runs the seven in-repo invariant analyzers (cmd/iocheck): the
+# lint runs the five in-repo invariant analyzers (cmd/iocheck): the
 # syntactic rules (simtime, maprange, dropresult; maprange also follows
-# calls down the call graph), the interprocedural ones built on the CFG +
-# call-graph layer (vtblock, nilflow) and the protocol-lifecycle rules
-# (roundflow, roundterm), which recognise round messages by their
-# embedded RoundHdr. Contracts that a runtime test pins are not lint
-# rules: hot-path allocation (an AllocsPerRun budget test per hot layer),
-# nil-receiver safety of the fault and trace handles (every exported
-# method called on nil) and the Epoch stamp on control rounds (the core
-# round-contract tests); `go test` runs them all.
+# calls down the call graph) and the interprocedural ones built on the
+# CFG + call-graph layer (vtblock, nilflow). Contracts that a runtime
+# test pins are not lint rules: hot-path allocation (an AllocsPerRun
+# budget test per hot layer), nil-receiver safety of the fault and trace
+# handles (every exported method called on nil) and the control-round
+# lifecycle (the core round-contract, stale-epoch, retry-budget and
+# span-outcome tests); `go test` runs them all.
 # Zero-dependency; lint-baseline.json is a per-rule ratchet over both
 # unsuppressed findings and audited //iocheck:allow counts. Finding
 # growth fails; finding shrinkage also fails until the baseline is
@@ -83,7 +82,7 @@ bench:
 # every ablation's allocs/op in the baseline.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . > bench.out || { cat bench.out; rm -f bench.out; exit 1; }
-	$(GO) run ./cmd/benchjson -assert-allocs 'Ablation,Fig5,Fig10,IocheckRoundflow,StreamingFanout' < bench.out > /dev/null
+	$(GO) run ./cmd/benchjson -assert-allocs 'Ablation,Fig5,Fig10,IocheckModule,StreamingFanout' < bench.out > /dev/null
 	rm -f bench.out
 
 # trace-smoke runs one traced fig7 scenario and fails unless the exported

@@ -10,7 +10,7 @@ import (
 // the warm, memoized path: the per-process stdlib memo is filled before
 // the timer starts, so one iteration parses and type-checks the module's
 // own packages, builds the CFG and CHA call-graph layer, and runs all
-// nine analyzers. It rides in `make bench` so a regression in the
+// five analyzers. It rides in `make bench` so a regression in the
 // whole-program analysis (an unbounded summary fixpoint, a quadratic CFG
 // walk) shows up in BENCH_baseline.json next to the scenario benchmarks.
 // BenchmarkLoadModuleCold in internal/analysis covers the cold stdlib
@@ -26,27 +26,6 @@ func BenchmarkIocheckModule(b *testing.B) {
 		diags := analysis.Run(pkgs, analysis.Analyzers())
 		if n := len(analysis.Unsuppressed(diags)); n != 0 {
 			b.Fatalf("module has %d unsuppressed findings", n)
-		}
-	}
-}
-
-// BenchmarkIocheckRoundflow budgets the protocol-lifecycle layer alone:
-// the interprocedural round-summary fixpoint over the CHA call graph
-// plus the roundflow/roundterm CFG passes over the whole module. Module
-// loading is paid inside the loop (stdlib memo warm), matching `iocheck
-// -rules roundflow,roundterm`, so this tracks the end-to-end cost of a
-// lifecycle-only lint pass.
-func BenchmarkIocheckRoundflow(b *testing.B) {
-	root := warmModuleRoot(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pkgs, err := analysis.LoadModule(root)
-		if err != nil {
-			b.Fatal(err)
-		}
-		diags := analysis.Run(pkgs, []*analysis.Analyzer{analysis.RoundFlow, analysis.RoundTerm})
-		if n := len(analysis.Unsuppressed(diags)); n != 0 {
-			b.Fatalf("module has %d unsuppressed lifecycle findings", n)
 		}
 	}
 }

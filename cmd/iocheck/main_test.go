@@ -390,91 +390,17 @@ func Stamp() int64 { return time.Now().UnixNano() }
 	}
 }
 
-// roundViolation seeds one function that violates both protocol-lifecycle
-// rules: a round Req sent with no deadline, no retry budget, and no
-// terminal state.
-const roundViolation = `package rounds
-
-type Event struct {
-	Type string
-	Data any
-}
-
-type RoundHdr struct{ Seq, Epoch int64 }
-
-type PingReq struct{ RoundHdr }
-
-type stone struct{ q []*Event }
-
-func (s *stone) Submit(ev *Event) { s.q = append(s.q, ev) }
-
-type mgr struct{ out *stone }
-
-func (m *mgr) fire(seq int64) {
-	req := &PingReq{RoundHdr{Seq: seq}}
-	m.out.Submit(&Event{Type: "ping", Data: req})
-}
-`
-
-// TestJSONRoundRules covers -json for the two protocol-lifecycle rules:
-// both report on the seeded violation, entries are position-sorted and
-// stable, and two runs are byte-identical.
-func TestJSONRoundRules(t *testing.T) {
-	root := writeModule(t, map[string]string{
-		"go.mod":                    "module rounds\n\ngo 1.22\n",
-		"internal/rounds/rounds.go": roundViolation,
-	})
-	render := func() string {
-		var out, errOut strings.Builder
-		if code := run([]string{"-json", "-rules", "roundflow,roundterm", root + "/..."}, &out, &errOut); code != 1 {
-			t.Fatalf("exit = %d, want 1; stderr=%q", code, errOut.String())
-		}
-		return out.String()
-	}
-	first, second := render(), render()
-	if first != second {
-		t.Fatalf("json output not byte-identical across runs:\n%q\n%q", first, second)
-	}
-	var diags []jsonDiag
-	if err := json.Unmarshal([]byte(first), &diags); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, first)
-	}
-	byRule := map[string]int{}
-	for _, d := range diags {
-		byRule[d.Rule]++
-		if d.Line == 0 || d.File == "" {
-			t.Errorf("diagnostic missing position: %+v", d)
-		}
-	}
-	if byRule["roundflow"] != 2 {
-		t.Errorf("roundflow entries = %d, want 2 (deadline + retry budget): %+v", byRule["roundflow"], diags)
-	}
-	if byRule["roundterm"] != 1 {
-		t.Errorf("roundterm entries = %d, want 1 (dropped round): %+v", byRule["roundterm"], diags)
-	}
-	if !sort.SliceIsSorted(diags, func(i, j int) bool {
-		if diags[i].Line != diags[j].Line {
-			return diags[i].Line < diags[j].Line
-		}
-		return diags[i].Col < diags[j].Col
-	}) {
-		t.Errorf("json diagnostics not position-sorted: %+v", diags)
-	}
-}
-
-// TestRosterSevenRules pins the CLI side of the roster: all seven rule
-// names resolve through -rules, including the two protocol-lifecycle
-// rules.
-func TestRosterSevenRules(t *testing.T) {
+// TestRosterFiveRules pins the CLI side of the roster: all five rule
+// names resolve through -rules.
+func TestRosterFiveRules(t *testing.T) {
 	names := []string{"simtime", "maprange",
-		"vtblock", "nilflow", "dropresult",
-		"roundflow", "roundterm"}
+		"vtblock", "nilflow", "dropresult"}
 	got, err := selectAnalyzers(strings.Join(names, ","))
 	if err != nil {
 		t.Fatalf("selectAnalyzers rejected the full roster: %v", err)
 	}
-	if len(got) != 7 {
-		t.Fatalf("roster has %d analyzers, want 7", len(got))
+	if len(got) != 5 {
+		t.Fatalf("roster has %d analyzers, want 5", len(got))
 	}
 	for i, a := range got {
 		if a.Name != names[i] {

@@ -3,19 +3,21 @@
 // golang.org/x/tools dependency, so the module stays zero-dep and the
 // checks run network-free. It exists to machine-check the invariants the
 // compiler cannot see and the simulator's correctness rests on:
-// bit-deterministic replay from a seed, nil-checked nilable values, and
-// the crash-tolerance protocol's round lifecycle.
+// bit-deterministic replay from a seed, virtual time that never blocks
+// where it must not, nil-checked nilable values, and delivery results
+// that are not dropped.
 //
-// The seven analyzers (simtime, maprange, the CFG-based vtblock/nilflow,
-// dropresult, and the protocol-lifecycle rules roundflow/roundterm — one
-// file per rule) are run by cmd/iocheck over the whole module (`make
-// lint`) and by the repo-wide self-check test, so `go test ./...`
-// enforces them too. Contracts a runtime test pins as tightly are tests,
-// not rules: allocation on the hot paths (an AllocsPerRun budget test per
-// hot layer), "nil means disabled" on fault.Schedule/Config and
-// trace.Recorder/Span (every exported method called on a nil receiver),
-// and the Epoch stamp on every control round (the core round-contract
-// and stale-epoch tests).
+// The five analyzers (simtime, maprange, the CFG-based vtblock/nilflow,
+// and dropresult — one file per rule) are run by cmd/iocheck over the
+// whole module (`make lint`) and by the repo-wide self-check test, so
+// `go test ./...` enforces them too. Contracts a runtime test pins as
+// tightly are tests, not rules: allocation on the hot paths (an
+// AllocsPerRun budget test per hot layer), "nil means disabled" on
+// fault.Schedule/Config and trace.Recorder/Span (every exported method
+// called on a nil receiver), and the control-round lifecycle — the Epoch
+// stamp, the fence and Seq dedupe in the serve loop, the retry budget and
+// deadline backoff, and a span ended on every round outcome (the core
+// round-contract, stale-epoch, retry-budget and span-outcome tests).
 //
 // Audited exceptions are suppressed — but stay visible — with a comment on
 // the flagged line or on the line directly above it:
@@ -84,11 +86,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Analyzers returns the full suite in a stable order: the syntactic
 // rules from the original suite (maprange also sees through callees when
 // the call graph is there), the two interprocedural rules built on the
-// CFG/call-graph layer, the delivery-contract rule from the at-least-once
-// data plane, then the two protocol-lifecycle rules built on the round
-// summaries.
+// CFG/call-graph layer, then the delivery-contract rule from the
+// at-least-once data plane.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{SimTime, MapRange, VTBlock, NilFlow, DropResult, RoundFlow, RoundTerm}
+	return []*Analyzer{SimTime, MapRange, VTBlock, NilFlow, DropResult}
 }
 
 // Run executes the given analyzers over the packages and returns all

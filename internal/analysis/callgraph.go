@@ -33,9 +33,6 @@ type Program struct {
 	nodes []*FuncNode // build order: pkg path, file, declaration
 
 	methodsByName map[string][]*FuncNode
-	// roundsDone: the lazy round-summary fixpoint (roundsummary.go) has
-	// run.
-	roundsDone bool
 }
 
 // CallSite is one resolved call expression inside a function body.
@@ -71,14 +68,10 @@ type FuncNode struct {
 	orderVia    *FuncNode
 	orderPrim   string
 
-	// Per-parameter summaries (indexed like Signature.Params, receiver
-	// excluded). SinksEventData: the argument ends up as the Data field
-	// of an evpath-style Event composite literal (directly or through
-	// type-switch/assert/header bindings, transitively). DerefsParam:
-	// the callee dereferences the argument with no nil comparison
-	// anywhere in its body.
-	SinksEventData []bool
-	DerefsParam    []bool
+	// DerefsParam[i] (indexed like Signature.Params, receiver excluded):
+	// the callee dereferences argument i with no nil comparison anywhere
+	// in its body.
+	DerefsParam []bool
 
 	// NilableResult[i]: result i may be a literal nil (transitively).
 	NilableResult []bool
@@ -93,17 +86,9 @@ type FuncNode struct {
 	// receiver; NilGuarded follows once all of them are.
 	recvDelegates []*FuncNode
 
-	// Round holds the protocol-lifecycle summaries (roundsummary.go;
-	// valid after ensureRounds): issues-request, registers-deadline/
-	// retries, dedupes-by-Seq, fence-checks-epoch, applies-state,
-	// terminates-round, plus the per-param request-stamp bits the
-	// roundflow/roundterm analyzers track values through.
-	Round RoundSummary
-
 	// seeds, kept separate so fixpoint recomputation is idempotent
 	summariesInit   bool
 	seedBlocks      bool
-	seedSinks       []bool
 	seedDerefs      []bool
 	seedNilable     []bool
 	paramIndex      map[types.Object]int // params and their assert/switch bindings
@@ -384,7 +369,6 @@ func (prog *Program) collect(n *FuncNode) {
 		nparams = sig.Params().Len()
 		nresults = sig.Results().Len()
 	}
-	n.seedSinks = make([]bool, nparams)
 	n.seedDerefs = make([]bool, nparams)
 	n.seedNilable = make([]bool, nresults)
 	n.guardedParams = make(map[int]bool)
@@ -444,13 +428,7 @@ func (prog *Program) collect(n *FuncNode) {
 			n.recordSpecSources(info, node)
 		case *ast.AssignStmt:
 			n.recordAssignSources(info, node)
-			// Alias registration: q := p.(*T) and h := p.hdr() bind q
-			// and h to param p.
-			if h, x := hdrAlias(info, node); h != nil {
-				if i, ok := n.paramIndex[x]; ok {
-					n.paramIndex[h] = i
-				}
-			}
+			// Alias registration: q := p.(*T) binds q to param p.
 			if len(node.Rhs) == 1 {
 				if ta, ok := node.Rhs[0].(*ast.TypeAssertExpr); ok && ta.Type != nil {
 					if i := paramAt(ta.X); i >= 0 && len(node.Lhs) >= 1 {
@@ -475,22 +453,6 @@ func (prog *Program) collect(n *FuncNode) {
 								}
 							}
 						}
-					}
-				}
-			}
-		case *ast.CompositeLit:
-			// Event-data sink seed: Event{…, Data: p}.
-			if isEventLit(info, node) {
-				for _, elt := range node.Elts {
-					kv, ok := elt.(*ast.KeyValueExpr)
-					if !ok {
-						continue
-					}
-					if key, ok := kv.Key.(*ast.Ident); !ok || key.Name != "Data" {
-						continue
-					}
-					if i := paramAt(kv.Value); i >= 0 {
-						n.seedSinks[i] = true
 					}
 				}
 			}
@@ -692,6 +654,29 @@ func isNilIdent(info *types.Info, e ast.Expr) bool {
 	return isNil
 }
 
+// useObj returns the object an identifier expression refers to (nil for
+// anything else).
+func useObj(info *types.Info, e ast.Expr) types.Object {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	return info.Uses[id]
+}
+
+// defOrUseObj is useObj that also resolves an identifier being defined,
+// as on the left of `:=`; the blank identifier has no object.
+func defOrUseObj(info *types.Info, e ast.Expr) types.Object {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok || id.Name == "_" {
+		return nil
+	}
+	if obj := info.Defs[id]; obj != nil {
+		return obj
+	}
+	return info.Uses[id]
+}
+
 func isNilCompare(be *ast.BinaryExpr) bool {
 	isNil := func(e ast.Expr) bool {
 		id, ok := ast.Unparen(e).(*ast.Ident)
@@ -796,28 +781,6 @@ func opensWithNilGuard(body *ast.BlockStmt, isRecv func(ast.Expr) bool) bool {
 	return found
 }
 
-// isEventLit reports whether the composite literal constructs a struct
-// type named Event (the evpath overlay message) — the send-sink shape
-// roundflow and roundterm watch for.
-func isEventLit(info *types.Info, lit *ast.CompositeLit) bool {
-	tv, ok := info.Types[lit]
-	if !ok {
-		return false
-	}
-	t := tv.Type
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	if _, isStruct := named.Underlying().(*types.Struct); !isStruct {
-		return false
-	}
-	return named.Obj().Name() == "Event"
-}
-
 func isFieldSelect(info *types.Info, sel *ast.SelectorExpr) bool {
 	s, ok := info.Selections[sel]
 	return ok && s.Kind() == types.FieldVal
@@ -860,12 +823,8 @@ func (prog *Program) recompute(n *FuncNode) bool {
 	set(&n.OrderEffect, n.orderPrim != "")
 	if !n.summariesInit {
 		n.summariesInit = true
-		n.SinksEventData = make([]bool, len(n.seedSinks))
 		n.DerefsParam = make([]bool, len(n.seedDerefs))
 		n.NilableResult = make([]bool, len(n.seedNilable))
-	}
-	for i, v := range n.seedSinks {
-		set(&n.SinksEventData[i], v)
 	}
 	for i, v := range n.seedDerefs {
 		set(&n.DerefsParam[i], v && !n.guardedParams[i])
@@ -901,9 +860,6 @@ func (prog *Program) recompute(n *FuncNode) bool {
 				i, isParam := n.paramIndex[obj]
 				if !isParam || obj == nil {
 					continue
-				}
-				if callee.SinksEventData != nil && j < len(callee.SinksEventData) && callee.SinksEventData[j] {
-					set(&n.SinksEventData[i], true)
 				}
 				if callee.DerefsParam != nil && j < len(callee.DerefsParam) && callee.DerefsParam[j] && !n.guardedParams[i] {
 					set(&n.DerefsParam[i], true)

@@ -8,10 +8,10 @@ import (
 // This file is the intraprocedural half of the whole-program dataflow
 // layer: a control-flow-graph builder over go/ast function bodies. The
 // graph is statement-granular with conditions decomposed to their
-// short-circuit leaves, so branch-sensitive analyses (nilflow's nil-check
-// refinement, roundflow's all-paths round obligations) see exactly the
-// edges the runtime takes. It stays zero-dependency like the rest of the
-// framework: go/ast and go/token only.
+// short-circuit leaves, so a branch-sensitive analysis (nilflow's
+// nil-check refinement) sees exactly the edges the runtime takes. It
+// stays zero-dependency like the rest of the framework: go/ast and
+// go/token only.
 
 // CFG is the control-flow graph of one function body.
 type CFG struct {

@@ -2,7 +2,7 @@ package analysis
 
 import "go/ast"
 
-// Generic worklist solvers over the CFG. Facts are opaque to the solver;
+// A generic forward worklist solver over the CFG. Facts are opaque to the solver;
 // a FlowProblem supplies the lattice (Join/Equal), the per-node transfer
 // function, and an optional branch refinement applied on
 // condition-annotated edges (how nilflow learns from `if x == nil`).
@@ -13,7 +13,7 @@ type Fact interface{}
 
 // FlowProblem defines one dataflow analysis over a CFG.
 type FlowProblem interface {
-	// Entry is the fact at function entry (forward) or exit (backward).
+	// Entry is the fact at function entry.
 	Entry() Fact
 	// Transfer applies one CFG node (statement or condition leaf).
 	Transfer(n ast.Node, f Fact) Fact
@@ -68,48 +68,4 @@ func Forward(cfg *CFG, p FlowProblem) []Fact {
 		}
 	}
 	return in
-}
-
-// Backward solves a backward problem and returns the fact at the *exit*
-// of each block (the fact flowing out toward predecessors is obtained by
-// applying Transfer over the block's nodes in reverse).
-func Backward(cfg *CFG, p FlowProblem) []Fact {
-	out := make([]Fact, len(cfg.Blocks))
-	out[cfg.Exit.Index] = p.Entry()
-	work := []*Block{cfg.Exit}
-	queued := make([]bool, len(cfg.Blocks))
-	queued[cfg.Exit.Index] = true
-	for len(work) > 0 {
-		b := work[0]
-		work = work[1:]
-		queued[b.Index] = false
-		f := out[b.Index]
-		if f == nil {
-			continue
-		}
-		for i := len(b.Nodes) - 1; i >= 0; i-- {
-			f = p.Transfer(b.Nodes[i], f)
-		}
-		for _, e := range b.Preds {
-			g := f
-			if e.Cond != nil {
-				g = p.Refine(e.Cond, e.Branch, g)
-			}
-			src := e.From.Index
-			var merged Fact
-			if out[src] == nil {
-				merged = g
-			} else {
-				merged = p.Join(out[src], g)
-			}
-			if out[src] == nil || !p.Equal(out[src], merged) {
-				out[src] = merged
-				if !queued[src] {
-					queued[src] = true
-					work = append(work, e.From)
-				}
-			}
-		}
-	}
-	return out
 }

@@ -112,15 +112,3 @@ func TestForwardSolverLoopTerminates(t *testing.T) {
 		t.Errorf("loop facts missing, got %v", got)
 	}
 }
-
-func TestBackwardSolverReachesEntry(t *testing.T) {
-	cfg := buildTestCFG(t, `
-	if a {
-		return 1
-	}
-	return 2`)
-	out := Backward(cfg, &assignedNames{})
-	if out[cfg.Entry.Index] == nil {
-		t.Fatal("backward solve should propagate a fact to the entry block")
-	}
-}

@@ -40,14 +40,13 @@ func TestModuleSelfCheck(t *testing.T) {
 	}
 }
 
-// TestSuiteIsComplete pins the suite roster: all seven rules — the two
+// TestSuiteIsComplete pins the suite roster: all five rules — the two
 // syntactic ones, the two interprocedural ones built on the CFG and
-// call-graph layer, the delivery-contract rule, and the two
-// protocol-lifecycle rules — must be registered, in deterministic order.
+// call-graph layer, and the delivery-contract rule — must be registered,
+// in deterministic order.
 func TestSuiteIsComplete(t *testing.T) {
 	want := []string{"simtime", "maprange",
-		"vtblock", "nilflow", "dropresult",
-		"roundflow", "roundterm"}
+		"vtblock", "nilflow", "dropresult"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(got), len(want))

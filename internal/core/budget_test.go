@@ -13,7 +13,9 @@ import (
 // container's manager loop serves each, and the response comes back to
 // the caller. The round deadline is cut to 10 ms so that the deadlines of
 // earlier rounds fire, and their timers recycle, within the warm-up. A
-// new allocation fails the test, and so does an unrecorded saving.
+// new allocation fails the test, and so does an unrecorded saving. A
+// round that goes unanswered ends the driver, and the test stops there
+// instead of stepping an engine that will never count another round.
 func TestControlRoundAllocBudget(t *testing.T) {
 	cfg := protoConfig(2, smartpointer.ModelRR)
 	cfg.Policy.CallTimeout = 10 * sim.Millisecond
@@ -21,16 +23,18 @@ func TestControlRoundAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds := 0
+	rounds, stopped := 0, false
 	rt.eng.GoAt(300*sim.Second, "driver", func(p *sim.Proc) {
 		for rt.shardPrimary[0].Query(p, "bonds", 4) != nil {
 			rounds++
 		}
-		t.Error("query round got no answer")
+		stopped = true
 	})
 	round := func() {
 		for n := rounds; rounds == n; {
-			rt.eng.Step()
+			if stopped || !rt.eng.Step() {
+				t.Fatalf("query round %d got no answer", rounds+1)
+			}
 		}
 	}
 	rt.eng.RunUntil(300 * sim.Second)

@@ -594,9 +594,9 @@ func (gm *GlobalManager) callRound(p *sim.Proc, target string, req roundReq) any
 			rev, ok := gm.rsp.RecvTimeout(p, deadline-p.Now())
 			if !ok {
 				if gm.rsp.Closed() {
-					// Shutdown mid-round: keep whatever buffered responses
-					// remain for other callers before giving up.
-					gm.drainResponses()
+					// Shutdown mid-round. A receive fails only on an empty
+					// mailbox, and a closed one takes no more events, so
+					// nothing is left in it to keep.
 					sp.Attr("outcome", "shutdown").End()
 					if v := gm.takePending(); v != nil {
 						return v
@@ -632,19 +632,6 @@ func (gm *GlobalManager) callRound(p *sim.Proc, target string, req roundReq) any
 	}
 	gm.markSuspect(p, target)
 	return nil
-}
-
-// drainResponses moves everything left in the (closed) response mailbox
-// into the pending buffer so responses destined for other callers are not
-// lost with the mailbox.
-func (gm *GlobalManager) drainResponses() {
-	for {
-		ev, ok := gm.rsp.TryRecv()
-		if !ok {
-			return
-		}
-		gm.pending = append(gm.pending, ev.Data)
-	}
 }
 
 // purgeStale drops buffered responses from sequence rounds that have

@@ -258,9 +258,9 @@ func (c *Container) managerLoop(p *sim.Proc) {
 			continue
 		}
 		// One header read serves the fence and the dedupe cache; anything
-		// that is not a round reads as a zero header. Both guards read the
-		// header in their if-init, so the reads sit on every path to the
-		// dispatch, as roundflow's serve leg requires.
+		// that is not a round reads as a zero header. Both guards sit on
+		// every path to the dispatch; TestRoundServeContract and
+		// TestContainerRefusesStaleEpochRound fail if either is skipped.
 		var h RoundHdr
 		msg, isRound := ev.Data.(roundMsg)
 		if isRound {
