@@ -19,15 +19,15 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# lint runs the five in-repo invariant analyzers (cmd/iocheck): the
-# syntactic rules (simtime, maprange, dropresult; maprange also follows
-# calls down the call graph) and the interprocedural ones built on the
-# CFG + call-graph layer (vtblock, nilflow). Contracts that a runtime
+# lint runs the three in-repo invariant analyzers (cmd/iocheck), all
+# syntactic: simtime, maprange and dropresult. Contracts that a runtime
 # test pins are not lint rules: hot-path allocation (an AllocsPerRun
 # budget test per hot layer), nil-receiver safety of the fault and trace
-# handles (every exported method called on nil) and the control-round
+# handles (every exported method called on nil), the control-round
 # lifecycle (the core round-contract, stale-epoch, retry-budget and
-# span-outcome tests); `go test` runs them all.
+# span-outcome tests), never parking outside a process or inside a
+# dispatch (kernel panics), nil-checked round answers and same-seed
+# schedule determinism (core tests); `go test` runs them all.
 # Zero-dependency; lint-baseline.json is a per-rule ratchet over both
 # unsuppressed findings and audited //iocheck:allow counts. Finding
 # growth fails; finding shrinkage also fails until the baseline is

@@ -3,21 +3,23 @@
 // golang.org/x/tools dependency, so the module stays zero-dep and the
 // checks run network-free. It exists to machine-check the invariants the
 // compiler cannot see and the simulator's correctness rests on:
-// bit-deterministic replay from a seed, virtual time that never blocks
-// where it must not, nil-checked nilable values, and delivery results
-// that are not dropped.
+// bit-deterministic replay from a seed and delivery results that are not
+// dropped.
 //
-// The five analyzers (simtime, maprange, the CFG-based vtblock/nilflow,
-// and dropresult — one file per rule) are run by cmd/iocheck over the
-// whole module (`make lint`) and by the repo-wide self-check test, so
+// The three analyzers (simtime, maprange and dropresult, one file per
+// rule) are syntactic: each looks at one package's typed syntax, with no
+// call graph, CFG or dataflow. cmd/iocheck runs them over the whole module
+// (`make lint`) and so does the repo-wide self-check test, so
 // `go test ./...` enforces them too. Contracts a runtime test pins as
 // tightly are tests, not rules: allocation on the hot paths (an
 // AllocsPerRun budget test per hot layer), "nil means disabled" on
 // fault.Schedule/Config and trace.Recorder/Span (every exported method
-// called on a nil receiver), and the control-round lifecycle — the Epoch
-// stamp, the fence and Seq dedupe in the serve loop, the retry budget and
-// deadline backoff, and a span ended on every round outcome (the core
-// round-contract, stale-epoch, retry-budget and span-outcome tests).
+// called on a nil receiver), the control-round lifecycle (the core
+// round-contract, stale-epoch, retry-budget and span-outcome tests),
+// never parking outside a process's own body or inside a manager's
+// dispatch (kernel panics), nil-checked round answers (the core
+// failed-round test), and map order reached through a helper (the core
+// schedule-determinism test).
 //
 // Audited exceptions are suppressed — but stay visible — with a comment on
 // the flagged line or on the line directly above it:
@@ -25,8 +27,9 @@
 //	//iocheck:allow <rule> <reason>
 //
 // The reason is mandatory; an allow comment without one is itself a
-// diagnostic, and so is an allow that covers no finding of its rule on a
-// run where that rule checked the package.
+// diagnostic, and so is an allow naming a rule outside the suite, or one
+// that covers no finding of its rule on a run where that rule checked the
+// package.
 package analysis
 
 import (
@@ -64,13 +67,10 @@ type Analyzer struct {
 	Run     func(pass *Pass)
 }
 
-// Pass carries one analyzer's execution over one package. Prog is the
-// whole-program call graph shared by every pass of a Run (nil only when a
-// Pass is constructed by hand without one).
+// Pass carries one analyzer's execution over one package.
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	Prog     *Program
 	diags    []Diagnostic
 }
 
@@ -83,13 +83,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Analyzers returns the full suite in a stable order: the syntactic
-// rules from the original suite (maprange also sees through callees when
-// the call graph is there), the two interprocedural rules built on the
-// CFG/call-graph layer, then the delivery-contract rule from the
+// Analyzers returns the full suite in a stable order: the two
+// determinism rules, then the delivery-contract rule from the
 // at-least-once data plane.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{SimTime, MapRange, VTBlock, NilFlow, DropResult}
+	return []*Analyzer{SimTime, MapRange, DropResult}
 }
 
 // Run executes the given analyzers over the packages and returns all
@@ -97,7 +95,6 @@ func Analyzers() []*Analyzer {
 // column, rule, message), so two runs over the same tree are
 // byte-identical even when one position carries several findings.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	prog := NewProgram(pkgs)
 	var out []Diagnostic
 	for _, pkg := range pkgs {
 		allows := collectAllows(pkg)
@@ -107,7 +104,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				continue
 			}
 			ran[a.Name] = true
-			pass := &Pass{Analyzer: a, Pkg: pkg, Prog: prog}
+			pass := &Pass{Analyzer: a, Pkg: pkg}
 			a.Run(pass)
 			out = append(out, applyAllows(pass.diags, allows)...)
 		}
@@ -163,8 +160,9 @@ type allowSite struct {
 type allowSet struct {
 	entries map[allowKey][]*allowSite // the allows covering a line
 	sites   []*allowSite              // in comment order
-	// malformed collects allow comments with no reason; they are
-	// diagnostics in their own right so audits cannot silently erode.
+	// malformed collects allow comments with no reason or with a rule
+	// outside the suite; they are diagnostics in their own right so
+	// audits cannot silently erode.
 	malformed []Diagnostic
 }
 
@@ -197,6 +195,15 @@ func collectAllows(pkg *Package) *allowSet {
 					continue
 				}
 				rule := fields[0]
+				if !inSuite(rule) {
+					as.malformed = append(as.malformed, Diagnostic{
+						Pos:  pos,
+						Rule: "allow",
+						Message: "//iocheck:allow " + rule +
+							" names no rule in the suite; delete it",
+					})
+					continue
+				}
 				site := &allowSite{pos: pos, rule: rule,
 					reason: strings.TrimSpace(strings.TrimPrefix(rest, rule))}
 				as.sites = append(as.sites, site)
@@ -208,6 +215,16 @@ func collectAllows(pkg *Package) *allowSet {
 		}
 	}
 	return as
+}
+
+// inSuite reports whether rule names one of the analyzers in the suite.
+func inSuite(rule string) bool {
+	for _, a := range Analyzers() {
+		if a.Name == rule {
+			return true
+		}
+	}
+	return false
 }
 
 func applyAllows(diags []Diagnostic, as *allowSet) []Diagnostic {

@@ -27,10 +27,13 @@ type goldenFixture struct {
 	a   *Analyzer
 }
 
-// extraFixtures names fixture packages beyond the one per rule: the
-// callee-chain cases of maprange keep their own package.
+// extraFixtures names fixture packages beyond the one per rule: one
+// seeded bug per rule, a distilled copy of real module code with the bug
+// planted, which must be reported at the planted line and nowhere else.
 var extraFixtures = []goldenFixture{
-	{"maprange-deep", MapRange},
+	{"simtime-seeded", SimTime},
+	{"maprange-seeded", MapRange},
+	{"dropresult-seeded", DropResult},
 }
 
 func TestGolden(t *testing.T) {
@@ -137,6 +140,21 @@ func TestMalformedAllowIsADiagnostic(t *testing.T) {
 	diags := Unsuppressed(Run([]*Package{pkg}, nil))
 	if len(diags) != 1 || diags[0].Rule != "allow" {
 		t.Fatalf("diags = %v, want exactly one [allow] finding", diags)
+	}
+}
+
+// TestUnknownRuleAllowIsADiagnostic pins that an allow naming a rule
+// outside the suite is reported, not silently ignored: no run of the
+// suite could ever judge it stale.
+func TestUnknownRuleAllowIsADiagnostic(t *testing.T) {
+	pkg, err := LoadDir(filepath.Join("testdata", "src", "unknownallow"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags := Unsuppressed(Run([]*Package{pkg}, Analyzers()))
+	if len(diags) != 1 || diags[0].Rule != "allow" ||
+		!strings.Contains(diags[0].Message, "nilflow names no rule in the suite") {
+		t.Fatalf("diags = %v, want exactly one [allow] finding naming nilflow", diags)
 	}
 }
 

@@ -109,7 +109,7 @@ func TestConcurrentLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixture := filepath.Join("testdata", "src", "maprange-deep") // imports fmt: a large stdlib closure
+	fixture := filepath.Join("testdata", "src", "dropresult-seeded") // imports fmt: a large stdlib closure
 	// The fixture is not under internal/, so it runs the suite without
 	// the Applies filters, as the golden tests do.
 	var unfiltered []*Analyzer

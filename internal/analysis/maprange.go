@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -15,14 +14,13 @@ import (
 // nondeterminism leak the three-seed replay test exists to catch, and the
 // classic one in core/datatap/evpath shutdown and tap fan-out paths.
 //
-// Direct sink calls are reported always. With the whole-program layer
-// (pass.Prog) the rule also looks one rung up the call stack: a call from
-// the loop body whose callee transitively reaches a sink is reported with
-// the call-graph witness chain down to it, though the body itself looks
-// pure.
+// The rule sees the loop body only: a sink reached through a helper the
+// body calls is not reported. core's TestKernelScheduleIsDeterministic
+// catches that case at run time: it compares the kernel schedule and the
+// trace of repeated runs of one seed.
 var MapRange = &Analyzer{
 	Name:    "maprange",
-	Doc:     "forbid order-sensitive side effects inside map iteration, directly or through callees; sort keys first",
+	Doc:     "forbid order-sensitive side effects inside map iteration; sort keys first",
 	Applies: internalPkg,
 	Run:     runMapRange,
 }
@@ -51,7 +49,6 @@ var orderSinks = map[string]bool{
 }
 
 func runMapRange(pass *Pass) {
-	reported := make(map[token.Pos]bool)
 	for _, f := range pass.Pkg.Files {
 		for _, fd := range enclosingFuncs(f) {
 			body := fd.Body
@@ -61,9 +58,6 @@ func runMapRange(pass *Pass) {
 					return true
 				}
 				checkMapRange(pass, body, rs)
-				if pass.Prog != nil {
-					checkDeepCalls(pass, rs, reported)
-				}
 				return true
 			})
 		}
@@ -125,33 +119,13 @@ func checkMapRange(pass *Pass, funcBody *ast.BlockStmt, rs *ast.RangeStmt) {
 	})
 }
 
-// checkDeepCalls reports each call in a map-range body whose callee
-// reaches an order-bearing side effect, with the witness chain. Direct
-// sink calls are checkMapRange's; reported keeps a call inside nested map
-// ranges from being reported twice.
-func checkDeepCalls(pass *Pass, rs *ast.RangeStmt, reported map[token.Pos]bool) {
-	walkOwnCode(pass.Pkg, rs.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && orderSinks[sel.Sel.Name] {
-			return true
-		}
-		for _, callee := range pass.Prog.Callees(pass.Pkg, call) {
-			if !callee.OrderEffect {
-				continue
-			}
-			if !reported[call.Pos()] {
-				reported[call.Pos()] = true
-				pass.Reportf(call.Pos(),
-					"map iteration order is nondeterministic, and this call reaches an order-bearing side effect (%s); iterate sorted keys instead",
-					callee.OrderChain())
-			}
-			break
-		}
-		return true
-	})
+func isMapRangeStmt(info *types.Info, rs *ast.RangeStmt) bool {
+	tv, ok := info.Types[rs.X]
+	if !ok {
+		return false
+	}
+	_, isMap := tv.Type.Underlying().(*types.Map)
+	return isMap
 }
 
 // isBuiltinAppend reports whether call invokes the append builtin.

@@ -40,13 +40,11 @@ func TestModuleSelfCheck(t *testing.T) {
 	}
 }
 
-// TestSuiteIsComplete pins the suite roster: all five rules — the two
-// syntactic ones, the two interprocedural ones built on the CFG and
-// call-graph layer, and the delivery-contract rule — must be registered,
+// TestSuiteIsComplete pins the suite roster: all three rules — the two
+// determinism rules and the delivery-contract rule — must be registered,
 // in deterministic order.
 func TestSuiteIsComplete(t *testing.T) {
-	want := []string{"simtime", "maprange",
-		"vtblock", "nilflow", "dropresult"}
+	want := []string{"simtime", "maprange", "dropresult"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(got), len(want))

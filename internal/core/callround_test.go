@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/monitor"
 	"repro/internal/sim"
 	"repro/internal/smartpointer"
 	"repro/internal/trace"
@@ -131,29 +132,6 @@ func TestRoundSpansEndOnEveryOutcome(t *testing.T) {
 			cfg.Faults = &fault.Config{Crashes: []fault.Crash{{Node: 264, At: 150 * sim.Second}}}
 			return run(t, cfg)
 		}},
-		{"pending", "", func(t *testing.T) *Runtime {
-			// No run buffers an answer to a round before the round is
-			// sent, so seed the buffer: the round is answered from it
-			// before any receive.
-			rt, err := Build(traced(protoConfig(2, smartpointer.ModelRR)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			gm := rt.shardPrimary[0]
-			buffered := &QueryResp{RoundHdr: RoundHdr{Seq: rt.ctlSeq + 1}, Size: -1}
-			var got *QueryResp
-			rt.eng.GoAt(5*sim.Second, "driver", func(p *sim.Proc) {
-				gm.pending = append(gm.pending, buffered)
-				got = gm.Query(p, "bonds", 4)
-			})
-			if _, err := rt.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if got != buffered {
-				t.Fatalf("query returned %+v, want the buffered answer %+v", got, buffered)
-			}
-			return rt
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -203,4 +181,117 @@ func actionTime(t *testing.T, rt *Runtime, kind, target string) sim.Time {
 	}
 	t.Fatalf("no %s %s action", kind, target)
 	return 0
+}
+
+// TestFailedRoundsAreNilChecked runs every caller of a control round
+// against rounds that fail. A deposed manager issues no rounds, so each
+// returns nil at once, as a timed-out, fenced or shut-down round does.
+// Each helper must report the failure (a nil response or false), and the
+// policy and repair paths that read an answer must skip it: a nil answer
+// dereferenced anywhere panics the run.
+func TestFailedRoundsAreNilChecked(t *testing.T) {
+	rt, err := Build(protoConfig(2, smartpointer.ModelRR))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gm := rt.shardPrimary[0]
+	var failed []string
+	check := func(name string, ok bool) {
+		if !ok {
+			failed = append(failed, name)
+		}
+	}
+	rt.eng.GoAt(5*sim.Second, "caller", func(p *sim.Proc) {
+		// Two backlogged samples make bonds the tick's bottleneck, so the
+		// tick queries it.
+		for i := int64(0); i < 2; i++ {
+			gm.agg.Ingest(monitor.Sample{Container: "bonds", Step: i,
+				Latency: sim.Second, QueueLen: 4, At: p.Now()})
+		}
+		gm.deposed = true
+		check("Increase", gm.Increase(p, "bonds", nil) == nil)
+		check("Decrease", gm.Decrease(p, "bonds", 1) == nil)
+		check("Offline", gm.Offline(p, "bonds") == nil)
+		check("Query", gm.Query(p, "bonds", 4) == nil)
+		check("Resend", gm.Resend(p, "bonds") == nil)
+		check("AddTap", !gm.AddTap(p, "csym", nil))
+		check("SubResume", gm.SubResume(p, "bonds", "sub-0") == nil)
+		check("SubReplay", gm.SubReplay(p, "bonds", "sub-0", 0) == nil)
+		check("Rehome", !gm.Rehome(p, "bonds"))
+		best, _ := gm.mostOverProvisioned(p, rt.Container("bonds"))
+		check("mostOverProvisioned", best == nil)
+		gm.pendingSubs["sub-0"] = &SubNotice{Gen: 1, SubID: "sub-0", From: "bonds"}
+		gm.issueSubResumes(p)
+		gm.tick(p)
+		gm.deposed = false
+	})
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(failed) != 0 {
+		t.Fatalf("helpers reported a failed round as answered: %v", failed)
+	}
+	if acts := gm.Actions(); len(acts) != 0 {
+		t.Fatalf("failed rounds recorded actions: %+v", acts)
+	}
+}
+
+// TestDeferredRoundsIssueSorted pins the repair rounds a tick issues from
+// a map: the ResendReq rounds for the flagged upstreams and the SubResume
+// rounds for the reconnecting subscribers go out in sorted order, the
+// first one the moment the tick starts. Go randomizes map order on every
+// range, so each case runs several times.
+func TestDeferredRoundsIssueSorted(t *testing.T) {
+	cases := []struct {
+		kind  string // the round kind, also the subtest name
+		queue func(gm *GlobalManager)
+		issue func(gm *GlobalManager, p *sim.Proc)
+		want  []string // round targets, in order
+	}{
+		{"resend", func(gm *GlobalManager) {
+			for _, up := range []string{"helper", "bonds", "csym", "cna"} {
+				gm.pendingResend[up] = true
+			}
+		}, (*GlobalManager).issueResends, []string{"bonds", "cna", "csym", "helper"}},
+		{"sub_resume", func(gm *GlobalManager) {
+			for id, from := range map[string]string{"s1": "helper", "s2": "bonds", "s3": "csym", "s4": "cna"} {
+				gm.pendingSubs[id] = &SubNotice{Gen: 1, SubID: id, From: from}
+			}
+		}, (*GlobalManager).issueSubResumes, []string{"helper", "bonds", "csym", "cna"}},
+	}
+	const start = 5 * sim.Second
+	for _, tc := range cases {
+		t.Run(tc.kind, func(t *testing.T) {
+			for run := 0; run < 8; run++ {
+				rt, err := Build(protoConfig(2, smartpointer.ModelRR))
+				if err != nil {
+					t.Fatal(err)
+				}
+				gm := rt.shardPrimary[0]
+				rt.eng.GoAt(start, "caller", func(p *sim.Proc) {
+					tc.queue(gm)
+					tc.issue(gm, p)
+				})
+				if _, err := rt.Run(); err != nil {
+					t.Fatal(err)
+				}
+				var got []string
+				var first sim.Time = -1
+				for _, r := range rt.rounds {
+					if r.Kind == tc.kind {
+						if first < 0 {
+							first = r.T
+						}
+						got = append(got, r.Target)
+					}
+				}
+				if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+					t.Fatalf("run %d: %s rounds to %v, want %v", run, tc.kind, got, tc.want)
+				}
+				if first != start {
+					t.Fatalf("run %d: first %s round at %v, want %v", run, tc.kind, first, start)
+				}
+			}
+		})
+	}
 }

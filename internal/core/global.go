@@ -198,10 +198,6 @@ type GlobalManager struct {
 	// dead is set when this manager's node crashes or KillGMAt fires; a
 	// dead manager abandons whatever it is doing, including mid-call.
 	dead bool
-	// pending buffers protocol responses that were received outside the
-	// op that is waiting for them (the pump loop and an in-flight call
-	// share the control mailbox).
-	pending []any
 	// toStandby carries liveness beacons to the standby manager.
 	toStandby *evpath.Stone
 	// lastPrimaryBeat is when the standby last heard the primary.
@@ -394,10 +390,11 @@ func (gm *GlobalManager) run(p *sim.Proc) {
 // dispatch routes one monitoring/notice event (responses never reach this
 // path; the overlay split sends them to the response mailbox). It runs on
 // both the primary's pump and the deposed pump, and handling an event
-// must not park the manager process.
-//
-//iocheck:nonblocking
+// must not park the manager process: dispatch and everything it calls
+// run in a no-park section, where the kernel panics on any wait.
 func (gm *GlobalManager) dispatch(p *sim.Proc, ev *evpath.Event) {
+	p.BeginNoPark()
+	defer p.EndNoPark()
 	if gm.shardDispatch(p, ev) {
 		return
 	}
@@ -479,8 +476,6 @@ func (gm *GlobalManager) dispatch(p *sim.Proc, ev *evpath.Event) {
 // N nodes from the spare pool and send them down the container's control
 // bridge. An empty grant tells the requester to degrade. Runs from
 // dispatch, so it inherits the pump's must-not-park obligation.
-//
-//iocheck:nonblocking
 func (gm *GlobalManager) grantSpare(req *SpareReq) {
 	if gm.deposed {
 		return // a fenced manager's pool is no longer authoritative
@@ -510,23 +505,10 @@ func (gm *GlobalManager) grantSpare(req *SpareReq) {
 
 // answers reports whether a response belongs to the current round. Seqs
 // come from the runtime-wide rt.ctlSeq, so the seq alone identifies the
-// round; a FenceResp carrying it is handled by callRound's fence arm and
-// never buffered.
+// round; a FenceResp carrying it is handled by callRound's fence arm.
 func (gm *GlobalManager) answers(v any) bool {
 	m, ok := v.(roundMsg)
 	return ok && m.hdr().Seq == gm.seq
-}
-
-// takePending removes and returns the first buffered response to the
-// current round.
-func (gm *GlobalManager) takePending() any {
-	for i, v := range gm.pending {
-		if gm.answers(v) {
-			gm.pending = append(gm.pending[:i], gm.pending[i+1:]...)
-			return v
-		}
-	}
-	return nil
 }
 
 // call performs one synchronous control round with a container: send the
@@ -554,7 +536,6 @@ func (gm *GlobalManager) callRound(p *sim.Proc, target string, req roundReq) any
 	}
 	gm.rt.ctlSeq++
 	gm.seq = gm.rt.ctlSeq
-	gm.purgeStale()
 	stone, ok := gm.toContainer[target]
 	if !ok {
 		gm.rt.fail(fmt.Errorf("core: no control bridge to container %q", target))
@@ -587,10 +568,6 @@ func (gm *GlobalManager) callRound(p *sim.Proc, target string, req roundReq) any
 		stone.Submit(ev)
 		deadline := p.Now() + timeout
 		for {
-			if v := gm.takePending(); v != nil {
-				sp.End()
-				return v
-			}
 			rev, ok := gm.rsp.RecvTimeout(p, deadline-p.Now())
 			if !ok {
 				if gm.rsp.Closed() {
@@ -598,16 +575,12 @@ func (gm *GlobalManager) callRound(p *sim.Proc, target string, req roundReq) any
 					// mailbox, and a closed one takes no more events, so
 					// nothing is left in it to keep.
 					sp.Attr("outcome", "shutdown").End()
-					if v := gm.takePending(); v != nil {
-						return v
-					}
 					return nil
 				}
 				sp.Attr("outcome", "timeout").End()
 				break // round deadline; retry with backoff
 			}
 			if gm.dead {
-				gm.pending = append(gm.pending, rev.Data)
 				sp.Attr("outcome", "dead").End()
 				return nil
 			}
@@ -625,32 +598,14 @@ func (gm *GlobalManager) callRound(p *sim.Proc, target string, req roundReq) any
 				sp.End()
 				return rev.Data
 			}
-			// A response for a different caller; buffer it.
-			gm.pending = append(gm.pending, rev.Data)
+			// A late answer to an earlier round (a retried attempt's
+			// duplicate): round seqs are never reused, so it can answer
+			// nothing. Drop it.
 		}
 		timeout *= 2
 	}
 	gm.markSuspect(p, target)
 	return nil
-}
-
-// purgeStale drops buffered responses from sequence rounds that have
-// already concluded (a retried round can produce duplicate responses; once
-// a newer round starts they can never match again).
-func (gm *GlobalManager) purgeStale() {
-	if len(gm.pending) == 0 {
-		return
-	}
-	kept := gm.pending[:0]
-	for _, v := range gm.pending {
-		if m, ok := v.(roundMsg); !ok || m.hdr().Seq >= gm.seq {
-			kept = append(kept, v)
-		}
-	}
-	for i := len(kept); i < len(gm.pending); i++ {
-		gm.pending[i] = nil
-	}
-	gm.pending = kept
 }
 
 // markSuspect records that a container stopped answering control rounds.

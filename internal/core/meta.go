@@ -101,7 +101,9 @@ func (mm *MetaManager) run(p *sim.Proc) {
 			if mm.dead {
 				return
 			}
+			p.BeginNoPark()
 			mm.dispatch(ev)
+			p.EndNoPark()
 		}
 		if mm.ctl.Closed() || mm.dead {
 			return
@@ -111,9 +113,8 @@ func (mm *MetaManager) run(p *sim.Proc) {
 }
 
 // dispatch routes one shard round message. Like the shard managers'
-// pump, handling an event must never park the meta-manager process.
-//
-//iocheck:nonblocking
+// pump, handling an event must never park the meta-manager process; run
+// calls it in a no-park section, where the kernel panics on any wait.
 func (mm *MetaManager) dispatch(ev *evpath.Event) {
 	switch data := ev.Data.(type) {
 	case *ShardBeat:
@@ -137,9 +138,8 @@ func (mm *MetaManager) dispatch(ev *evpath.Event) {
 // brokerSteal picks a donor shard for a dry requester and forwards the
 // steal as a StealNotice. A stale request (below the highest epoch heard
 // for that shard) is dropped; with no donor, an empty StealGrant goes
-// straight back so the requester's pending-steal latch clears.
-//
-//iocheck:nonblocking
+// straight back so the requester's pending-steal latch clears. Runs from
+// dispatch; must not park.
 func (mm *MetaManager) brokerSteal(req *StealReq) {
 	if req.Epoch < mm.shardEpoch[req.Shard] || req.Inbox == nil {
 		return // a deposed shard manager's request; its successor re-asks
@@ -175,9 +175,7 @@ func (mm *MetaManager) brokerSteal(req *StealReq) {
 // routeGap forwards a cross-shard GapRelay to the shard managing the
 // upstream container. An unknown upstream (or a shard that has never
 // beaten) drops the relay; the consumer channel's gap detector will
-// notice again.
-//
-//iocheck:nonblocking
+// notice again. Runs from dispatch; must not park.
 func (mm *MetaManager) routeGap(data *GapRelay) {
 	s := mm.rt.dir.ShardOf(data.Upstream)
 	if s < 0 || mm.shardInbox[s] == nil {
@@ -190,9 +188,8 @@ func (mm *MetaManager) routeGap(data *GapRelay) {
 
 // broadcastCrack fans the first crack relay out to every shard (acting
 // managers and standbys) so each runs its own branch activation. Later
-// relays are duplicates and are dropped.
-//
-//iocheck:nonblocking
+// relays are duplicates and are dropped. Runs from dispatch; must not
+// park.
 func (mm *MetaManager) broadcastCrack(data *CrackRelay) {
 	if mm.crackSeen {
 		return

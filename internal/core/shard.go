@@ -152,8 +152,6 @@ func (gm *GlobalManager) InStandby() bool { return gm.standbyMode }
 // manager's control mailbox. It is called first from dispatch and
 // reports whether it consumed the event; container notices fall through.
 // Like dispatch it runs on the pump and must never park.
-//
-//iocheck:nonblocking
 func (gm *GlobalManager) shardDispatch(p *sim.Proc, ev *evpath.Event) bool {
 	switch data := ev.Data.(type) {
 	case *StealNotice:
@@ -208,8 +206,6 @@ func (gm *GlobalManager) requestSteal(n int) {
 // release time — a node in flight belongs to nobody, so no interleaving
 // of steal and heal can put one node in two shards' pools. Runs from the
 // pump; must not park.
-//
-//iocheck:nonblocking
 func (gm *GlobalManager) serveSteal(p *sim.Proc, req *StealNotice) {
 	if gm.deposed || gm.dead || req.Inbox == nil {
 		return
@@ -258,8 +254,6 @@ func (gm *GlobalManager) acceptSteal(p *sim.Proc, g *StealGrant) {
 // relayGap forwards a cross-shard GapNotice to the meta-manager, which
 // routes it to the shard managing the upstream container. Runs from the
 // pump; must not park.
-//
-//iocheck:nonblocking
 func (gm *GlobalManager) relayGap(upstream string) {
 	gm.shardSeq++
 	gm.toMeta.Submit(&evpath.Event{Type: msgGapRelay, Size: ctlMsgBytes,
@@ -270,8 +264,6 @@ func (gm *GlobalManager) relayGap(upstream string) {
 // relayCrack forwards an observed crack to the meta-manager exactly once
 // so every other shard learns to run its branch. Single-shard runs (no meta)
 // are a no-op. Runs from the pump; must not park.
-//
-//iocheck:nonblocking
 func (gm *GlobalManager) relayCrack(n *CrackNotice) {
 	if gm.toMeta == nil || gm.crackRelayed {
 		return

@@ -8,6 +8,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/shardmgr"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // shardedConfig is the Fig. 7 pipeline under the sharded control plane:
@@ -367,5 +368,125 @@ func TestSpreadFailoverLayout(t *testing.T) {
 				t.Fatalf("spare after takeover %s, want %s", adopted, tc.spare)
 			}
 		})
+	}
+}
+
+// A crack seen in one shard reaches every shard: the observing manager
+// relays it to the meta-manager (relayCrack), which forwards it to every
+// shard's acting manager and standby (broadcastCrack). The layout puts
+// CNA, the crack-activated stage, alone in a shard other than 0 that no
+// crack frame reaches, so its activation can only come through the relay.
+func TestCrackRelayReachesEveryShard(t *testing.T) {
+	const shards = 3
+	seed, cnaShard := int64(-1), -1
+	for s := int64(1); s <= 500 && seed < 0; s++ {
+		ring := shardmgr.NewRing(s, shards)
+		cna := ring.Assign("cna")
+		alone := cna != 0
+		for _, n := range []string{"helper", "bonds", "csym"} {
+			alone = alone && ring.Assign(n) != cna
+		}
+		if alone {
+			seed, cnaShard = s, cna
+		}
+	}
+	if seed < 0 {
+		t.Fatal("no ShardSeed puts cna alone in a shard other than 0")
+	}
+	cfg := shardedConfig(shards, 1, 24)
+	cfg.ShardSeed = seed
+	cfg.CrackStep = 5
+	rt, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rt.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, gm := range rt.shardPrimary {
+		if !gm.branchDone {
+			t.Errorf("shard %d never ran its branch activation", s)
+		}
+	}
+	for _, gm := range rt.shardMgrs {
+		if !gm.crackSeen {
+			t.Errorf("shard %d manager on node %d never heard of the crack", gm.shard, gm.node)
+		}
+	}
+	var activations []RoundRecord
+	for _, r := range res.Rounds {
+		if r.Kind == "activate" {
+			activations = append(activations, r)
+		}
+	}
+	if len(activations) != 1 || activations[0].Target != "cna" || activations[0].Shard != cnaShard {
+		t.Fatalf("activate rounds %+v, want one for cna from shard %d", activations, cnaShard)
+	}
+	if !rt.Container("cna").Active() {
+		t.Fatal("cna never became active")
+	}
+}
+
+// A shard whose pool runs dry when no other shard has a spare node gets
+// an empty StealGrant from the meta-manager, which clears its
+// pending-steal latch: the next dry heal asks again. Both requests are
+// answered dry, so no shard adopts or releases a node.
+func TestDryStealClearsLatch(t *testing.T) {
+	// 18 staging nodes: 5 control-plane + 13 container, no spare in any
+	// shard.
+	cfg := shardedConfig(2, 1, 18)
+	cfg.Trace = &trace.Config{RingCap: 1 << 16}
+	probe, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The widest container: two of its replica nodes crash (node 0 hosts
+	// the local manager, which runs the restart protocol).
+	var victim *Container
+	for _, c := range probe.Containers() {
+		if victim == nil || len(c.Nodes()) > len(victim.Nodes()) {
+			victim = c
+		}
+	}
+	if len(victim.Nodes()) < 3 {
+		t.Fatalf("widest container %s has %d nodes, want 3 or more", victim.Name(), len(victim.Nodes()))
+	}
+	name, shard := victim.Name(), victim.shard
+	cfg.Faults = &fault.Config{Crashes: []fault.Crash{
+		{Node: victim.Nodes()[1].ID, At: 60 * sim.Second},
+		{Node: victim.Nodes()[2].ID, At: 90 * sim.Second},
+	}}
+	probe.Shutdown()
+
+	rt, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rt.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dry := 0
+	for _, r := range rt.Tracer().Records() {
+		if r.Name == "steal-dry" && r.Attr("shard") == fmt.Sprint(shard) {
+			dry++
+		}
+	}
+	if dry != 2 {
+		t.Fatalf("%d dry steals for shard %d, want 2 (one per heal): the latch did not clear", dry, shard)
+	}
+	if gm := rt.shardPrimary[shard]; gm.stealPending {
+		t.Fatalf("shard %d still has a steal pending after two dry answers", shard)
+	}
+	for _, kind := range []string{"steal-broker", "steal-out", "steal-in"} {
+		for _, a := range res.Actions {
+			if a.Kind == kind {
+				t.Fatalf("dry run recorded a %s action: %+v", kind, a)
+			}
+		}
+	}
+	if !hasAction(res, "degrade", name) {
+		t.Fatalf("%s never degraded after its dry heal: %v", name, res.Actions)
 	}
 }

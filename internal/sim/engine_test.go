@@ -239,9 +239,9 @@ func TestProcPanicPropagates(t *testing.T) {
 	t.Fatal("expected panic")
 }
 
-// TestParkOutsideOwnProcessPanics pins the runtime twin of the vtblock
-// rule: blocking a process from anywhere but its own body — an engine
-// callback, or another process — fails loudly instead of wedging the run.
+// TestParkOutsideOwnProcessPanics pins that blocking a process from
+// anywhere but its own body — an engine callback, or another process —
+// fails loudly instead of wedging the run.
 func TestParkOutsideOwnProcessPanics(t *testing.T) {
 	const want = `sim: proc "victim" parked outside its own process`
 	cases := map[string]func(e *Engine, victim *Proc){
@@ -265,6 +265,47 @@ func TestParkOutsideOwnProcessPanics(t *testing.T) {
 			e.Run()
 			t.Fatal("expected panic")
 		})
+	}
+}
+
+// TestParkInNoParkSectionPanics pins the no-park section: any wait on
+// the process while a section is open panics, sections nest, and the
+// process may wait again once the last one closes.
+func TestParkInNoParkSectionPanics(t *testing.T) {
+	const want = `sim: proc "pump" parked inside a no-park section`
+	cases := map[string]func(p *Proc){
+		"sleep":        func(p *Proc) { p.Sleep(0) },
+		"queue get":    func(p *Proc) { NewQueue[int](p.Engine(), 1).Get(p) },
+		"event wait":   func(p *Proc) { NewEvent(p.Engine()).Wait(p) },
+		"after nested": func(p *Proc) { p.BeginNoPark(); p.EndNoPark(); p.Sleep(Second) },
+	}
+	for name, wait := range cases {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine(1)
+			e.Go("pump", func(p *Proc) {
+				p.BeginNoPark()
+				wait(p)
+			})
+			defer func() {
+				if v := recover(); v != want {
+					t.Fatalf("recovered %v, want %q", v, want)
+				}
+			}()
+			e.Run()
+			t.Fatal("expected panic")
+		})
+	}
+	e := NewEngine(1)
+	e.Go("pump", func(p *Proc) {
+		p.BeginNoPark()
+		p.BeginNoPark()
+		p.EndNoPark()
+		p.EndNoPark()
+		p.Sleep(Second)
+	})
+	e.Run()
+	if e.Now() != Second {
+		t.Fatalf("clock at %v after the sections closed, want 1s", e.Now())
 	}
 }
 

@@ -18,6 +18,7 @@ type Proc struct {
 	yield    func(struct{}) bool     // parks the coroutine; valid inside it only
 	parked   bool
 	done     bool
+	noPark   int    // open BeginNoPark sections
 	wakeWhat string // "wake "+name, built once at spawn
 	unparkFn func() // bound unpark, built once at spawn
 	w        waiter // the proc's single in-flight wait (see newWait)
@@ -61,10 +62,23 @@ func (p *Proc) park() {
 	if p.eng.running != p {
 		panic("sim: proc " + strconv.Quote(p.name) + " parked outside its own process")
 	}
+	if p.noPark > 0 {
+		panic("sim: proc " + strconv.Quote(p.name) + " parked inside a no-park section")
+	}
 	p.parked = true
 	p.yield(struct{}{})
 	p.parked = false
 }
+
+// BeginNoPark opens a section in which the process must not park: until
+// the matching EndNoPark, a wait on it (Sleep, Queue.Get, Event.Wait,
+// Resource.Acquire, ...) panics. Code that runs on a process between two
+// waits and must not wait itself, such as a manager's message dispatch,
+// declares so with a section. Sections nest.
+func (p *Proc) BeginNoPark() { p.noPark++ }
+
+// EndNoPark closes the innermost section BeginNoPark opened.
+func (p *Proc) EndNoPark() { p.noPark-- }
 
 // unpark wakes the parked process: it counts the wake and resumes it.
 func (p *Proc) unpark() {

@@ -256,7 +256,6 @@ func (r *Recorder) Instant(parent SpanID, cat, name string) *Span {
 		return nil
 	}
 	sp := r.Begin(parent, cat, name)
-	//iocheck:allow nilflow Begin returns nil only on a nil Recorder, and r was checked above
 	sp.rec.Instant = true
 	return sp
 }
