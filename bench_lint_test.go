@@ -9,10 +9,10 @@ import (
 // BenchmarkIocheckModule is the wall-time budget for `iocheck ./...` on
 // the warm, memoized path: the per-process stdlib memo is filled before
 // the timer starts, so one iteration parses and type-checks the module's
-// own packages, builds the CFG and CHA call-graph layer, and runs all
-// five analyzers. It rides in `make bench` so a regression in the
-// whole-program analysis (an unbounded summary fixpoint, a quadratic CFG
-// walk) shows up in BENCH_baseline.json next to the scenario benchmarks.
+// own packages and runs the three syntactic rules (simtime, maprange,
+// dropresult). It rides in `make bench` so a regression in module loading
+// or in a rule's walk shows up in BENCH_baseline.json next to the
+// scenario benchmarks.
 // BenchmarkLoadModuleCold in internal/analysis covers the cold stdlib
 // path the memo hides.
 func BenchmarkIocheckModule(b *testing.B) {

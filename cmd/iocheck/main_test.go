@@ -137,25 +137,61 @@ func Stamp() int64 { return time.Now().UnixNano() }
 	}
 }
 
-// TestUnresolvableImportExitsTwo: an import that is neither in the module
-// nor in GOROOT is a load error (exit 2) whose message names the path,
-// not a finding and not a silently skipped package.
+// TestUnresolvableImportExitsTwo: an import that cannot be resolved is a
+// load error (exit 2) whose message names the path, not a finding and
+// not a silently skipped package. That covers a path that is neither in
+// the module nor in GOROOT, a module-internal path with no package
+// behind it, and a module-internal import cycle.
 func TestUnresolvableImportExitsTwo(t *testing.T) {
-	root := writeModule(t, map[string]string{
-		"go.mod": "module badimport\n\ngo 1.22\n",
-		"internal/use/use.go": `package use
+	for _, tc := range []struct {
+		name  string
+		files map[string]string
+		want  string
+	}{
+		{"outside", map[string]string{
+			"go.mod": "module badimport\n\ngo 1.22\n",
+			"internal/use/use.go": `package use
 
 import "example.invalid/nosuch"
 
 var _ = nosuch.Value
 `,
-	})
-	var out, errOut strings.Builder
-	if code := run([]string{root + "/..."}, &out, &errOut); code != 2 {
-		t.Fatalf("exit = %d, want 2; stdout=%q stderr=%q", code, out.String(), errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "example.invalid/nosuch") {
-		t.Errorf("load error does not name the import path: %q", errOut.String())
+		}, "example.invalid/nosuch"},
+		{"missing", map[string]string{
+			"go.mod": "module badmod\n\ngo 1.22\n",
+			"internal/use/use.go": `package use
+
+import "badmod/internal/nosuch"
+
+var _ = nosuch.Value
+`,
+		}, "badmod/internal/nosuch"},
+		{"cycle", map[string]string{
+			"go.mod": "module cyc\n\ngo 1.22\n",
+			"internal/a/a.go": `package a
+
+import "cyc/internal/b"
+
+var A = b.B
+`,
+			"internal/b/b.go": `package b
+
+import "cyc/internal/a"
+
+var B = a.A
+`,
+		}, `import cycle through "cyc/internal/a"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := writeModule(t, tc.files)
+			var out, errOut strings.Builder
+			if code := run([]string{root + "/..."}, &out, &errOut); code != 2 {
+				t.Fatalf("exit = %d, want 2; stdout=%q stderr=%q", code, out.String(), errOut.String())
+			}
+			if !strings.Contains(errOut.String(), tc.want) {
+				t.Errorf("load error does not name %s: %q", tc.want, errOut.String())
+			}
+		})
 	}
 }
 

@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
-	"go/build/constraint"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -65,17 +65,14 @@ type pkgSource struct {
 	pkgPath string
 	dir     string
 	files   []*ast.File
-	imports []string // module-internal imports only
 }
 
 // LoadModule parses and type-checks every non-test package under the
-// module rooted at root. Module packages are checked in dependency order
-// and served from memory; standard-library imports are type-checked from
-// GOROOT source (function bodies ignored, cgo disabled, so files that
-// import "C" are left out) by a per-process importer that memoizes each
-// stdlib package, so only the first load in a process pays for the
-// stdlib. The loader needs no network and nothing beyond the standard
-// library.
+// module rooted at root, sorted by package path. Module packages are
+// checked on demand, the first time one is imported or listed. Every
+// other import is a standard-library one, served by a per-process memo
+// (see stdImporter), so only the first load in a process pays for the
+// stdlib. The loader needs no network and never runs the go command.
 func LoadModule(root string) ([]*Package, error) {
 	return loadModule(root, stdlib)
 }
@@ -91,8 +88,13 @@ func loadModule(root string, std *stdImporter) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	srcs := make(map[string]*pkgSource)
+	imp := &moduleImporter{
+		module:  modPath,
+		fset:    token.NewFileSet(),
+		srcs:    make(map[string]*pkgSource),
+		checked: make(map[string]*Package),
+		std:     std,
+	}
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -105,7 +107,7 @@ func loadModule(root string, std *stdImporter) ([]*Package, error) {
 			name == "testdata" || name == "vendor") {
 			return filepath.SkipDir
 		}
-		src, err := parseDir(fset, path)
+		src, err := parseDir(imp.fset, path)
 		if err != nil {
 			return err
 		}
@@ -116,40 +118,21 @@ func loadModule(root string, std *stdImporter) ([]*Package, error) {
 		if err != nil {
 			return err
 		}
-		src.pkgPath = modPath
-		if rel != "." {
-			src.pkgPath = modPath + "/" + filepath.ToSlash(rel)
-		}
-		for _, f := range src.files {
-			for _, imp := range f.Imports {
-				p := strings.Trim(imp.Path.Value, `"`)
-				if p == modPath || strings.HasPrefix(p, modPath+"/") {
-					src.imports = append(src.imports, p)
-				}
-			}
-		}
-		srcs[src.pkgPath] = src
+		src.pkgPath = filepath.ToSlash(filepath.Join(modPath, rel))
+		imp.srcs[src.pkgPath] = src
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	order, err := topoSort(srcs)
-	if err != nil {
-		return nil, err
-	}
-	checked := make(map[string]*Package)
-	imp := &moduleImporter{module: checked, std: std}
 	var pkgs []*Package
-	for _, path := range order {
-		pkg, err := check(fset, srcs[path], imp)
+	for _, path := range slices.Sorted(maps.Keys(imp.srcs)) {
+		pkg, err := imp.load(path)
 		if err != nil {
 			return nil, err
 		}
-		checked[path] = pkg
 		pkgs = append(pkgs, pkg)
 	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].PkgPath < pkgs[j].PkgPath })
 	return pkgs, nil
 }
 
@@ -171,8 +154,7 @@ func loadDir(dir string, std *stdImporter) (*Package, error) {
 		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
 	}
 	src.pkgPath = filepath.Base(dir)
-	imp := &moduleImporter{module: map[string]*Package{}, std: std}
-	return check(fset, src, imp)
+	return check(fset, src, &moduleImporter{std: std})
 }
 
 // parseDir parses the non-test Go files of dir (nil if there are none).
@@ -193,7 +175,7 @@ func parseDir(fset *token.FileSet, dir string) (*pkgSource, error) {
 	if len(names) == 0 {
 		return nil, nil
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	src := &pkgSource{dir: dir}
 	for _, name := range names {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -205,67 +187,57 @@ func parseDir(fset *token.FileSet, dir string) (*pkgSource, error) {
 	return src, nil
 }
 
-// topoSort orders packages so every module-internal import precedes its
-// importer.
-func topoSort(srcs map[string]*pkgSource) ([]string, error) {
-	paths := make([]string, 0, len(srcs))
-	for p := range srcs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	const (
-		visiting = 1
-		done     = 2
-	)
-	state := make(map[string]int, len(srcs))
-	var order []string
-	var visit func(p string, chain []string) error
-	visit = func(p string, chain []string) error {
-		switch state[p] {
-		case done:
-			return nil
-		case visiting:
-			return fmt.Errorf("analysis: import cycle: %s", strings.Join(append(chain, p), " -> "))
-		}
-		state[p] = visiting
-		src := srcs[p]
-		deps := append([]string(nil), src.imports...)
-		sort.Strings(deps)
-		for _, dep := range deps {
-			if _, ok := srcs[dep]; !ok {
-				return fmt.Errorf("analysis: %s imports %s, which is not in the module", p, dep)
-			}
-			if err := visit(dep, append(chain, p)); err != nil {
-				return err
-			}
-		}
-		state[p] = done
-		order = append(order, p)
-		return nil
-	}
-	for _, p := range paths {
-		if err := visit(p, nil); err != nil {
-			return nil, err
-		}
-	}
-	return order, nil
-}
-
-// moduleImporter resolves module packages from the load in progress and
-// everything else from the stdlib importer, whose memo outlives the load.
-// Stdlib objects therefore carry positions in the stdlib importer's own
-// FileSet: a rule may resolve a position through Package.Fset only for
-// module syntax.
+// moduleImporter resolves module packages from the load in progress,
+// checking each on demand, and everything else from the stdlib importer,
+// whose memo outlives the load. Stdlib objects therefore carry positions
+// in the stdlib importer's own FileSet: a rule may resolve a position
+// through Package.Fset only for module syntax.
 type moduleImporter struct {
-	module map[string]*Package
-	std    *stdImporter
+	module  string // module path; empty for LoadDir
+	fset    *token.FileSet
+	srcs    map[string]*pkgSource
+	checked map[string]*Package // a nil entry is still being checked
+	err     error               // the first failure; every later load returns it
+	std     *stdImporter
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	if pkg, ok := m.module[path]; ok {
+	if _, ok := m.srcs[path]; ok {
+		pkg, err := m.load(path)
+		if err != nil {
+			return nil, err
+		}
 		return pkg.Types, nil
 	}
+	if m.module != "" && (path == m.module || strings.HasPrefix(path, m.module+"/")) {
+		return nil, fmt.Errorf("analysis: package %s is not in the module", path)
+	}
 	return m.std.Import(path)
+}
+
+// load type-checks the module package at path the first time it is asked
+// for. Meeting a nil entry again means an import cycle. The first failure
+// sticks, so LoadModule reports the root cause, not an importer's
+// wrapping of it.
+func (m *moduleImporter) load(path string) (*Package, error) {
+	pkg, seen := m.checked[path]
+	switch {
+	case m.err != nil: // a failed load fails every later one
+	case seen && pkg == nil:
+		m.err = fmt.Errorf("analysis: import cycle through %q", path)
+	case !seen:
+		m.checked[path] = nil
+		var err error
+		pkg, err = check(m.fset, m.srcs[path], m)
+		m.checked[path] = pkg
+		if m.err == nil {
+			m.err = err
+		}
+	}
+	if m.err != nil {
+		return nil, m.err
+	}
+	return pkg, nil
 }
 
 // check type-checks one parsed package.
@@ -298,65 +270,37 @@ func check(fset *token.FileSet, src *pkgSource, imp types.Importer) (*Package, e
 
 // stdlib is the process-wide standard-library importer: every LoadModule
 // and LoadDir in the process shares its memo, so each GOROOT package is
-// parsed and type-checked at most once per process.
+// resolved, parsed and type-checked at most once per process.
 var stdlib = newStdImporter()
 
 // stdImporter type-checks standard-library packages from GOROOT source.
-// It selects files the way go/build does with cgo disabled, but by file
-// name and one parse per file: _test.go files and files whose
-// _GOOS/_GOARCH suffix does not match are dropped unopened, every other
-// file is parsed once, and a file is kept when its //go:build line holds
-// under build.Default's tags and it does not import "C". Packages are
-// checked with function bodies ignored, then the ASTs are dropped, so the
-// memo holds only type information. Positions of stdlib objects belong
-// to the importer's own FileSet, never to a module Package.Fset.
+// go/build, with cgo disabled, resolves each import path (vendored
+// golang.org/x packages included) and selects its files. They are parsed
+// without comments, since go/build has already evaluated their
+// //go:build lines, checked with function bodies ignored, and dropped,
+// so the memo holds only type information. Positions of stdlib objects
+// belong to the importer's own FileSet, never to a module Package.Fset.
 type stdImporter struct {
 	mu     sync.Mutex
 	fset   *token.FileSet
-	goroot string
-	goarch string
-	tags   map[string]bool
-	byPath map[string]*stdPackage // keyed by import path and by package path
+	ctxt   build.Context
+	byPath map[string]*stdPackage // a nil entry is still being checked
 }
 
 // stdPackage is one memoized import: the checked package or the error
-// that stopped it, plus the files that were selected.
+// that stopped it.
 type stdPackage struct {
-	path  string // package path; vendor/… for vendored imports
-	dir   string
-	files []string // base names of the type-checked files, sorted
 	types *types.Package
 	err   error
-	busy  bool // being checked; seeing it again means an import cycle
 }
 
 func newStdImporter() *stdImporter {
 	ctxt := build.Default
-	tags := map[string]bool{ctxt.GOOS: true, ctxt.GOARCH: true, ctxt.Compiler: true}
-	if unixOS[ctxt.GOOS] {
-		tags["unix"] = true
-	}
-	switch ctxt.GOOS {
-	case "android":
-		tags["linux"] = true
-	case "illumos":
-		tags["solaris"] = true
-	case "ios":
-		tags["darwin"] = true
-	}
-	for _, list := range [][]string{ctxt.BuildTags, ctxt.ToolTags, ctxt.ReleaseTags} {
-		for _, tag := range list {
-			tags[tag] = true
-		}
-	}
-	if tags["goexperiment.boringcrypto"] {
-		tags["boringcrypto"] = true // go/build's old name for the experiment
-	}
+	ctxt.CgoEnabled = false
+	ctxt.GOPATH = "" // the standard library lives in GOROOT alone
 	return &stdImporter{
 		fset:   token.NewFileSet(),
-		goroot: ctxt.GOROOT,
-		goarch: ctxt.GOARCH,
-		tags:   tags,
+		ctxt:   ctxt,
 		byPath: make(map[string]*stdPackage),
 	}
 }
@@ -366,14 +310,7 @@ func newStdImporter() *stdImporter {
 func (s *stdImporter) Import(path string) (*types.Package, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.load(path).result()
-}
-
-func (p *stdPackage) result() (*types.Package, error) {
-	if p.err != nil {
-		return nil, p.err
-	}
-	return p.types, nil
+	return s.load(path)
 }
 
 // importerFunc adapts a function to types.Importer.
@@ -381,73 +318,51 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// load resolves, selects, parses and checks path, memoizing the outcome
-// (errors included). The caller holds s.mu.
-func (s *stdImporter) load(path string) *stdPackage {
+// load checks path once, memoizing the outcome (errors included). The
+// caller holds s.mu.
+func (s *stdImporter) load(path string) (*types.Package, error) {
 	if path == "unsafe" {
-		return &stdPackage{path: path, types: types.Unsafe}
+		return types.Unsafe, nil
 	}
 	if p, ok := s.byPath[path]; ok {
-		if p.busy {
-			return &stdPackage{path: path, err: fmt.Errorf("analysis: import cycle through %q", path)}
+		if p == nil {
+			return nil, fmt.Errorf("analysis: import cycle through %q", path)
 		}
-		return p
+		return p.types, p.err
 	}
-	pkgPath, dir, err := s.resolve(path)
+	s.byPath[path] = nil
+	tpkg, err := s.check(path)
+	s.byPath[path] = &stdPackage{tpkg, err}
+	return tpkg, err
+}
+
+// check resolves path with go/build, then parses and type-checks the
+// files it selects. Imports are resolved from a directory under
+// GOROOT/src, which makes go/build search GOROOT/src/vendor and never
+// run the go command; only its path matters, and it is outside src/cmd,
+// whose vendor tree serves the toolchain's own commands.
+func (s *stdImporter) check(path string) (*types.Package, error) {
+	if build.IsLocalImport(path) {
+		return nil, fmt.Errorf("analysis: cannot import %q: not a standard-library path", path)
+	}
+	bp, err := s.ctxt.Import(path, filepath.Join(s.ctxt.GOROOT, "src", "std"), 0)
 	if err != nil {
-		p := &stdPackage{path: path, err: err}
-		s.byPath[path] = p
-		return p
+		return nil, fmt.Errorf("analysis: loading %q: %w", path, err)
 	}
-	if p, ok := s.byPath[pkgPath]; ok {
-		s.byPath[path] = p
-		return p
-	}
-	p := &stdPackage{path: pkgPath, dir: dir, busy: true}
-	s.byPath[path] = p
-	s.byPath[pkgPath] = p
-	p.types, p.files, p.err = s.check(pkgPath, dir)
-	p.busy = false
-	return p
-}
-
-// resolve maps an import path to its package path and GOROOT directory,
-// falling back to GOROOT/src/vendor the way go/build resolves the
-// standard library's vendored golang.org/x imports.
-func (s *stdImporter) resolve(path string) (pkgPath, dir string, err error) {
-	if build.IsLocalImport(path) || filepath.IsAbs(path) {
-		return "", "", fmt.Errorf("analysis: cannot import %q: not a standard-library path", path)
-	}
-	src := filepath.Join(s.goroot, "src")
-	if dir := filepath.Join(src, filepath.FromSlash(path)); isDir(dir) {
-		return path, dir, nil
-	}
-	if dir := filepath.Join(src, "vendor", filepath.FromSlash(path)); isDir(dir) {
-		return "vendor/" + path, dir, nil
-	}
-	return "", "", fmt.Errorf("analysis: cannot find package %q in GOROOT (%s)", path, src)
-}
-
-func isDir(path string) bool {
-	fi, err := os.Stat(path)
-	return err == nil && fi.IsDir()
-}
-
-// check selects, parses and type-checks the package in dir.
-func (s *stdImporter) check(pkgPath, dir string) (*types.Package, []string, error) {
-	files, err := s.parseDir(dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("analysis: loading %q: %w", pkgPath, err)
-	}
-	if len(files) == 0 {
-		return nil, nil, fmt.Errorf("analysis: no buildable Go files for %q in %s", pkgPath, dir)
+	files := make([]*ast.File, 0, len(bp.GoFiles))
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(s.fset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, fmt.Errorf("analysis: loading %q: %w", bp.ImportPath, err)
+		}
+		files = append(files, f)
 	}
 	var firstHard error
 	conf := types.Config{
-		Importer:         importerFunc(func(path string) (*types.Package, error) { return s.load(path).result() }),
+		Importer:         importerFunc(s.load),
 		IgnoreFuncBodies: true,
 		FakeImportC:      true,
-		Sizes:            types.SizesFor("gc", s.goarch),
+		Sizes:            types.SizesFor("gc", s.ctxt.GOARCH),
 		Error: func(err error) {
 			// Soft errors (such as an import used only in an ignored
 			// function body) do not make the package unusable.
@@ -456,115 +371,9 @@ func (s *stdImporter) check(pkgPath, dir string) (*types.Package, []string, erro
 			}
 		},
 	}
-	tpkg, _ := conf.Check(pkgPath, s.fset, files, nil)
+	tpkg, _ := conf.Check(bp.ImportPath, s.fset, files, nil)
 	if firstHard != nil {
-		return nil, nil, fmt.Errorf("analysis: type-checking %q: %v", pkgPath, firstHard)
+		return nil, fmt.Errorf("analysis: type-checking %q: %v", bp.ImportPath, firstHard)
 	}
-	names := make([]string, len(files))
-	for i, f := range files {
-		names[i] = filepath.Base(s.fset.File(f.Package).Name())
-	}
-	return tpkg, names, nil
-}
-
-// parseDir parses the files of dir that a cgo-disabled build of this
-// GOOS/GOARCH compiles, sorted by name.
-func (s *stdImporter) parseDir(dir string) ([]*ast.File, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
-			strings.HasPrefix(name, "_") || strings.HasPrefix(name, ".") || !s.goodOSArchFile(name) {
-			continue
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(s.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		keep, err := s.shouldBuild(f)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		if keep {
-			files = append(files, f)
-		}
-	}
-	return files, nil
-}
-
-// goodOSArchFile reports whether name's _GOOS, _GOARCH or _GOOS_GOARCH
-// suffix, if any, matches; it mirrors go/build, which ignores everything
-// before the first underscore (so "linux.go" carries no constraint).
-func (s *stdImporter) goodOSArchFile(name string) bool {
-	name, _, _ = strings.Cut(name, ".")
-	i := strings.Index(name, "_")
-	if i < 0 {
-		return true
-	}
-	l := strings.Split(name[i:], "_")
-	if n := len(l); n >= 2 && knownOS[l[n-2]] && knownArch[l[n-1]] {
-		return s.tags[l[n-2]] && s.tags[l[n-1]]
-	}
-	if last := l[len(l)-1]; knownOS[last] || knownArch[last] {
-		return s.tags[last]
-	}
-	return true
-}
-
-// shouldBuild evaluates f's //go:build line (absent means always) and
-// drops cgo files, which a cgo-disabled build ignores.
-func (s *stdImporter) shouldBuild(f *ast.File) (bool, error) {
-	for _, imp := range f.Imports {
-		if imp.Path.Value == `"C"` {
-			return false, nil
-		}
-	}
-	if f.Name.Name == "documentation" {
-		return false, nil
-	}
-	for _, g := range f.Comments {
-		if g.Pos() >= f.Package {
-			break
-		}
-		for _, c := range g.List {
-			if !constraint.IsGoBuild(c.Text) {
-				continue
-			}
-			expr, err := constraint.Parse(c.Text)
-			if err != nil {
-				return false, err
-			}
-			return expr.Eval(func(tag string) bool { return s.tags[tag] }), nil
-		}
-	}
-	return true, nil
-}
-
-// knownOS, unixOS and knownArch copy go/build's internal lists: a file
-// suffix names a constraint only when it is a known OS or architecture.
-var knownOS = setOf("aix", "android", "darwin", "dragonfly", "freebsd", "hurd", "illumos",
-	"ios", "js", "linux", "nacl", "netbsd", "openbsd", "plan9", "solaris", "wasip1", "windows", "zos")
-
-var unixOS = setOf("aix", "android", "darwin", "dragonfly", "freebsd", "hurd", "illumos",
-	"ios", "linux", "netbsd", "openbsd", "solaris")
-
-var knownArch = setOf("386", "amd64", "amd64p32", "arm", "armbe", "arm64", "arm64be", "loong64",
-	"mips", "mipsle", "mips64", "mips64le", "mips64p32", "mips64p32le", "ppc", "ppc64", "ppc64le",
-	"riscv", "riscv64", "s390", "s390x", "sparc", "sparc64", "wasm")
-
-func setOf(names ...string) map[string]bool {
-	m := make(map[string]bool, len(names))
-	for _, n := range names {
-		m[n] = true
-	}
-	return m
+	return tpkg, nil
 }

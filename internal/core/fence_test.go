@@ -290,20 +290,15 @@ func TestRehomeIdempotentUnderCtlDrops(t *testing.T) {
 	}
 }
 
-// TestTradeVoteTimeoutDerived pins the satellite fix: the D2T vote
-// timeout is no longer the hardcoded 1 s but derives from the control
-// round deadline (CallTimeout/30), and the explicit knob overrides it.
+// TestTradeVoteTimeoutDerived pins the D2T vote timeout to the control
+// round deadline (CallTimeout/30) instead of a hardcoded 1 s.
 func TestTradeVoteTimeoutDerived(t *testing.T) {
 	pc := PolicyConfig{}.withDefaults(15*sim.Second, 30)
-	if pc.TradeVoteTimeout != sim.Second {
-		t.Fatalf("default trade vote timeout %v, want 1s (CallTimeout/30)", pc.TradeVoteTimeout)
+	if got := pc.tradeVoteTimeout(); got != sim.Second {
+		t.Fatalf("default trade vote timeout %v, want 1s (CallTimeout/30)", got)
 	}
 	pc = PolicyConfig{CallTimeout: 60 * sim.Second}.withDefaults(15*sim.Second, 30)
-	if pc.TradeVoteTimeout != 2*sim.Second {
-		t.Fatalf("scaled trade vote timeout %v, want 2s", pc.TradeVoteTimeout)
-	}
-	pc = PolicyConfig{TradeVoteTimeout: 5 * sim.Second}.withDefaults(15*sim.Second, 30)
-	if pc.TradeVoteTimeout != 5*sim.Second {
-		t.Fatalf("explicit trade vote timeout %v overridden", pc.TradeVoteTimeout)
+	if got := pc.tradeVoteTimeout(); got != 2*sim.Second {
+		t.Fatalf("scaled trade vote timeout %v, want 2s", got)
 	}
 }

@@ -71,11 +71,6 @@ type PolicyConfig struct {
 	// round deadline (exponential backoff), so a merely slow container
 	// gets progressively more room while a dead one is bounded.
 	CallRetries int
-	// TradeVoteTimeout bounds each D2T vote round inside a transactional
-	// trade (default CallTimeout/30, i.e. 1 s at the stock 30 s round
-	// deadline — it scales with the scenario's control-round tuning
-	// instead of being pinned to a wall-clock constant).
-	TradeVoteTimeout sim.Time
 	// DisableFencing turns off epoch fencing of control rounds (see
 	// fence.go), restoring the legacy failover behavior whose healed-
 	// partition split brain the chaos regressions reproduce.
@@ -135,14 +130,17 @@ func (pc PolicyConfig) withDefaults(outputPeriod sim.Time, queueCap int) PolicyC
 	if pc.CallRetries <= 0 {
 		pc.CallRetries = 2
 	}
-	if pc.TradeVoteTimeout <= 0 {
-		pc.TradeVoteTimeout = pc.CallTimeout / 30
-	}
 	if pc.SilencePatience == 0 {
 		pc.SilencePatience = 4
 	}
 	return pc
 }
+
+// tradeVoteTimeout bounds each D2T vote round inside a transactional
+// trade: CallTimeout/30, i.e. 1 s at the stock 30 s round deadline, so it
+// scales with the scenario's control-round tuning instead of being pinned
+// to a wall-clock constant.
+func (pc PolicyConfig) tradeVoteTimeout() sim.Time { return pc.CallTimeout / 30 }
 
 // Action records one management decision for the experiment timelines.
 type Action struct {
@@ -871,7 +869,7 @@ func (gm *GlobalManager) gather(p *sim.Proc, bneck *Container, want int, unattai
 // failures make a participant go silent, forcing a consistent abort.
 func (gm *GlobalManager) tradeTxn(p *sim.Proc, victim, bneck *Container) bool {
 	cfg := txn.Config{Writers: 2, Readers: 1,
-		VoteTimeout: gm.policy.TradeVoteTimeout, Tracer: gm.rt.tracer}
+		VoteTimeout: gm.policy.tradeVoteTimeout(), Tracer: gm.rt.tracer}
 	if gm.policy.InjectTradeFailures > 0 {
 		gm.policy.InjectTradeFailures--
 		cfg.SilentRanks = map[int]bool{1: true} // the donor-side manager fails

@@ -396,9 +396,6 @@ type Policy struct {
 	// a container is allowed before the GM probes it with a liveness
 	// query (0 = default 4, negative disables).
 	SilencePatience int `json:"silencePatience"`
-	// TradeVoteTimeoutSec bounds each D2T vote round inside a
-	// transactional trade (0 = derived from the control-round timeout).
-	TradeVoteTimeoutSec float64 `json:"tradeVoteTimeoutSec"`
 	// DisableFencing restores the legacy, pre-epoch-fencing failover
 	// (the split-brain chaos regressions reproduce under this).
 	DisableFencing bool `json:"disableFencing"`
@@ -498,9 +495,7 @@ func (f *File) ToConfig() (core.Config, error) {
 			CallTimeout:         sim.Time(f.Policy.CallTimeoutSec * float64(sim.Second)),
 			CallRetries:         f.Policy.CallRetries,
 			SilencePatience:     f.Policy.SilencePatience,
-			TradeVoteTimeout: sim.Time(
-				f.Policy.TradeVoteTimeoutSec * float64(sim.Second)),
-			DisableFencing: f.Policy.DisableFencing,
+			DisableFencing:      f.Policy.DisableFencing,
 		},
 	}
 	if f.Shards != nil {
