@@ -218,7 +218,7 @@ func BenchmarkAblationDeliveryGuarantee(b *testing.B) {
 			mach.SetFaults(sched)
 			cfg := datatap.Config{HomeNode: 1, QueueCap: 4}
 			if alo {
-				cfg.Delivery.Mode = datatap.DeliveryAtLeastOnce
+				cfg.Delivery = datatap.DeliveryAtLeastOnce
 			}
 			ch := datatap.NewChannel(eng, mach, "bench", cfg)
 			w := ch.NewWriter(2)

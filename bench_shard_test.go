@@ -56,7 +56,6 @@ func smallControlConfig(b *testing.B) core.Config {
 			DisableOffline:  true,
 			DisableStealing: true,
 			CallTimeoutSec:  5,
-			CallRetries:     2,
 		},
 	}
 	for i := 0; i < 10; i++ {

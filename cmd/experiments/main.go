@@ -114,7 +114,6 @@ func writeShardsScenario(path string) error {
 			DisableOffline:  true,
 			DisableStealing: true,
 			CallTimeoutSec:  5,
-			CallRetries:     2,
 		},
 	}
 	for i := 0; i < nStages; i++ {

@@ -281,8 +281,7 @@ func checkConvergence(info *RunInfo) []string {
 // entirely: a frozen manager heals arbitrarily late without that being
 // a bug.
 func checkHeal(info *RunInfo) []string {
-	pol := info.Cfg.Policy
-	if pol.DisableSelfHealing {
+	if info.Cfg.Policy.DisableSelfHealing {
 		return nil
 	}
 	if f := info.File.Faults; f != nil && len(f.Stalls) > 0 {
@@ -299,7 +298,7 @@ func checkHeal(info *RunInfo) []string {
 		return nil
 	}
 	horizon := sim.Time(info.Cfg.Steps)*info.Cfg.OutputPeriod + info.Cfg.DrainTime
-	margin := 2*pol.Interval + 90*sim.Second
+	margin := 2*info.Cfg.OutputPeriod + 90*sim.Second
 	down := map[int]bool{}
 	for _, n := range info.Res.DownNodes {
 		down[n] = true

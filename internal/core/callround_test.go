@@ -13,15 +13,14 @@ import (
 )
 
 // TestCallRoundRetryBudget pins callRound's retry ladder against a
-// container whose manager node is dead. With CallTimeout T and
-// CallRetries 2 the round is sent three times under one Seq (Retry 0, 1,
+// container whose manager node is dead. With CallTimeout T and the fixed
+// callRetries (2) the round is sent three times under one Seq (Retry 0, 1,
 // 2), each deadline double the last, so the sends fall at t, t+T and
 // t+3T and the budget runs out at t+7T with exactly one suspect action.
 func TestCallRoundRetryBudget(t *testing.T) {
 	const T = 2 * sim.Second
 	cfg := protoConfig(2, smartpointer.ModelRR)
 	cfg.Policy.CallTimeout = T
-	cfg.Policy.CallRetries = 2
 	probe, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -112,11 +112,10 @@ type Container struct {
 	provenance string
 
 	// Monitoring.
-	samples     int64
 	lastService sim.Time
 	crackSeen   bool
 	// probe applies the configured monitoring rate/aggregation before
-	// samples cross the machine (nil = direct reporting).
+	// samples cross the machine.
 	probe *monitor.Probe
 
 	// stepsProcessed counts steps fully processed by this container.
@@ -229,11 +228,9 @@ func (rt *Runtime) newContainer(spec ComponentSpec, nodes []*cluster.Node,
 // inside the batch job's startup, as in the paper's experiments).
 func (c *Container) start() {
 	c.toGM = c.mgrEV.NewBridge(c.rt.shardPrimary[c.shard].inbox(), 0)
-	if c.rt.cfg.MonitorSampleEvery > 0 || c.rt.cfg.MonitorAggregateN > 1 {
-		c.probe = monitor.NewProbe(c.toGM)
-		c.probe.Every = c.rt.cfg.MonitorSampleEvery
-		c.probe.AggregateN = c.rt.cfg.MonitorAggregateN
-	}
+	c.probe = monitor.NewProbe(c.toGM)
+	c.probe.Every = c.rt.cfg.MonitorSampleEvery
+	c.probe.AggregateN = c.rt.cfg.MonitorAggregateN
 	for _, n := range c.nodes {
 		c.addReplica(n)
 	}
@@ -250,9 +247,9 @@ func (c *Container) every(closed func() bool, tick func()) {
 			return
 		}
 		tick()
-		c.rt.eng.After(c.rt.cfg.Policy.Interval, step)
+		c.rt.eng.After(c.rt.cfg.OutputPeriod, step)
 	}
-	c.rt.eng.After(c.rt.cfg.Policy.Interval, step)
+	c.rt.eng.After(c.rt.cfg.OutputPeriod, step)
 }
 
 // heartbeat reports queue pressure even while every replica is stuck
@@ -543,29 +540,21 @@ func (r *replica) forward(p *sim.Proc, m *datatap.Meta, pg *bp.ProcessGroup, fi 
 }
 
 // report sends a monitoring sample to the global manager over the
-// monitoring overlay, through the configured probe when one is set.
+// monitoring overlay, through the container's probe.
 func (c *Container) report(s monitor.Sample) {
-	c.samples++
 	c.rt.recordSample(s)
 	if s.Step >= 0 && s.Latency > c.SLAPeriod() {
 		// The first SLA violation freezes the flight recorder's lead-up.
 		c.rt.tracer.Trigger("sla:" + c.spec.Name)
 	}
-	if c.probe != nil {
-		c.probe.Offer(s)
-		return
-	}
-	c.toGM.Submit(monitor.Event(s))
+	c.probe.Offer(s)
 }
 
 // MonitoringTraffic reports how many monitoring events this container
 // sent across the machine versus how many samples it captured — the
 // perturbation §III-E's flexible monitoring exists to control.
 func (c *Container) MonitoringTraffic() (captured, sent int64) {
-	if c.probe != nil {
-		return c.probe.Seen(), c.probe.Sent()
-	}
-	return c.samples, c.samples
+	return c.probe.Seen(), c.probe.Sent()
 }
 
 // notifyCrack tells the global manager crack formation was observed (the

@@ -53,9 +53,9 @@ func (gm *GlobalManager) Rehome(p *sim.Proc, target string) bool {
 // been silent for three intervals.
 func (gm *GlobalManager) standbyLoop(p *sim.Proc) {
 	gm.standbyMode = true
-	grace := 3 * gm.policy.Interval
+	grace := 3 * gm.rt.cfg.OutputPeriod
 	for {
-		deadline := p.Now() + gm.policy.Interval
+		deadline := p.Now() + gm.rt.cfg.OutputPeriod
 		for p.Now() < deadline {
 			ev, ok := gm.ctl.RecvTimeout(p, deadline-p.Now())
 			if !ok {

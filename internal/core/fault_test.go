@@ -272,7 +272,7 @@ func TestHeadlessContainerSuspectedBySilenceProbe(t *testing.T) {
 	if len(res.Suspects) != 1 || res.Suspects[0] != "csym" {
 		t.Fatalf("suspects %v, want [csym]", res.Suspects)
 	}
-	// Detection latency is bounded: SilencePatience (4) intervals of
+	// Detection latency is bounded: silencePatience (4) intervals of
 	// silence from the last proof of life, one probe round of 5+10+20 s.
 	for _, a := range res.Actions {
 		if a.Kind == "suspect" && a.T > 200*sim.Second {

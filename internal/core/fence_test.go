@@ -293,11 +293,11 @@ func TestRehomeIdempotentUnderCtlDrops(t *testing.T) {
 // TestTradeVoteTimeoutDerived pins the D2T vote timeout to the control
 // round deadline (CallTimeout/30) instead of a hardcoded 1 s.
 func TestTradeVoteTimeoutDerived(t *testing.T) {
-	pc := PolicyConfig{}.withDefaults(15*sim.Second, 30)
+	pc := PolicyConfig{}.withDefaults()
 	if got := pc.tradeVoteTimeout(); got != sim.Second {
 		t.Fatalf("default trade vote timeout %v, want 1s (CallTimeout/30)", got)
 	}
-	pc = PolicyConfig{CallTimeout: 60 * sim.Second}.withDefaults(15*sim.Second, 30)
+	pc = PolicyConfig{CallTimeout: 60 * sim.Second}.withDefaults()
 	if got := pc.tradeVoteTimeout(); got != 2*sim.Second {
 		t.Fatalf("scaled trade vote timeout %v, want 2s", got)
 	}

@@ -14,23 +14,6 @@ import (
 
 // PolicyConfig tunes the global manager's SLA enforcement.
 type PolicyConfig struct {
-	// Interval is the management tick period (default: the output
-	// period).
-	Interval sim.Time
-	// MinSamples is how many samples a container's window needs before
-	// it can be diagnosed (default 2).
-	MinSamples int
-	// TriggerQueueLen is the input backlog that makes a container a
-	// management candidate (default 2).
-	TriggerQueueLen int
-	// OfflineQueueLen is the backlog at which an unsatisfiable
-	// bottleneck is taken offline (default max(4, queueCap/3)).
-	OfflineQueueLen int
-	// Cooldown is the minimum time between management actions (default
-	// 2 intervals).
-	Cooldown sim.Time
-	// WindowSpan bounds the monitoring windows (default 10 intervals).
-	WindowSpan sim.Time
 	// DisableManagement turns the policy off (baseline runs for the
 	// figures' "unmanaged" comparison).
 	DisableManagement bool
@@ -66,24 +49,10 @@ type PolicyConfig struct {
 	// round is answered from the cache, never re-executed — which is
 	// what makes the tighter first deadline safe.
 	CallTimeout sim.Time
-	// CallRetries is how many extra rounds a timed-out call gets before
-	// the container is marked suspect (default 2). Each retry doubles the
-	// round deadline (exponential backoff), so a merely slow container
-	// gets progressively more room while a dead one is bounded.
-	CallRetries int
 	// DisableFencing turns off epoch fencing of control rounds (see
 	// fence.go), restoring the legacy failover behavior whose healed-
 	// partition split brain the chaos regressions reproduce.
 	DisableFencing bool
-	// SilencePatience is how many policy intervals of silence an online,
-	// active container is allowed before the GM probes it with a
-	// liveness Query (default 4; negative disables). Monitoring samples
-	// only flow while steps are processed, so a container whose manager
-	// node crashed starves *silently*: its surviving replicas report no
-	// queue pressure and the bottleneck scan never gains a reason to
-	// call — and thereby suspect — it. The probe gives the suspect
-	// machinery that reason.
-	SilencePatience int
 	// DisableSelfHealing turns off the per-container replica watch and
 	// restart protocol (ablation arm of the fault experiments). It has no
 	// effect when no fault schedule is configured — the watch only runs
@@ -99,39 +68,40 @@ type PolicyConfig struct {
 	CustomTick func(gm *GlobalManager, p *sim.Proc)
 }
 
-func (pc PolicyConfig) withDefaults(outputPeriod sim.Time, queueCap int) PolicyConfig {
-	if pc.Interval <= 0 {
-		pc.Interval = outputPeriod
-	}
-	if pc.MinSamples <= 0 {
-		pc.MinSamples = 2
-	}
-	if pc.TriggerQueueLen <= 0 {
-		pc.TriggerQueueLen = 2
-	}
-	if pc.OfflineQueueLen <= 0 {
-		pc.OfflineQueueLen = queueCap / 3
-		if pc.OfflineQueueLen < 4 {
-			pc.OfflineQueueLen = 4
-		}
-	}
-	if pc.Cooldown <= 0 {
-		pc.Cooldown = 2 * pc.Interval
-	}
-	if pc.WindowSpan <= 0 {
-		pc.WindowSpan = 10 * pc.Interval
-	}
+// The built-in policy's fixed tuning. The management interval is the
+// run's output period (Config.OutputPeriod).
+const (
+	// minSamples is how many samples a container's window needs before
+	// it can be diagnosed.
+	minSamples = 2
+	// triggerQueueLen is the input backlog that makes a container a
+	// management candidate.
+	triggerQueueLen = 2
+	// cooldownIntervals is the minimum gap between management actions.
+	cooldownIntervals = 2
+	// windowIntervals bounds the monitoring windows.
+	windowIntervals = 10
+	// callRetries is how many extra rounds a timed-out call gets before
+	// the container is marked suspect. Each retry doubles the round
+	// deadline (exponential backoff), so a merely slow container gets
+	// progressively more room while a dead one is bounded.
+	callRetries = 2
+	// silencePatience is how many intervals of silence an online, active
+	// container is allowed before the GM probes it with a liveness Query
+	// (see probeSilent).
+	silencePatience = 4
+)
+
+// offlineQueueLen is the backlog at which an unsatisfiable bottleneck is
+// taken offline: a third of the channel queue, at least 4.
+func offlineQueueLen(queueCap int) int { return max(4, queueCap/3) }
+
+func (pc PolicyConfig) withDefaults() PolicyConfig {
 	if pc.OfflinePatience <= 0 {
 		pc.OfflinePatience = 4
 	}
 	if pc.CallTimeout <= 0 {
 		pc.CallTimeout = 30 * sim.Second
-	}
-	if pc.CallRetries <= 0 {
-		pc.CallRetries = 2
-	}
-	if pc.SilencePatience == 0 {
-		pc.SilencePatience = 4
 	}
 	return pc
 }
@@ -290,7 +260,7 @@ func newGlobalManager(rt *Runtime, node int, policy PolicyConfig, spare []*clust
 	otherRoute.Link(gm.ctl.Stone)
 	gm.root = gm.ev.NewStone(nil)
 	gm.root.Link(respRoute).Link(otherRoute)
-	gm.agg = monitor.NewAggregator(policy.WindowSpan)
+	gm.agg = monitor.NewAggregator(windowIntervals * rt.cfg.OutputPeriod)
 	return gm
 }
 
@@ -347,7 +317,7 @@ func (gm *GlobalManager) run(p *sim.Proc) {
 		if gm.toMeta != nil {
 			gm.beatMeta(p)
 		}
-		deadline := p.Now() + gm.policy.Interval
+		deadline := p.Now() + gm.rt.cfg.OutputPeriod
 		for p.Now() < deadline {
 			ev, ok := gm.ctl.RecvTimeout(p, deadline-p.Now())
 			if !ok {
@@ -445,7 +415,7 @@ func (gm *GlobalManager) dispatch(p *sim.Proc, ev *evpath.Event) {
 		}
 	case *SubNotice:
 		gm.lastHeard[data.From] = p.Now()
-		gm.rt.tracer.Instant(ev.Ctx(), "ctl", "sub-notice").
+		gm.rt.tracer.Instant(ev.Span, "ctl", "sub-notice").
 			Container(data.From).Node(gm.node).AttrInt("seq", data.Gen).End()
 		// Dedupe per subscriber on the reconnect generation: a reconnect
 		// storm collapses to one resume round per subscriber. Defer the
@@ -546,7 +516,7 @@ func (gm *GlobalManager) callRound(p *sim.Proc, target string, req roundReq) any
 	h.Seq, h.Epoch = gm.seq, gm.epoch
 	kind := strings.TrimPrefix(req.kind(), "ctl.")
 	timeout := gm.policy.CallTimeout
-	for attempt := 0; attempt <= gm.policy.CallRetries; attempt++ {
+	for attempt := 0; attempt <= callRetries; attempt++ {
 		if gm.dead {
 			return nil
 		}
@@ -710,9 +680,8 @@ func (gm *GlobalManager) record(p *sim.Proc, a Action) {
 	gm.rt.rec.Mark(a.T, fmt.Sprintf("%s %s %d %s", a.Kind, a.Target, a.N, a.Detail))
 }
 
-// tick runs one built-in policy evaluation.
 // probeSilent pings containers the GM has not heard from in
-// SilencePatience policy intervals. Monitoring samples only flow while a
+// silencePatience policy intervals. Monitoring samples only flow while a
 // container is processing steps, so a container whose manager node died
 // starves *silently*: its surviving replicas have nothing to report, the
 // bottleneck scan never selects it, and without this probe the GM would
@@ -722,10 +691,7 @@ func (gm *GlobalManager) record(p *sim.Proc, a Action) {
 // live-but-idle container answers a single 256 B round per patience
 // window (which itself refreshes lastHeard).
 func (gm *GlobalManager) probeSilent(p *sim.Proc) {
-	if gm.policy.SilencePatience < 0 {
-		return
-	}
-	patience := sim.Time(gm.policy.SilencePatience) * gm.policy.Interval
+	patience := silencePatience * gm.rt.cfg.OutputPeriod
 	for _, c := range gm.managed() {
 		name := c.Name()
 		if !c.Active() || gm.suspect[name] {
@@ -743,9 +709,10 @@ func (gm *GlobalManager) probeSilent(p *sim.Proc) {
 	}
 }
 
+// tick runs one built-in policy evaluation.
 func (gm *GlobalManager) tick(p *sim.Proc) {
 	gm.probeSilent(p)
-	if gm.actionTaken && p.Now()-gm.lastAction < gm.policy.Cooldown {
+	if gm.actionTaken && p.Now()-gm.lastAction < cooldownIntervals*gm.rt.cfg.OutputPeriod {
 		return
 	}
 	// Work down the pressured containers by average latency until one
@@ -777,7 +744,7 @@ func (gm *GlobalManager) tick(p *sim.Proc) {
 		// overflow for OfflinePatience consecutive ticks, prune the
 		// bottleneck from the data path (paper Fig. 9/10).
 		w := gm.agg.Window(bneck.Name())
-		if w != nil && w.LastQueueLen() >= gm.policy.OfflineQueueLen {
+		if w != nil && w.LastQueueLen() >= offlineQueueLen(gm.rt.cfg.QueueCap) {
 			gm.overflowTicks[bneck.Name()]++
 		} else {
 			gm.overflowTicks[bneck.Name()] = 0
@@ -799,10 +766,10 @@ func (gm *GlobalManager) findBottlenecks() []*Container {
 			continue
 		}
 		w := gm.agg.Window(c.Name())
-		if w == nil || w.Len() < gm.policy.MinSamples {
+		if w == nil || w.Len() < minSamples {
 			continue
 		}
-		if w.LastQueueLen() >= gm.policy.TriggerQueueLen || w.QueueTrend() > 0 {
+		if w.LastQueueLen() >= triggerQueueLen || w.QueueTrend() > 0 {
 			candidates = append(candidates, c.Name())
 		}
 	}

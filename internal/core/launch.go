@@ -57,7 +57,7 @@ func (gm *GlobalManager) LaunchContainer(p *sim.Proc, spec ComponentSpec, nodes 
 	tap := datatap.NewChannel(gm.rt.eng, gm.rt.mach,
 		"ch.tap."+spec.Name,
 		datatap.Config{QueueCap: gm.rt.cfg.QueueCap,
-			WriterBufBytes: gm.rt.cfg.WriterBufBytes, HomeNode: grant[0].ID})
+			WriterBufBytes: writerBufBytes, HomeNode: grant[0].ID})
 
 	c, err := gm.rt.newContainer(spec, grant, tap, nil, "")
 	if err != nil {

@@ -26,16 +26,15 @@ type Config struct {
 	// ratios range 1:512 to 1:2048; the experiments use 256:13, 512:24,
 	// 1024:24).
 	SimNodes, StagingNodes int
-	// Machine overrides the machine model (default: Franklin sized to
-	// SimNodes+StagingNodes).
-	Machine *cluster.Config
 	// Specs lists the pipeline stages in order (default: DefaultSpecs).
 	Specs []ComponentSpec
 	// Sizes maps component name to initial node count. Unlisted
 	// components get 1 node. The sum must fit within StagingNodes;
 	// leftovers become the spare pool.
 	Sizes map[string]int
-	// OutputPeriod is the simulation's output cadence (default 15 s).
+	// OutputPeriod is the simulation's output cadence (default 15 s). It is
+	// also the management interval: the managers' policy tick, the
+	// containers' heartbeats and the failover watches all run on it.
 	OutputPeriod sim.Time
 	// Steps is the number of output steps the simulation emits.
 	Steps int
@@ -43,14 +42,12 @@ type Config struct {
 	CrackStep int64
 	// QueueCap bounds each channel's metadata queue (default 30).
 	QueueCap int
-	// WriterBufBytes bounds each DataTap writer buffer (default 1 GiB).
-	WriterBufBytes int64
 	// Delivery selects the data plane's delivery guarantee for the stage
 	// channels (zero value = best-effort, today's semantics). The
 	// checkpoint channel always runs best-effort: checkpoints are
 	// periodic full-state dumps, so a lost one is superseded, not lost
 	// work.
-	Delivery datatap.DeliveryConfig
+	Delivery datatap.DeliveryMode
 	// Scale overrides the workload scale (default from SimNodes).
 	Scale lammps.Scale
 	// Policy tunes the global manager.
@@ -67,12 +64,6 @@ type Config struct {
 	// CheckpointNodes sizes the checkpoint container (default 1). Its
 	// nodes come out of the staging partition like everyone else's.
 	CheckpointNodes int
-	// SpreadPlacement assigns staging nodes to containers round-robin
-	// instead of in contiguous blocks. With a topology-aware machine
-	// model this scatters each container across the interconnect — the
-	// placement question the paper leaves as future work, exposed here
-	// for the placement ablation benchmark.
-	SpreadPlacement bool
 	// MonitorSampleEvery rate-limits each container's monitoring
 	// reports: at most one sample per interval crosses the machine
 	// (0 = every sample). §III-E: "how often they are captured".
@@ -81,9 +72,6 @@ type Config struct {
 	// report at the container boundary before it crosses the machine
 	// (0/1 = none). §III-E: "how they are processed and where".
 	MonitorAggregateN int
-	// TraceSteps records each step's per-stage completion times in
-	// Result.StepTrace (diagnostic; off by default).
-	TraceSteps bool
 	// Shards is the number of control-plane shards (0 means 1).
 	// Containers are assigned to shard managers by a seeded
 	// consistent-hash ring. One shard is the paper's single global
@@ -115,6 +103,10 @@ type Config struct {
 	Trace *trace.Config
 }
 
+// writerBufBytes bounds each DataTap writer buffer: half a Franklin
+// node's memory.
+const writerBufBytes = 4 << 30
+
 func (c Config) withDefaults() Config {
 	if c.SimNodes <= 0 {
 		c.SimNodes = 256
@@ -134,9 +126,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueCap <= 0 {
 		c.QueueCap = 30
 	}
-	if c.WriterBufBytes <= 0 {
-		c.WriterBufBytes = 4 << 30 // half a Franklin node's memory
-	}
 	if c.Scale.AtomCount == 0 {
 		c.Scale = lammps.ScaleForNodes(c.SimNodes)
 	}
@@ -149,7 +138,7 @@ func (c Config) withDefaults() Config {
 	if c.Shards > 1 && c.ShardSeed == 0 {
 		c.ShardSeed = c.Seed
 	}
-	c.Policy = c.Policy.withDefaults(c.OutputPeriod, c.QueueCap)
+	c.Policy = c.Policy.withDefaults()
 	return c
 }
 
@@ -203,7 +192,6 @@ type Runtime struct {
 	exits        int64
 	dropped      int
 	firstErr     error
-	stepTrace    map[int64]map[string]sim.Time
 	deliveryLost []LostStep
 
 	// faults is the armed fault schedule (nil on fault-free runs).
@@ -255,9 +243,6 @@ func Build(cfg Config) (*Runtime, error) {
 		return nil, fmt.Errorf("core: Policy.KillGMAt targets a single-shard manager; crash shard managers via a fault schedule")
 	}
 	rt := &Runtime{cfg: cfg, byName: map[string]*Container{}, rec: metrics.NewRecorder()}
-	if cfg.TraceSteps {
-		rt.stepTrace = make(map[int64]map[string]sim.Time)
-	}
 	rt.eng = sim.NewEngine(cfg.Seed)
 	if cfg.Trace != nil {
 		rt.tracer = trace.New(rt.eng, *cfg.Trace)
@@ -266,9 +251,6 @@ func Build(cfg Config) (*Runtime, error) {
 		}
 	}
 	machCfg := cluster.Franklin()
-	if cfg.Machine != nil {
-		machCfg = *cfg.Machine
-	}
 	machCfg.Nodes = cfg.SimNodes + cfg.StagingNodes
 	rt.mach = cluster.New(rt.eng, machCfg)
 	if cfg.Faults != nil && !cfg.Faults.Empty() {
@@ -305,13 +287,9 @@ func Build(cfg Config) (*Runtime, error) {
 	}
 
 	// Assign container nodes front-to-back (contiguous blocks keep a
-	// container's replicas topologically close) or interleaved when
-	// SpreadPlacement is set; leftovers are spare.
+	// container's replicas topologically close); leftovers are spare.
 	region := stagingNodes[ctl:]
-	if cfg.SpreadPlacement {
-		region = interleave(region, len(cfg.Specs))
-	}
-	rt.stagingNodes = append(stagingNodes[:ctl:ctl], region...)
+	rt.stagingNodes = stagingNodes
 	next := 0
 	nodesFor := map[string][]*cluster.Node{}
 	for _, spec := range cfg.Specs {
@@ -351,7 +329,7 @@ func Build(cfg Config) (*Runtime, error) {
 	// and standby share the first placement-order nodes with containers.
 	hosts := []*cluster.Node{region[0], region[min(1, len(region)-1)]}
 	if S > 1 {
-		rt.meta = newMetaManager(rt, stagingNodes[0].ID, S, cfg.Policy.Interval)
+		rt.meta = newMetaManager(rt, stagingNodes[0].ID, S, cfg.OutputPeriod)
 		hosts = stagingNodes[1:ctl]
 	}
 	rt.shardPrimary = make([]*GlobalManager, S)
@@ -401,7 +379,7 @@ func Build(cfg Config) (*Runtime, error) {
 		home := nodesFor[consumer][0].ID
 		rt.channels[i] = datatap.NewChannel(rt.eng, rt.mach,
 			fmt.Sprintf("ch.%d.%s", i, consumer),
-			datatap.Config{QueueCap: cfg.QueueCap, WriterBufBytes: cfg.WriterBufBytes,
+			datatap.Config{QueueCap: cfg.QueueCap, WriterBufBytes: writerBufBytes,
 				HomeNode: home, Delivery: cfg.Delivery})
 		rt.channels[i].SetTracer(rt.tracer)
 	}
@@ -460,7 +438,7 @@ func Build(cfg Config) (*Runtime, error) {
 		// is superseded by the next one, and retaining multi-GB checkpoint
 		// payloads for redelivery would defeat their drain-fast purpose.
 		rt.ckptChannel = datatap.NewChannel(rt.eng, rt.mach, "ch.ckpt",
-			datatap.Config{QueueCap: cfg.QueueCap, WriterBufBytes: cfg.WriterBufBytes,
+			datatap.Config{QueueCap: cfg.QueueCap, WriterBufBytes: writerBufBytes,
 				HomeNode: ckptNodes[0].ID})
 		rt.ckptChannel.SetTracer(rt.tracer)
 		c, err := rt.newContainer(spec, ckptNodes, rt.ckptChannel, nil, "")
@@ -616,21 +594,6 @@ func (rt *Runtime) shutdown() {
 	}
 }
 
-// interleave reorders nodes with stride k so consecutive assignment
-// slots land far apart in machine order.
-func interleave(nodes []*cluster.Node, k int) []*cluster.Node {
-	if k < 2 || len(nodes) < 2 {
-		return nodes
-	}
-	out := make([]*cluster.Node, 0, len(nodes))
-	for off := 0; off < k; off++ {
-		for i := off; i < len(nodes); i += k {
-			out = append(out, nodes[i])
-		}
-	}
-	return out
-}
-
 // Shutdown terminates the pipeline early and drains all processes. It is
 // for callers driving the runtime step-by-step (microbenchmarks); Run
 // calls the same path internally.
@@ -746,14 +709,6 @@ func (rt *Runtime) recordSample(s monitor.Sample) {
 	rt.rec.Series("latency."+s.Container).Add(t, s.Latency.Seconds())
 	rt.rec.Series("queue."+s.Container).Add(t, float64(s.QueueLen))
 	rt.rec.Series("service."+s.Container).Add(t, s.Service.Seconds())
-	if rt.stepTrace != nil {
-		st := rt.stepTrace[s.Step]
-		if st == nil {
-			st = make(map[string]sim.Time)
-			rt.stepTrace[s.Step] = st
-		}
-		st[s.Container] = t
-	}
 }
 
 // recordExit notes a step leaving the pipeline. Checkpoint flushes go to
@@ -872,9 +827,6 @@ type Result struct {
 	// Provenance maps container name to the provenance attribute it
 	// stamped on disk output (empty if none).
 	Provenance map[string]string
-	// StepTrace (when Config.TraceSteps) maps step -> container -> the
-	// virtual time the container finished that step.
-	StepTrace map[int64]map[string]sim.Time
 	// Suspects lists containers the acting managers gave up on (control
 	// rounds exhausted their retries), sorted. A deposed or dead primary's
 	// verdicts are left out.
@@ -937,7 +889,6 @@ func (rt *Runtime) result() *Result {
 		FinalSizes:       map[string]int{},
 		Provenance:       map[string]string{},
 	}
-	res.StepTrace = rt.stepTrace
 	// The control plane's log: actions across every manager (a deposed or
 	// dead primary's included) plus the meta, time-ordered. Suspects and
 	// spare come from the acting managers only: a deposed or partitioned

@@ -271,7 +271,7 @@ func (c *Container) managerLoop(p *sim.Proc) {
 				// A round from a deposed manager epoch. Refuse it — even a
 				// cached one: serving (or re-serving) it would let a stale
 				// primary keep mutating the pipeline after a failover.
-				c.fence(h.Seq, e, ev.Ctx())
+				c.fence(h.Seq, e, ev.Span)
 				continue
 			}
 			if e > c.fencedEpoch {
@@ -281,13 +281,13 @@ func (c *Container) managerLoop(p *sim.Proc) {
 		if cached, dup := served[h.Seq]; isRound && dup {
 			// A retried round answered from the cache: visible in the
 			// trace as an instant chained to the retry's round span.
-			c.rt.tracer.Instant(ev.Ctx(), "ctl", "dedupe").
+			c.rt.tracer.Instant(ev.Span, "ctl", "dedupe").
 				Container(c.spec.Name).Node(c.mgrEV.Node()).
 				AttrInt("seq", h.Seq).End()
 			c.reply(cached)
 			continue
 		}
-		sp := c.rt.tracer.Begin(ev.Ctx(), "ctl", roundSpans[ev.Type].serve).
+		sp := c.rt.tracer.Begin(ev.Span, "ctl", roundSpans[ev.Type].serve).
 			Container(c.spec.Name).Node(c.mgrEV.Node())
 		var resp roundMsg
 		exit := false
@@ -336,10 +336,7 @@ func (c *Container) managerLoop(p *sim.Proc) {
 			}
 			c.staleGM = c.toGM
 			c.toGM = c.mgrEV.NewBridge(req.Inbox, 0)
-			if c.probe != nil {
-				// The probe must follow the new upward path.
-				c.probe.Out = c.toGM
-			}
+			c.probe.Out = c.toGM // the probe must follow the new upward path
 			resp = &RehomeResp{}
 		default:
 			c.rt.fail(fmt.Errorf("core: container %s got unknown control %T",
@@ -595,7 +592,7 @@ func (c *Container) doHeal(p *sim.Proc) {
 // round still carry real spare nodes, so their nodes are merged rather
 // than leaked.
 func (c *Container) awaitGrant(p *sim.Proc) []*cluster.Node {
-	deadline := p.Now() + 2*c.rt.cfg.Policy.Interval
+	deadline := p.Now() + 2*c.rt.cfg.OutputPeriod
 	var granted []*cluster.Node
 	for {
 		ev, ok := c.mailbox.RecvTimeout(p, deadline-p.Now())

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/smartpointer"
+	"repro/internal/trace"
 )
 
 // runScenario builds and runs a config, failing the test on error.
@@ -541,34 +542,6 @@ func TestCheckpointContainerRelaxedSLA(t *testing.T) {
 	}
 }
 
-func TestSpreadPlacementStillConserves(t *testing.T) {
-	cfg := fig7Config()
-	cfg.SpreadPlacement = true
-	res := runScenario(t, cfg)
-	if res.Emitted != 20 {
-		t.Fatalf("emitted %d", res.Emitted)
-	}
-	total := res.Spare
-	for _, n := range res.FinalSizes {
-		total += n
-	}
-	if total != cfg.StagingNodes {
-		t.Fatalf("nodes %d != %d", total, cfg.StagingNodes)
-	}
-	// Interleaving must not assign a node to two containers.
-	seen := map[int]bool{}
-	rt, _ := Build(cfg)
-	for _, c := range rt.containers {
-		for _, n := range c.Nodes() {
-			if seen[n.ID] {
-				t.Fatalf("node %d assigned twice", n.ID)
-			}
-			seen[n.ID] = true
-		}
-	}
-	rt.Shutdown()
-}
-
 // Property: the managed pipeline survives arbitrary configurations —
 // random scales, staging widths, sizings, policies, crack steps — without
 // errors, leaking nodes, or losing accounting.
@@ -637,26 +610,30 @@ func TestRandomConfigTortureProperty(t *testing.T) {
 func TestStepTrace(t *testing.T) {
 	cfg := fig7Config()
 	cfg.Steps = 6
-	cfg.TraceSteps = true
+	cfg.Trace = &trace.Config{}
 	rt, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := rt.Run()
-	if err != nil {
+	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.StepTrace) == 0 {
-		t.Fatal("no step trace")
-	}
 	// Stage completions for a step must be chronologically ordered along
-	// the pipeline.
-	st, ok := res.StepTrace[0]
-	if !ok {
-		t.Fatalf("step 0 missing: %v", res.StepTrace)
+	// the pipeline: each stage's step-0 compute span ends before the next
+	// stage's does.
+	done := map[string]sim.Time{}
+	for _, r := range rt.Tracer().Records() {
+		if r.Cat == "core" && r.Name == "compute" && r.Step == 0 {
+			done[r.Container] = max(done[r.Container], r.End)
+		}
 	}
-	if !(st["helper"] < st["bonds"] && st["bonds"] < st["csym"]) {
-		t.Fatalf("stage order broken: %v", st)
+	for _, name := range []string{"helper", "bonds", "csym"} {
+		if done[name] == 0 {
+			t.Fatalf("no step-0 compute span for %s: %v", name, done)
+		}
+	}
+	if !(done["helper"] < done["bonds"] && done["bonds"] < done["csym"]) {
+		t.Fatalf("stage order broken: %v", done)
 	}
 }
 

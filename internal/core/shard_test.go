@@ -310,13 +310,13 @@ func TestControlPlaneLayout(t *testing.T) {
 }
 
 // TestSpreadFailoverLayout pins the placement of managers and spare pools
-// under SpreadPlacement, and the pool a standby adopts when it takes over.
-// One shard: the region is interleaved before the manager is placed, so
-// the standby sits on the second interleaved node. Two shards: the meta,
-// primaries and standbys take nodes 256..260 and the region behind them is
-// interleaved. Either way the new acting manager rebuilds its pool in
-// placement order, so it adopts the leftover nodes in the order the
-// primary held them at build.
+// on the contiguous layout, and the pool a standby adopts when it takes
+// over. One shard: the manager and standby sit on the first two region
+// nodes, which the first container also holds. Two shards: the meta,
+// primaries and standbys take nodes 256..260 and the region follows them.
+// Either way the new acting manager rebuilds its pool in placement order,
+// so it adopts the leftover nodes in the order the primary held them at
+// build.
 func TestSpreadFailoverLayout(t *testing.T) {
 	ids := func(ns []*cluster.Node) string {
 		var out []int
@@ -326,11 +326,10 @@ func TestSpreadFailoverLayout(t *testing.T) {
 		return fmt.Sprint(out)
 	}
 	oneShard := Config{StagingNodes: 16, Sizes: DefaultSizes(13), Steps: 12,
-		SpreadPlacement: true, ShardStandbys: 1, Seed: 7}
+		ShardStandbys: 1, Seed: 7}
 	oneShard.Policy.KillGMAt = 40 * sim.Second
 	twoShards := shardedConfig(2, 1, 24)
 	twoShards.ShardSeed = splitSeed(t, 2)
-	twoShards.SpreadPlacement = true
 	twoShards.Faults = &fault.Config{Crashes: []fault.Crash{{Node: 257, At: 60 * sim.Second}}}
 	for _, tc := range []struct {
 		name             string
@@ -339,8 +338,8 @@ func TestSpreadFailoverLayout(t *testing.T) {
 		spare            string
 		adoptAt          sim.Time // after the takeover, before any resize
 	}{
-		{"one-shard", oneShard, 256, 260, "[263 267 271]", 91 * sim.Second},
-		{"two-shards", twoShards, 257, 259, "[275 264 272]", 106 * sim.Second},
+		{"one-shard", oneShard, 256, 257, "[269 270 271]", 91 * sim.Second},
+		{"two-shards", twoShards, 257, 259, "[274 276 278]", 106 * sim.Second},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rt, err := Build(tc.cfg)
@@ -356,7 +355,11 @@ func TestSpreadFailoverLayout(t *testing.T) {
 				t.Fatalf("spare at build %s, want %s", got, tc.spare)
 			}
 			var adopted string
-			rt.eng.At(tc.adoptAt, func() { adopted = ids(rt.ShardManager(0).SpareNodes()) })
+			rt.eng.At(tc.adoptAt, func() {
+				if rt.ShardManager(0) == standby {
+					adopted = ids(standby.SpareNodes())
+				}
+			})
 			if _, err := rt.Run(); err != nil {
 				t.Fatal(err)
 			}

@@ -295,7 +295,7 @@ func (d *dashboard) read(_ *datatap.Meta, ok bool) {
 // stays crashed, which the conservation oracle still accounts for
 // exactly.
 func (rt *Runtime) reconnect(s *datatap.Subscriber, at sim.Time) {
-	backoff := rt.cfg.Policy.Interval
+	backoff := rt.cfg.OutputPeriod
 	attempts := 0
 	var try func()
 	try = func() {

@@ -27,7 +27,7 @@ func TestStepAllocBudget(t *testing.T) {
 			"the descriptor, retained in the queue by design"},
 		{"best-effort full queue traced", Config{HomeNode: 1, QueueCap: 1}, true, 3,
 			"the descriptor; the two bytes attrs"},
-		{"at-least-once", Config{HomeNode: 1, Delivery: DeliveryConfig{Mode: DeliveryAtLeastOnce}}, false, 2,
+		{"at-least-once", Config{HomeNode: 1, Delivery: DeliveryAtLeastOnce}, false, 2,
 			"the descriptor and its ledger entry, retained until the ack by design"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -68,7 +68,7 @@ func TestStepAllocBudget(t *testing.T) {
 				t.Errorf("%v allocations per step, budget %v (%s)", got, c.want, c.why)
 			}
 			st := ch.Stats()
-			if c.cfg.Delivery.Mode == DeliveryAtLeastOnce && st.StepsAcked < st.StepsPulled-1 {
+			if c.cfg.Delivery == DeliveryAtLeastOnce && st.StepsAcked < st.StepsPulled-1 {
 				t.Fatalf("acked %d of %d pulled steps", st.StepsAcked, st.StepsPulled)
 			}
 		})

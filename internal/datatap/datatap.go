@@ -163,8 +163,8 @@ type Config struct {
 	// smoothing bursts off the interconnect.
 	PullSpacing sim.Time
 	// Delivery selects the loss semantics (zero value = best-effort, the
-	// legacy at-most-once transport) and tunes the at-least-once paths.
-	Delivery DeliveryConfig
+	// legacy at-most-once transport).
+	Delivery DeliveryMode
 }
 
 // descriptorBytes is the on-wire size of a metadata push.
@@ -212,7 +212,6 @@ type Channel struct {
 
 // NewChannel creates a channel. mach may be nil for cost-free tests.
 func NewChannel(eng *sim.Engine, mach *cluster.Machine, name string, cfg Config) *Channel {
-	cfg.Delivery = cfg.Delivery.withDefaults()
 	c := &Channel{
 		name: name,
 		eng:  eng,

@@ -6,12 +6,12 @@
 // at-least-once mode every accepted write is *retained* by its writer
 // until a downstream processing ack, so the channel can re-emit steps
 // whose pull failed, and pressure (full buffer, near-full queue, pause
-// windows, saturated retained set) degrades by spilling payloads to a
-// provenance-stamped BP stream instead of blocking the application or
-// dropping data. A repair loop redelivers lost steps with backoff and
-// drains the spill store in order once pressure clears. Readers claim
-// each sequence exactly once, so replayed steps are applied exactly once
-// even though delivery is at-least-once.
+// windows) degrades by spilling payloads to a provenance-stamped BP
+// stream instead of blocking the application or dropping data. A repair
+// loop redelivers lost steps with backoff and drains the spill store in
+// order once pressure clears. Readers claim each sequence exactly once, so
+// replayed steps are applied exactly once even though delivery is
+// at-least-once.
 //
 // Crash-induced loss is never silent: payloads that die with their node
 // are forfeited with a tombstone record in the spill stream, so the
@@ -52,62 +52,27 @@ func (m DeliveryMode) String() string {
 	return fmt.Sprintf("delivery(%d)", int(m))
 }
 
-// DeliveryConfig tunes at-least-once behaviour. The zero value is
-// best-effort; all other fields are ignored in that mode.
-type DeliveryConfig struct {
-	Mode DeliveryMode
-	// PushRetries bounds descriptor-push retries per write (default 3).
-	PushRetries int
-	// PushBackoff is the initial retry backoff, doubling per attempt
-	// (default 250 ms).
-	PushBackoff sim.Time
-	// RedeliverDelay is how long a lost step waits before re-emission
-	// (default 500 ms).
-	RedeliverDelay sim.Time
-	// RedeliverRetries bounds re-emissions per step before the payload
-	// spills to disk instead (default 3).
-	RedeliverRetries int
-	// SpillQueueFrac spills writes when the metadata queue reaches this
-	// fraction of capacity (default 0.9; only meaningful with a bounded
-	// queue).
-	SpillQueueFrac float64
-	// RetainCap bounds each writer's retained-unacked set; writes beyond
-	// it spill (0 = unbounded).
-	RetainCap int
-	// DrainInterval paces the repair loop (default 1 s).
-	DrainInterval sim.Time
-	// DrainBurst bounds spill reinjections per repair tick (default 8).
-	DrainBurst int
-}
-
-// withDefaults fills zero fields for at-least-once mode.
-func (d DeliveryConfig) withDefaults() DeliveryConfig {
-	if d.Mode != DeliveryAtLeastOnce {
-		return d
-	}
-	if d.PushRetries == 0 {
-		d.PushRetries = 3
-	}
-	if d.PushBackoff == 0 {
-		d.PushBackoff = sim.Second / 4
-	}
-	if d.RedeliverDelay == 0 {
-		d.RedeliverDelay = sim.Second / 2
-	}
-	if d.RedeliverRetries == 0 {
-		d.RedeliverRetries = 3
-	}
-	if d.SpillQueueFrac == 0 {
-		d.SpillQueueFrac = 0.9
-	}
-	if d.DrainInterval == 0 {
-		d.DrainInterval = sim.Second
-	}
-	if d.DrainBurst == 0 {
-		d.DrainBurst = 8
-	}
-	return d
-}
+// At-least-once tuning, fixed for every channel (best-effort channels
+// never read it).
+const (
+	// pushRetries bounds descriptor-push retries per write.
+	pushRetries = 3
+	// pushBackoff is the initial push-retry backoff, doubling per attempt.
+	pushBackoff = sim.Second / 4
+	// redeliverDelay is how long a lost step waits before re-emission; it
+	// also rate-limits the consumer's gap notices.
+	redeliverDelay = sim.Second / 2
+	// redeliverRetries bounds re-emissions per step before the payload
+	// spills to disk instead.
+	redeliverRetries = 3
+	// spillQueueFrac spills writes once the metadata queue reaches this
+	// fraction of a bounded queue's capacity.
+	spillQueueFrac = 0.9
+	// drainInterval paces the repair loop.
+	drainInterval = sim.Second
+	// drainBurst bounds spill reinjections per repair tick.
+	drainBurst = 8
+)
 
 // ackBytes is the on-wire size of a processing ack.
 const ackBytes = 64
@@ -149,7 +114,7 @@ type retEntry struct {
 }
 
 // alo reports whether the channel runs at-least-once.
-func (c *Channel) alo() bool { return c.cfg.Delivery.Mode == DeliveryAtLeastOnce }
+func (c *Channel) alo() bool { return c.cfg.Delivery == DeliveryAtLeastOnce }
 
 // nearFull reports whether the metadata queue has crossed the spill
 // threshold (always false for unbounded queues).
@@ -157,7 +122,7 @@ func (c *Channel) nearFull() bool {
 	if c.cfg.QueueCap <= 0 {
 		return false
 	}
-	thresh := int(float64(c.cfg.QueueCap) * c.cfg.Delivery.SpillQueueFrac)
+	thresh := int(float64(c.cfg.QueueCap) * spillQueueFrac)
 	if thresh < 1 {
 		thresh = 1
 	}
@@ -177,7 +142,7 @@ func (c *Channel) noteGap(missing int64) {
 		return
 	}
 	now := c.eng.Now()
-	if c.gapNoted && now-c.lastGapNote < c.cfg.Delivery.RedeliverDelay {
+	if c.gapNoted && now-c.lastGapNote < redeliverDelay {
 		return
 	}
 	c.gapNoted = true
@@ -264,22 +229,6 @@ func (w *Writer) forfeitAll(reason string) {
 	}
 }
 
-// overRetainCap reports whether the writer's live retained set (staged,
-// pulled, lost) has reached the configured bound.
-func (w *Writer) overRetainCap() bool {
-	cap := w.ch.cfg.Delivery.RetainCap
-	if cap <= 0 {
-		return false
-	}
-	live := 0
-	for _, e := range w.retained {
-		if e.state != retSpilled {
-			live++
-		}
-	}
-	return live >= cap
-}
-
 // pushDescriptor delivers the metadata descriptor to the channel's home
 // node with bounded retry and doubling backoff. A push can fail outright
 // (dead or partitioned endpoint) or be dropped in flight by a data-drop
@@ -288,14 +237,14 @@ func (w *Writer) pushDescriptor(p *sim.Proc) bool {
 	if w.ch.mach == nil || w.node == w.ch.cfg.HomeNode {
 		return true
 	}
-	backoff := w.ch.cfg.Delivery.PushBackoff
+	backoff := pushBackoff
 	for attempt := 0; ; attempt++ {
 		if w.ch.mach.Send(p, w.node, w.ch.cfg.HomeNode, descriptorBytes) &&
 			!w.ch.mach.Faults().DropData() {
 			return true
 		}
 		if !w.ch.mach.Faults().NodeUp(w.node) || w.ch.closed ||
-			attempt >= w.ch.cfg.Delivery.PushRetries {
+			attempt >= pushRetries {
 			return false
 		}
 		w.ch.stats.PushRetried++
@@ -308,11 +257,11 @@ func (w *Writer) pushDescriptor(p *sim.Proc) bool {
 }
 
 // writeALO is the at-least-once write path. It never blocks the
-// application beyond transfer costs: pressure (pause window, saturated
-// retained set, near-full queue, full buffer) spills the payload instead,
-// and a failed descriptor push retries with backoff before spilling. The
-// only false return is a closed channel or the writer's own node dying
-// mid-write (tombstoned, so even that loss is accounted).
+// application beyond transfer costs: pressure (pause window, near-full
+// queue, full buffer) spills the payload instead, and a failed descriptor
+// push retries with backoff before spilling. The only false return is a
+// closed channel or the writer's own node dying mid-write (tombstoned, so
+// even that loss is accounted).
 func (w *Writer) writeALO(p *sim.Proc, step, size int64, data any, parent trace.SpanID) bool {
 	sp := w.ch.tracer.Begin(parent, "datatap", "write").
 		Container(w.ch.name).Node(w.node).Step(step).AttrInt("bytes", size)
@@ -335,8 +284,6 @@ func (w *Writer) writeALO(p *sim.Proc, step, size int64, data any, parent trace.
 	switch {
 	case w.ch.paused:
 		spill = "paused"
-	case w.overRetainCap():
-		spill = "retained"
 	case w.ch.nearFull():
 		spill = "queue"
 	case !w.buf.TryAcquire(int(size)):
@@ -593,7 +540,7 @@ func (c *Channel) ensureRepair() {
 
 func (c *Channel) repairLoop(p *sim.Proc) {
 	for !c.closed {
-		p.Sleep(c.cfg.Delivery.DrainInterval)
+		p.Sleep(drainInterval)
 		if c.closed {
 			return
 		}
@@ -637,13 +584,13 @@ func (c *Channel) redeliverDue(p *sim.Proc) {
 	for _, w := range c.writers {
 		for _, seq := range w.sortedRetained(retLost) {
 			e := w.retained[seq]
-			if now-e.lostAt < c.cfg.Delivery.RedeliverDelay {
+			if now-e.lostAt < redeliverDelay {
 				continue
 			}
 			switch {
 			case c.mach != nil && !c.mach.Faults().NodeUp(w.node):
 				w.forfeit(e, "crash")
-			case e.redeliveries >= c.cfg.Delivery.RedeliverRetries:
+			case e.redeliveries >= redeliverRetries:
 				// The payload keeps failing to move (long partition);
 				// park it on stable storage. Redelivery-to-disk counts as
 				// a redelivery so the byte ledger stays balanced.
@@ -687,7 +634,7 @@ func (c *Channel) drainSpill(p *sim.Proc) {
 	if c.spill == nil || c.paused {
 		return
 	}
-	burst := c.cfg.Delivery.DrainBurst
+	burst := drainBurst
 	// Detach the resident list for the pass: the disk-read sleeps below
 	// yield the engine, so a writer can spillIn a NEW entry mid-pass.
 	// Appends land on c.spill.resident (emptied here) and are merged back
@@ -775,7 +722,7 @@ func (d DeliverySnapshot) Unaccounted() int64 {
 func (c *Channel) DeliverySnapshot() DeliverySnapshot {
 	d := DeliverySnapshot{
 		Channel:          c.name,
-		Mode:             c.cfg.Delivery.Mode,
+		Mode:             c.cfg.Delivery,
 		StepsWritten:     c.stats.StepsWritten,
 		StepsAcked:       c.stats.StepsAcked,
 		StepsCrashLost:   c.stats.StepsCrashLost,

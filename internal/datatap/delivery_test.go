@@ -12,7 +12,7 @@ import (
 // newALOTestChannel is newFaultyChannel with at-least-once delivery.
 func newALOTestChannel(t *testing.T, fcfg fault.Config, cfg Config) (*sim.Engine, *Channel) {
 	t.Helper()
-	cfg.Delivery.Mode = DeliveryAtLeastOnce
+	cfg.Delivery = DeliveryAtLeastOnce
 	eng, _, ch := newFaultyChannel(t, fcfg, cfg)
 	return eng, ch
 }

@@ -76,7 +76,7 @@ func (b *bridge) drain() {
 			return
 		}
 		size := ev.Size + descriptorBytes
-		sp := b.owner.tracer.Begin(ev.Ctx(), "evpath", "send").
+		sp := b.owner.tracer.Begin(ev.Span, "evpath", "send").
 			Node(b.owner.node).Attr("type", ev.Type).
 			AttrInt("bytes", size).AttrInt("dst", int64(b.target.mgr.node))
 		switch {
@@ -130,7 +130,7 @@ func (b *bridge) deliver(ev *Event, sp *trace.Span) {
 
 // dropInstant records an enqueue-side drop (nothing was sent).
 func (b *bridge) dropInstant(ev *Event, why string) {
-	b.owner.tracer.Instant(ev.Ctx(), "evpath", "drop").
+	b.owner.tracer.Instant(ev.Span, "evpath", "drop").
 		Node(b.owner.node).Attr("type", ev.Type).Attr("why", why).End()
 }
 

@@ -31,32 +31,8 @@ type Event struct {
 	Size int64
 	// Data is the payload.
 	Data any
-	// Span is the causal trace context, carried as a typed field so hot
-	// control/monitoring rounds never materialize an attribute map.
+	// Span is the causal trace context (0 = none).
 	Span trace.SpanID
-	// Attrs carries small key/value metadata (provenance, hop counts).
-	Attrs map[string]string
-}
-
-// Ctx returns the event's trace context: the typed Span field when set,
-// otherwise whatever a legacy attribute map carries (0 when neither).
-func (ev *Event) Ctx() trace.SpanID {
-	if ev.Span != 0 {
-		return ev.Span
-	}
-	return trace.Ctx(ev.Attrs)
-}
-
-// clone returns a shallow copy so split targets can annotate independently.
-func (ev *Event) clone() *Event {
-	c := *ev
-	if ev.Attrs != nil {
-		c.Attrs = make(map[string]string, len(ev.Attrs))
-		for k, v := range ev.Attrs {
-			c.Attrs[k] = v
-		}
-	}
-	return &c
 }
 
 // StoneID identifies a stone within its Manager.
@@ -95,7 +71,7 @@ func (m *Manager) Engine() *sim.Engine { return m.eng }
 func (m *Manager) Node() int { return m.node }
 
 // SetTracer attaches a trace recorder: bridge transfers become spans
-// (chained to the submitter's context via Event.Attrs) and drops become
+// (chained to the submitter's context via Event.Span) and drops become
 // instants. A nil recorder disables tracing at no cost.
 func (m *Manager) SetTracer(r *trace.Recorder) { m.tracer = r }
 
@@ -220,7 +196,8 @@ func (s *Stone) fanOut(ev *Event) {
 		return
 	}
 	for _, t := range s.targets {
-		t.handle(ev.clone())
+		c := *ev // each split target gets its own copy to annotate
+		t.handle(&c)
 	}
 }
 

@@ -77,19 +77,19 @@ func TestTransformRewritesAndDrops(t *testing.T) {
 	}
 }
 
-func TestSplitClonesAttrs(t *testing.T) {
+func TestSplitClonesEvent(t *testing.T) {
 	eng, m := localManager()
 	seen := map[string]string{}
 	mk := func(name string) *Stone {
 		return m.NewStone(Terminal(func(ev *Event) {
-			ev.Attrs["branch"] = name // mutation must not leak to sibling
-			seen[name] = ev.Attrs["origin"]
+			seen[name] = ev.Type
+			ev.Type = name // mutation must not leak to sibling
 		}))
 	}
 	split := m.NewStone(nil)
 	split.Link(mk("left")).Link(mk("right"))
 	eng.Go("p", func(p *sim.Proc) {
-		split.Submit(&Event{Type: "x", Attrs: map[string]string{"origin": "src"}})
+		split.Submit(&Event{Type: "src"})
 	})
 	eng.Run()
 	if seen["left"] != "src" || seen["right"] != "src" {

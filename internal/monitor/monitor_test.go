@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -204,7 +205,10 @@ func TestProbeAggregation(t *testing.T) {
 	}
 }
 
-func TestProbeMetricMask(t *testing.T) {
+// A probe with no rate limit and AggregateN ≤ 1 forwards every sample
+// unchanged, one event each: the path every container reports through
+// unless the run tunes its monitoring.
+func TestProbePassThrough(t *testing.T) {
 	eng := sim.NewEngine(3)
 	mgr := evpath.NewManager(eng, nil, 0)
 	var got []Sample
@@ -212,16 +216,22 @@ func TestProbeMetricMask(t *testing.T) {
 		got = append(got, ev.Data.(Sample))
 	}))
 	pr := NewProbe(out)
-	pr.Metrics = &MetricMask{QueueLen: true} // only queue lengths cross
+	pr.AggregateN = 1
+	var want []Sample
 	eng.Go("src", func(p *sim.Proc) {
-		pr.Offer(Sample{Container: "c", Latency: 9 * sim.Second,
-			Service: 5 * sim.Second, QueueLen: 7, At: p.Now()})
+		for i := 0; i < 5; i++ {
+			p.Sleep(sim.Millisecond)
+			s := Sample{Container: "c", Step: int64(i), Latency: sim.Time(i+9) * sim.Second,
+				Service: 5 * sim.Second, QueueLen: 7 + i, At: p.Now()}
+			want = append(want, s)
+			pr.Offer(s)
+		}
 	})
 	eng.Run()
-	if len(got) != 1 {
-		t.Fatal("nothing forwarded")
+	if pr.Seen() != 5 || pr.Sent() != 5 {
+		t.Fatalf("seen %d sent %d, want 5 and 5", pr.Seen(), pr.Sent())
 	}
-	if got[0].Latency != 0 || got[0].Service != 0 || got[0].QueueLen != 7 {
-		t.Fatalf("mask not applied: %+v", got[0])
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("forwarded %+v, want %+v", got, want)
 	}
 }

@@ -5,10 +5,11 @@ import (
 	"repro/internal/sim"
 )
 
-// Probe implements the flexible monitoring knobs of §III-E: what gets
-// captured, how often, and how much pre-processing happens at the source
+// Probe implements the flexible monitoring knobs of §III-E: how often
+// samples are captured and how much pre-processing happens at the source
 // before anything crosses the machine. Managers tune probes at runtime to
 // trade diagnostic resolution against perturbation of the application.
+// With neither knob set it forwards every sample as its own event.
 type Probe struct {
 	// Out receives the (possibly aggregated) samples.
 	Out *evpath.Stone
@@ -17,21 +18,11 @@ type Probe struct {
 	// AggregateN, when > 1, replaces each group of N samples with one
 	// averaged sample instead of dropping the intermediate ones.
 	AggregateN int
-	// Metrics selects which fields are populated on forwarded samples;
-	// nil keeps everything. Dropping fields models reduced capture cost.
-	Metrics *MetricMask
 
 	lastSent sim.Time
 	buf      []Sample
 	seen     int64
 	sent     int64
-}
-
-// MetricMask selects sample fields.
-type MetricMask struct {
-	Latency  bool
-	Service  bool
-	QueueLen bool
 }
 
 // NewProbe returns a pass-through probe into out.
@@ -48,17 +39,6 @@ func (pr *Probe) Sent() int64 { return pr.sent }
 // configuration.
 func (pr *Probe) Offer(s Sample) {
 	pr.seen++
-	if pr.Metrics != nil {
-		if !pr.Metrics.Latency {
-			s.Latency = 0
-		}
-		if !pr.Metrics.Service {
-			s.Service = 0
-		}
-		if !pr.Metrics.QueueLen {
-			s.QueueLen = 0
-		}
-	}
 	if pr.AggregateN > 1 {
 		pr.buf = append(pr.buf, s)
 		if len(pr.buf) < pr.AggregateN {

@@ -3,7 +3,9 @@
 // dependencies "through a configuration file" (§III-D). A scenario file
 // describes the machine split, the stage graph with per-component compute
 // models and cost curves (including custom, non-SmartPointer actions),
-// the workload, and the management policy.
+// the workload, and the management policy. Internal tuning is fixed, not
+// part of the schema, and unknown keys are rejected: a file that sets a
+// removed tuning key fails to load and names the key.
 package scenario
 
 import (
@@ -45,8 +47,6 @@ type File struct {
 	CheckpointNodes int `json:"checkpointNodes"`
 	// AtomsOverride replaces the Table II scale derived from SimNodes.
 	AtomsOverride int64 `json:"atomsOverride"`
-	// SpreadPlacement interleaves container node assignment.
-	SpreadPlacement bool `json:"spreadPlacement"`
 	// MonitorSampleEverySec rate-limits monitoring reports.
 	MonitorSampleEverySec float64 `json:"monitorSampleEverySec"`
 	// MonitorAggregateN pre-aggregates monitoring reports.
@@ -56,8 +56,8 @@ type File struct {
 	// Stages describes the pipeline (empty = the paper's default
 	// four-stage SmartPointer pipeline with DefaultSizes).
 	Stages []Stage `json:"stages"`
-	// Delivery selects the data plane's delivery guarantee and tunes its
-	// retry/spill machinery (nil = best-effort, the legacy semantics).
+	// Delivery selects the data plane's delivery guarantee (nil =
+	// best-effort, the legacy semantics).
 	Delivery *Delivery `json:"delivery,omitempty"`
 	// Shards sizes the control plane: the shard count (nil or count ≤ 1 =
 	// the single global manager) and the standby per shard, which is also
@@ -158,74 +158,25 @@ type ChaosMeta struct {
 	Note string `json:"note,omitempty"`
 }
 
-// Delivery is the JSON form of datatap.DeliveryConfig. All knobs are
-// optional; zeroes take the package defaults.
+// Delivery is the JSON form of datatap.DeliveryMode. The at-least-once
+// tuning is fixed: 3 push retries from a 250 ms backoff, redelivery after
+// 500 ms with 3 re-emissions before a spill, spill at 90% queue fill, and
+// a 1 s repair tick draining up to 8 spilled steps.
 type Delivery struct {
 	// Mode is "best-effort" or "at-least-once".
 	Mode string `json:"mode"`
-	// PushRetries/PushBackoffSec bound the descriptor-push retry loop.
-	PushRetries    int     `json:"pushRetries,omitempty"`
-	PushBackoffSec float64 `json:"pushBackoffSec,omitempty"`
-	// RedeliverDelaySec/RedeliverRetries tune the lost-step repair loop.
-	RedeliverDelaySec float64 `json:"redeliverDelaySec,omitempty"`
-	RedeliverRetries  int     `json:"redeliverRetries,omitempty"`
-	// SpillQueueFrac is the metadata-queue fill fraction that triggers
-	// spill-to-disk (0 = default 0.9; must be within (0,1]).
-	SpillQueueFrac float64 `json:"spillQueueFrac,omitempty"`
-	// RetainCap bounds the retained-unacked set per writer (0 = unbounded).
-	RetainCap int `json:"retainCap,omitempty"`
-	// DrainIntervalSec/DrainBurst pace spill reinjection.
-	DrainIntervalSec float64 `json:"drainIntervalSec,omitempty"`
-	DrainBurst       int     `json:"drainBurst,omitempty"`
 }
 
-// toConfig validates the section and converts it to datatap units. Each
-// rejected field names its own JSON path, like the faults section.
-func (d *Delivery) toConfig() (datatap.DeliveryConfig, error) {
-	var dc datatap.DeliveryConfig
+// toConfig validates the section and converts it to the datatap mode.
+func (d *Delivery) toConfig() (datatap.DeliveryMode, error) {
 	switch d.Mode {
 	case "", "best-effort":
-		dc.Mode = datatap.DeliveryBestEffort
+		return datatap.DeliveryBestEffort, nil
 	case "at-least-once":
-		dc.Mode = datatap.DeliveryAtLeastOnce
-	default:
-		return dc, fmt.Errorf("scenario: field %q: unknown mode %q (want \"best-effort\" or \"at-least-once\")",
-			"delivery.mode", d.Mode)
+		return datatap.DeliveryAtLeastOnce, nil
 	}
-	if d.PushRetries < 0 {
-		return dc, fmt.Errorf("scenario: field %q: %d is negative", "delivery.pushRetries", d.PushRetries)
-	}
-	if d.PushBackoffSec < 0 {
-		return dc, fmt.Errorf("scenario: field %q: %g is negative", "delivery.pushBackoffSec", d.PushBackoffSec)
-	}
-	if d.RedeliverDelaySec < 0 {
-		return dc, fmt.Errorf("scenario: field %q: %g is negative", "delivery.redeliverDelaySec", d.RedeliverDelaySec)
-	}
-	if d.RedeliverRetries < 0 {
-		return dc, fmt.Errorf("scenario: field %q: %d is negative", "delivery.redeliverRetries", d.RedeliverRetries)
-	}
-	if d.SpillQueueFrac < 0 || d.SpillQueueFrac > 1 {
-		return dc, fmt.Errorf("scenario: field %q: %g outside [0,1]", "delivery.spillQueueFrac", d.SpillQueueFrac)
-	}
-	if d.RetainCap < 0 {
-		return dc, fmt.Errorf("scenario: field %q: %d is negative", "delivery.retainCap", d.RetainCap)
-	}
-	if d.DrainIntervalSec < 0 {
-		return dc, fmt.Errorf("scenario: field %q: %g is negative", "delivery.drainIntervalSec", d.DrainIntervalSec)
-	}
-	if d.DrainBurst < 0 {
-		return dc, fmt.Errorf("scenario: field %q: %d is negative", "delivery.drainBurst", d.DrainBurst)
-	}
-	sec := func(s float64) sim.Time { return sim.Time(s * float64(sim.Second)) }
-	dc.PushRetries = d.PushRetries
-	dc.PushBackoff = sec(d.PushBackoffSec)
-	dc.RedeliverDelay = sec(d.RedeliverDelaySec)
-	dc.RedeliverRetries = d.RedeliverRetries
-	dc.SpillQueueFrac = d.SpillQueueFrac
-	dc.RetainCap = d.RetainCap
-	dc.DrainInterval = sec(d.DrainIntervalSec)
-	dc.DrainBurst = d.DrainBurst
-	return dc, nil
+	return 0, fmt.Errorf("scenario: field %q: unknown mode %q (want \"best-effort\" or \"at-least-once\")",
+		"delivery.mode", d.Mode)
 }
 
 // Faults is the JSON fault schedule. Node references are either absolute
@@ -376,11 +327,12 @@ func (f *Faults) toConfig(simNodes int) (*fault.Config, error) {
 	return fc, nil
 }
 
-// Policy mirrors core.PolicyConfig in JSON-friendly units.
+// Policy mirrors core.PolicyConfig in JSON-friendly units. The policy
+// ticks once per output period; its fixed tuning (2 call retries, a
+// liveness probe after 4 silent intervals, offline at a backlog of
+// max(4, queueCap/3)) is not part of the schema.
 type Policy struct {
-	IntervalSec         float64 `json:"intervalSec"`
 	OfflinePatience     int     `json:"offlinePatience"`
-	OfflineQueueLen     int     `json:"offlineQueueLen"`
 	DisableManagement   bool    `json:"disableManagement"`
 	DisableOffline      bool    `json:"disableOffline"`
 	DisableStealing     bool    `json:"disableStealing"`
@@ -388,14 +340,9 @@ type Policy struct {
 	KillGMAtSec         float64 `json:"killGMAtSec"`
 	// DisableSelfHealing turns off the replica-restart protocol.
 	DisableSelfHealing bool `json:"disableSelfHealing"`
-	// CallTimeoutSec/CallRetries tune the control-round deadline and
-	// retry budget (0 = defaults).
+	// CallTimeoutSec is the first control-round deadline (0 = 30 s);
+	// each of the 2 retries doubles it.
 	CallTimeoutSec float64 `json:"callTimeoutSec"`
-	CallRetries    int     `json:"callRetries"`
-	// SilencePatience is how many policy intervals of monitoring silence
-	// a container is allowed before the GM probes it with a liveness
-	// query (0 = default 4, negative disables).
-	SilencePatience int `json:"silencePatience"`
 	// DisableFencing restores the legacy, pre-epoch-fencing failover
 	// (the split-brain chaos regressions reproduce under this).
 	DisableFencing bool `json:"disableFencing"`
@@ -478,14 +425,11 @@ func (f *File) ToConfig() (core.Config, error) {
 		Seed:            f.Seed,
 		CheckpointEvery: f.CheckpointEvery,
 		CheckpointNodes: f.CheckpointNodes,
-		SpreadPlacement: f.SpreadPlacement,
 		MonitorSampleEvery: sim.Time(
 			f.MonitorSampleEverySec * float64(sim.Second)),
 		MonitorAggregateN: f.MonitorAggregateN,
 		Policy: core.PolicyConfig{
-			Interval:            sim.Time(f.Policy.IntervalSec * float64(sim.Second)),
 			OfflinePatience:     f.Policy.OfflinePatience,
-			OfflineQueueLen:     f.Policy.OfflineQueueLen,
 			DisableManagement:   f.Policy.DisableManagement,
 			DisableOffline:      f.Policy.DisableOffline,
 			DisableStealing:     f.Policy.DisableStealing,
@@ -493,8 +437,6 @@ func (f *File) ToConfig() (core.Config, error) {
 			KillGMAt:            sim.Time(f.Policy.KillGMAtSec * float64(sim.Second)),
 			DisableSelfHealing:  f.Policy.DisableSelfHealing,
 			CallTimeout:         sim.Time(f.Policy.CallTimeoutSec * float64(sim.Second)),
-			CallRetries:         f.Policy.CallRetries,
-			SilencePatience:     f.Policy.SilencePatience,
 			DisableFencing:      f.Policy.DisableFencing,
 		},
 	}
@@ -512,11 +454,11 @@ func (f *File) ToConfig() (core.Config, error) {
 		cfg.ShardStandbys = f.Shards.Standbys
 	}
 	if f.Delivery != nil {
-		dc, err := f.Delivery.toConfig()
+		mode, err := f.Delivery.toConfig()
 		if err != nil {
 			return cfg, err
 		}
-		cfg.Delivery = dc
+		cfg.Delivery = mode
 	}
 	if f.Subscribers != nil {
 		sc, err := f.Subscribers.toConfig()

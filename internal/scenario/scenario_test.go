@@ -178,15 +178,15 @@ func writeFile(path, content string) error {
 func TestScenarioAdvancedKnobs(t *testing.T) {
 	cfg, err := Load(strings.NewReader(`{
 		"simNodes": 64, "stagingNodes": 14, "steps": 4, "seed": 1,
-		"shards": {"standbys": 1}, "spreadPlacement": true,
+		"shards": {"standbys": 1},
 		"monitorSampleEverySec": 30, "monitorAggregateN": 4,
 		"policy": {"killGMAtSec": 40}
 	}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.ShardStandbys != 1 || !cfg.SpreadPlacement {
-		t.Fatalf("bool knobs lost: %+v", cfg)
+	if cfg.ShardStandbys != 1 {
+		t.Fatalf("standby knob lost: %+v", cfg)
 	}
 	if cfg.MonitorSampleEvery != 30*sim.Second || cfg.MonitorAggregateN != 4 {
 		t.Fatalf("monitor knobs lost: %+v", cfg)
@@ -207,7 +207,7 @@ func TestScenarioAdvancedKnobs(t *testing.T) {
 func TestLoadFaultSchedule(t *testing.T) {
 	cfg, err := Load(strings.NewReader(`{
 		"simNodes": 64, "stagingNodes": 14, "steps": 4, "seed": 1,
-		"policy": {"disableSelfHealing": true, "callTimeoutSec": 5, "callRetries": 1, "silencePatience": -1},
+		"policy": {"disableSelfHealing": true, "callTimeoutSec": 5},
 		"faults": {
 			"seed": 9,
 			"crashes": [{"stagingIndex": 3, "atSec": 30}, {"node": 2, "atSec": 40}],
@@ -246,8 +246,7 @@ func TestLoadFaultSchedule(t *testing.T) {
 	if len(fc.Stalls) != 1 || fc.Stalls[0].Node != 65 {
 		t.Fatalf("stalls %+v", fc.Stalls)
 	}
-	if !cfg.Policy.DisableSelfHealing || cfg.Policy.CallTimeout != 5*sim.Second ||
-		cfg.Policy.CallRetries != 1 || cfg.Policy.SilencePatience != -1 {
+	if !cfg.Policy.DisableSelfHealing || cfg.Policy.CallTimeout != 5*sim.Second {
 		t.Fatalf("policy knobs lost: %+v", cfg.Policy)
 	}
 	// And the whole thing still runs.
@@ -332,5 +331,49 @@ func TestLoadFileErrorNamesFile(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), `field "simNodes"`) {
 		t.Fatalf("error %q does not name the field", err)
+	}
+}
+
+// Keys for tuning that is now fixed are no longer part of the schema. A
+// file that still sets one must fail to load and name the key, rather than
+// run quietly with tuning other than the one it asks for.
+func TestRetiredKeysFailLoudly(t *testing.T) {
+	// doc places the member kv (if any) in the top level, the policy or
+	// the delivery section.
+	doc := func(section, kv string) string {
+		in := map[string]string{}
+		if kv != "" {
+			in[section] = ", " + kv
+		}
+		return `{"simNodes": 64, "stagingNodes": 14` + in[""] +
+			`, "policy": {"offlinePatience": 4` + in["policy"] +
+			`}, "delivery": {"mode": "at-least-once"` + in["delivery"] + `}}`
+	}
+	if _, err := Load(strings.NewReader(doc("", ""))); err != nil {
+		t.Fatalf("base document rejected: %v", err)
+	}
+	for _, c := range []struct{ section, key, value string }{
+		{"policy", "intervalSec", "30"},
+		{"policy", "offlineQueueLen", "12"},
+		{"policy", "silencePatience", "-1"},
+		{"policy", "callRetries", "1"},
+		{"", "spreadPlacement", "true"},
+		{"delivery", "pushRetries", "5"},
+		{"delivery", "pushBackoffSec", "1"},
+		{"delivery", "redeliverDelaySec", "2"},
+		{"delivery", "redeliverRetries", "1"},
+		{"delivery", "spillQueueFrac", "0.5"},
+		{"delivery", "retainCap", "16"},
+		{"delivery", "drainIntervalSec", "3"},
+		{"delivery", "drainBurst", "2"},
+	} {
+		_, err := Load(strings.NewReader(doc(c.section, `"`+c.key+`": `+c.value)))
+		if err == nil {
+			t.Errorf("%s: retired key accepted", c.key)
+			continue
+		}
+		if !strings.Contains(err.Error(), `"`+c.key+`"`) {
+			t.Errorf("%s: error %q does not name the key", c.key, err)
+		}
 	}
 }

@@ -366,36 +366,3 @@ func (r *Recorder) Triggered() (reason string, ok bool) {
 	}
 	return r.reason, r.triggered
 }
-
-// --- cross-hop context propagation ---
-
-// AttrSpan is the event-attribute key carrying a span ID across message
-// hops (evpath events, DataTap descriptors travel a typed field instead).
-const AttrSpan = "trace.span"
-
-// Stamp records parent as the trace context on an attribute map, creating
-// the map when needed. It returns the (possibly new) map. A zero parent
-// stamps nothing.
-func Stamp(attrs map[string]string, parent SpanID) map[string]string {
-	if parent == 0 {
-		return attrs
-	}
-	if attrs == nil {
-		attrs = make(map[string]string, 1)
-	}
-	attrs[AttrSpan] = strconv.FormatInt(int64(parent), 10)
-	return attrs
-}
-
-// Ctx extracts the trace context from an attribute map (0 when absent).
-func Ctx(attrs map[string]string) SpanID {
-	v, ok := attrs[AttrSpan]
-	if !ok {
-		return 0
-	}
-	id, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return 0
-	}
-	return SpanID(id)
-}

@@ -160,23 +160,6 @@ func TestTriggerFiresOnce(t *testing.T) {
 	}
 }
 
-func TestStampAndCtx(t *testing.T) {
-	if Stamp(nil, 0) != nil {
-		t.Fatal("zero parent must not allocate a map")
-	}
-	m := Stamp(nil, 42)
-	if Ctx(m) != 42 {
-		t.Fatalf("Ctx = %d, want 42", Ctx(m))
-	}
-	m2 := Stamp(map[string]string{"other": "x"}, 7)
-	if Ctx(m2) != 7 || m2["other"] != "x" {
-		t.Fatal("Stamp clobbered existing attrs")
-	}
-	if Ctx(nil) != 0 || Ctx(map[string]string{AttrSpan: "bogus"}) != 0 {
-		t.Fatal("Ctx must return 0 on absent/garbage context")
-	}
-}
-
 func TestKernelTracer(t *testing.T) {
 	eng := newEngine(t)
 	if NewKernel(nil) != nil {

@@ -48,13 +48,6 @@ type Config struct {
 	// Writers and Readers are the participant counts on each side (the
 	// paper's Fig. 6 sweeps writer:reader core ratios like 512:4).
 	Writers, Readers int
-	// FanOut is the sub-coordination tree arity (default 8).
-	FanOut int
-	// MsgBytes sizes each protocol message (default 256).
-	MsgBytes int64
-	// WorkTime is each participant's local work before voting (default
-	// 1 ms; the protocol overhead is measured around it).
-	WorkTime sim.Time
 	// VoteTimeout bounds how long a parent waits for a child's vote
 	// before presuming failure and aborting (default 5 s).
 	VoteTimeout sim.Time
@@ -68,16 +61,18 @@ type Config struct {
 	TraceParent trace.SpanID
 }
 
+// Protocol shape, fixed for every transaction.
+const (
+	// fanOut is the sub-coordination tree arity.
+	fanOut = 8
+	// msgBytes sizes each protocol message.
+	msgBytes = 256
+	// workTime is each participant's local work before voting; the
+	// protocol overhead is measured around it.
+	workTime = sim.Millisecond
+)
+
 func (c Config) withDefaults() Config {
-	if c.FanOut <= 0 {
-		c.FanOut = 8
-	}
-	if c.MsgBytes <= 0 {
-		c.MsgBytes = 256
-	}
-	if c.WorkTime <= 0 {
-		c.WorkTime = sim.Millisecond
-	}
 	if c.VoteTimeout <= 0 {
 		c.VoteTimeout = 5 * sim.Second
 	}
@@ -174,7 +169,7 @@ func New(eng *sim.Engine, mach *cluster.Machine, cfg Config) (*Transaction, erro
 // buildTree links a group into a k-ary sub-coordination tree rooted at
 // the group's first participant and returns the root.
 func (t *Transaction) buildTree(group []*participant) *participant {
-	k := t.cfg.FanOut
+	k := fanOut
 	for i, p := range group {
 		if i == 0 {
 			continue
@@ -200,7 +195,7 @@ func depth(p *participant) int {
 // send delivers a protocol message, charging the interconnect.
 func (t *Transaction) send(p *sim.Proc, from, to *participant, m message) {
 	if t.mach != nil && from.node != to.node {
-		t.mach.Send(p, from.node, to.node, t.cfg.MsgBytes)
+		t.mach.Send(p, from.node, to.node, msgBytes)
 	}
 	t.msgs++
 	to.inbox.TryPut(m)
@@ -239,7 +234,7 @@ func (t *Transaction) Run(p *sim.Proc) Stats {
 
 func (t *Transaction) runParticipant(p *sim.Proc, part *participant) {
 	// Phase 0: local work.
-	p.Sleep(t.cfg.WorkTime)
+	p.Sleep(workTime)
 	// Phase 1: gather children votes (sub-coordination).
 	vote := !part.abort
 	deadline := t.eng.Now() + t.cfg.VoteTimeout

@@ -33,6 +33,14 @@
 // Everything runs on a deterministic virtual clock: scenarios spanning
 // thousands of virtual seconds execute in milliseconds and reproduce
 // exactly from a seed.
+//
+// The managers tick once per output period. Internal tuning is fixed
+// rather than configurable: a pipeline always runs on the Franklin model
+// with 4 GiB DataTap writer buffers and contiguous node placement; a
+// timed-out control round gets 2 retries; a container silent for 4
+// intervals is probed; a bottleneck goes offline at a backlog of
+// max(4, QueueCap/3); and at-least-once channels use 3 push retries, a
+// 500 ms redelivery delay and a 90% spill threshold.
 package iocontainer
 
 import (
@@ -85,7 +93,8 @@ func NewTransaction(eng *Engine, mach *Machine, cfg TxnConfig) (*Transaction, er
 type (
 	// Config assembles a complete managed pipeline run.
 	Config = core.Config
-	// PolicyConfig tunes the global manager's SLA enforcement.
+	// PolicyConfig tunes the global manager's SLA enforcement: the round
+	// deadline, offline patience, trades and ablation switches.
 	PolicyConfig = core.PolicyConfig
 	// ComponentSpec describes one analytics stage.
 	ComponentSpec = core.ComponentSpec
@@ -217,7 +226,9 @@ func RedSky() MachineConfig { return cluster.RedSky() }
 
 // Transactions (D2T, paper Fig. 6).
 type (
-	// TxnConfig parameterizes one doubly-distributed transaction.
+	// TxnConfig parameterizes one doubly-distributed transaction. The
+	// sub-coordination trees have fan-out 8, messages are 256 B, and each
+	// participant does 1 ms of local work before voting.
 	TxnConfig = txn.Config
 	// TxnStats reports a completed transaction.
 	TxnStats = txn.Stats
