@@ -9,9 +9,10 @@ import (
 // The paper singles the global manager out as "a potential single point
 // of failure" and points at ZooKeeper-style methods for resilience. This
 // file implements the mechanism: a standby global manager on another
-// staging node watches the primary's heartbeats; on silence it adopts the
-// spare pool (recomputed from authoritative container ownership), rehomes
-// every container's upward overlay onto itself, and resumes the policy.
+// staging node watches the primary's heartbeats (run in standby mode, at
+// every shard count); on silence it adopts the spare pool (recomputed
+// from authoritative container ownership), rehomes every container's
+// upward overlay onto itself, and resumes the policy.
 
 // msgGMHeartbeat is the primary's liveness beacon to the standby.
 const msgGMHeartbeat = "ctl.gm_heartbeat"
@@ -46,42 +47,6 @@ type RehomeResp struct{ RoundHdr }
 func (gm *GlobalManager) Rehome(p *sim.Proc, target string) bool {
 	resp, _ := gm.call(p, target, &RehomeReq{Inbox: gm.inbox()}).(*RehomeResp)
 	return resp != nil
-}
-
-// standbyLoop is the standby manager's process: pump the mailbox
-// (recording primary heartbeats), and take over once the primary has
-// been silent for three intervals.
-func (gm *GlobalManager) standbyLoop(p *sim.Proc) {
-	gm.standbyMode = true
-	grace := 3 * gm.rt.cfg.OutputPeriod
-	for {
-		deadline := p.Now() + gm.rt.cfg.OutputPeriod
-		for p.Now() < deadline {
-			ev, ok := gm.ctl.RecvTimeout(p, deadline-p.Now())
-			if !ok {
-				if gm.ctl.Closed() {
-					return
-				}
-				break
-			}
-			if gm.dead {
-				return
-			}
-			gm.dispatch(p, ev)
-		}
-		if gm.ctl.Closed() || gm.dead {
-			return
-		}
-		// No heartbeat yet means the primary hasn't started beating;
-		// give it the grace period from t=0. A meta-manager PromoteNotice
-		// (sharded runs) short-circuits the silence detector.
-		if !gm.promoteNow && p.Now()-gm.lastPrimaryBeat <= grace {
-			continue
-		}
-		gm.takeOver(p)
-		gm.run(p) // continue as the active manager
-		return
-	}
 }
 
 // takeOver promotes the standby: rehome every surviving container, then

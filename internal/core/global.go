@@ -190,15 +190,13 @@ type GlobalManager struct {
 	// single-shard case); toMeta bridges to the meta-manager (nil on a
 	// single shard); shardSeq numbers outbound shard round messages;
 	// stealPending latches at-most-one in-flight cross-shard steal;
-	// promoteNow is set by a meta PromoteNotice; crackRelayed dedupes the
-	// crack relay; peerBridges caches bridges to other managers' inboxes
-	// (peerOrder keeps close deterministic).
+	// crackRelayed dedupes the crack relay; peerBridges caches bridges to
+	// other managers' inboxes (peerOrder keeps close deterministic).
 	shard        int
 	scope        []*Container
 	toMeta       *evpath.Stone
 	shardSeq     int64
 	stealPending bool
-	promoteNow   bool
 	crackRelayed bool
 	peerBridges  map[*evpath.Stone]*evpath.Stone
 	peerOrder    []*evpath.Stone
@@ -298,8 +296,13 @@ func (gm *GlobalManager) closeBridges() {
 }
 
 // run is the global manager process: pump monitoring/control traffic and
-// tick the policy at each interval.
+// tick the policy at each interval. A standby only pumps, recording the
+// primary's heartbeats, until the primary has been silent for three
+// intervals; then it takes over and runs on as the active manager. No
+// heartbeat yet means the primary has not started beating, so the grace
+// period runs from t=0.
 func (gm *GlobalManager) run(p *sim.Proc) {
+	grace := 3 * gm.rt.cfg.OutputPeriod
 	for {
 		if gm.dead {
 			return // the primary died silently
@@ -314,8 +317,8 @@ func (gm *GlobalManager) run(p *sim.Proc) {
 				Size: ctlMsgBytes,
 				Data: &GMHeartbeat{At: p.Now(), Epoch: gm.epoch, Inbox: gm.root}})
 		}
-		if gm.toMeta != nil {
-			gm.beatMeta(p)
+		if gm.toMeta != nil && !gm.standbyMode {
+			gm.beatMeta()
 		}
 		deadline := p.Now() + gm.rt.cfg.OutputPeriod
 		for p.Now() < deadline {
@@ -333,6 +336,12 @@ func (gm *GlobalManager) run(p *sim.Proc) {
 		}
 		if gm.ctl.Closed() || gm.dead {
 			return
+		}
+		if gm.standbyMode {
+			if p.Now()-gm.lastPrimaryBeat > grace {
+				gm.takeOver(p)
+			}
+			continue
 		}
 		if gm.deposed {
 			continue // the loop top demotes to the passive pump

@@ -10,29 +10,26 @@ import (
 
 // MetaManager is the thin top of the sharded control plane. It owns no
 // containers and issues no synchronous rounds; everything it does is
-// slow-path: watch ShardBeat liveness heartbeats, broker cross-shard
-// node steals, route cross-shard gap and crack relays, and promote a
-// standby when a shard primary stops beating. All of its sends are
-// pump-side bridge submissions, so the meta-manager can never wedge the
-// control plane it supervises.
+// slow-path: track each shard's epoch, spare pool and inbox from
+// ShardBeats, broker cross-shard node steals, and route cross-shard gap
+// and crack relays. Failover is not its job: each shard's standby
+// watches its own primary. All of its sends are pump-side bridge
+// submissions, so the meta-manager can never wedge the control plane
+// it supervises.
 type MetaManager struct {
-	rt       *Runtime
-	node     int
-	ev       *evpath.Manager
-	ctl      *evpath.Mailbox
-	interval sim.Time
-	shards   int
-	seq      int64
-	dead     bool
+	rt     *Runtime
+	node   int
+	ev     *evpath.Manager
+	ctl    *evpath.Mailbox
+	shards int
+	dead   bool
 
 	// Per-shard view, all keyed by shard ID and iterated by integer
 	// range (0..shards-1), never by map order.
-	lastBeat     map[int]sim.Time
 	shardEpoch   map[int]int64
 	shardSpare   map[int]int
 	shardInbox   map[int]*evpath.Stone // acting manager, from the last beat
 	standbyInbox map[int]*evpath.Stone // wired at build time
-	promoted     map[int]bool          // promotion is one-shot per shard
 
 	crackSeen      bool
 	stealsBrokered int
@@ -45,18 +42,15 @@ type MetaManager struct {
 }
 
 // newMetaManager builds the meta-manager on the given staging node.
-func newMetaManager(rt *Runtime, node, shards int, interval sim.Time) *MetaManager {
+func newMetaManager(rt *Runtime, node, shards int) *MetaManager {
 	mm := &MetaManager{
 		rt:           rt,
 		node:         node,
-		interval:     interval,
 		shards:       shards,
-		lastBeat:     make(map[int]sim.Time, shards),
 		shardEpoch:   make(map[int]int64, shards),
 		shardSpare:   make(map[int]int, shards),
 		shardInbox:   make(map[int]*evpath.Stone, shards),
 		standbyInbox: make(map[int]*evpath.Stone, shards),
-		promoted:     make(map[int]bool, shards),
 		bridges:      make(map[*evpath.Stone]*evpath.Stone),
 	}
 	mm.ev = evpath.NewManager(rt.eng, rt.mach, node)
@@ -74,41 +68,25 @@ func (mm *MetaManager) Node() int { return mm.node }
 // Dead reports whether the meta-manager's node crashed.
 func (mm *MetaManager) Dead() bool { return mm.dead }
 
-// Actions returns the meta-manager's slow-path decisions (promotions and
-// brokered steals).
+// Actions returns the meta-manager's slow-path decisions (brokered
+// steals).
 func (mm *MetaManager) Actions() []Action { return append([]Action(nil), mm.actions...) }
 
 // StealsBrokered returns how many cross-shard steals the meta-manager
 // has brokered.
 func (mm *MetaManager) StealsBrokered() int { return mm.stealsBrokered }
 
-// run is the meta-manager process: pump relays and beats, then check
-// shard liveness each interval.
+// run is the meta-manager process: pump beats and relays until the
+// mailbox closes or the node dies.
 func (mm *MetaManager) run(p *sim.Proc) {
 	for {
-		if mm.dead {
+		ev, ok := mm.ctl.Recv(p)
+		if !ok || mm.dead {
 			return
 		}
-		deadline := p.Now() + mm.interval
-		for p.Now() < deadline {
-			ev, ok := mm.ctl.RecvTimeout(p, deadline-p.Now())
-			if !ok {
-				if mm.ctl.Closed() {
-					return
-				}
-				break
-			}
-			if mm.dead {
-				return
-			}
-			p.BeginNoPark()
-			mm.dispatch(ev)
-			p.EndNoPark()
-		}
-		if mm.ctl.Closed() || mm.dead {
-			return
-		}
-		mm.tick(p)
+		p.BeginNoPark()
+		mm.dispatch(ev)
+		p.EndNoPark()
 	}
 }
 
@@ -118,7 +96,6 @@ func (mm *MetaManager) run(p *sim.Proc) {
 func (mm *MetaManager) dispatch(ev *evpath.Event) {
 	switch data := ev.Data.(type) {
 	case *ShardBeat:
-		mm.lastBeat[data.Shard] = data.At
 		mm.shardSpare[data.Shard] = data.Spare
 		if data.Epoch > mm.shardEpoch[data.Shard] {
 			mm.shardEpoch[data.Shard] = data.Epoch
@@ -206,36 +183,6 @@ func (mm *MetaManager) broadcastCrack(data *CrackRelay) {
 			mm.bridgeTo(inbox).Submit(&evpath.Event{Type: msgCrackRelay,
 				Size: ctlMsgBytes, Data: fwd})
 		}
-	}
-}
-
-// tick checks shard liveness: a shard silent for three intervals whose
-// standby exists gets a one-shot PromoteNotice. The grace period runs
-// from t=0 for shards that have never beaten, exactly like the single-shard
-// standby's own silence detector.
-func (mm *MetaManager) tick(p *sim.Proc) {
-	grace := 3 * mm.interval
-	for s := 0; s < mm.shards; s++ {
-		if mm.promoted[s] {
-			continue
-		}
-		if p.Now()-mm.lastBeat[s] <= grace {
-			continue
-		}
-		inbox := mm.standbyInbox[s]
-		if inbox == nil {
-			continue
-		}
-		mm.promoted[s] = true
-		mm.record(Action{T: p.Now(), Kind: "promote",
-			Target: fmt.Sprintf("shard-%d", s),
-			Detail: fmt.Sprintf("primary silent for %s; promoting standby", grace)})
-		mm.rt.tracer.Instant(0, "ctl", "promote").Node(mm.node).
-			AttrInt("shard", int64(s)).End()
-		mm.seq++
-		mm.bridgeTo(inbox).Submit(&evpath.Event{Type: msgPromote,
-			Size: ctlMsgBytes,
-			Data: &PromoteNotice{Seq: mm.seq, Epoch: mm.shardEpoch[s], Shard: s}})
 	}
 }
 

@@ -76,9 +76,8 @@ type Config struct {
 	// Containers are assigned to shard managers by a seeded
 	// consistent-hash ring. One shard is the paper's single global
 	// manager, on the first staging node; more add a meta-manager above
-	// the shard managers for shard liveness, cross-shard steals, and
-	// standby promotion (see shard.go / meta.go), on ControlNodes
-	// dedicated staging nodes.
+	// the shard managers for cross-shard steals and relays (see shard.go
+	// / meta.go), on ControlNodes dedicated staging nodes.
 	Shards int
 	// ShardSeed seeds the assignment ring (default: Seed), so placement
 	// can be varied independently of the run's randomness.
@@ -228,11 +227,13 @@ func ControlNodes(shards, standbys int) int {
 // containers map to shards by a seeded consistent-hash ring, spare nodes
 // round-robin into per-shard pools, and each shard manager runs the full
 // round machinery over its scope. With S > 1, staging node 0 hosts a
-// meta-manager for the slow-path work — shard liveness, cross-shard steal
-// brokering, standby promotion (see shard.go / meta.go) — nodes 1..S the
-// shard primaries, the next S·k the standbys (shard-major), and the rest
-// the container region. A single shard is the paper's one global manager:
-// no meta-manager, and the standby's own silence detector promotes it.
+// meta-manager for the slow-path work — cross-shard steal brokering and
+// gap and crack relays (see shard.go / meta.go) — nodes 1..S the shard
+// primaries, the next S·k the standbys (shard-major), and the rest the
+// container region. A single shard is the paper's one global manager,
+// with no meta-manager. At every shard count a standby runs the manager
+// loop in standby mode and promotes itself when its primary's heartbeats
+// stop.
 func Build(cfg Config) (*Runtime, error) {
 	cfg = cfg.withDefaults()
 	S, k := max(1, cfg.Shards), cfg.ShardStandbys
@@ -329,7 +330,7 @@ func Build(cfg Config) (*Runtime, error) {
 	// and standby share the first placement-order nodes with containers.
 	hosts := []*cluster.Node{region[0], region[min(1, len(region)-1)]}
 	if S > 1 {
-		rt.meta = newMetaManager(rt, stagingNodes[0].ID, S, cfg.OutputPeriod)
+		rt.meta = newMetaManager(rt, stagingNodes[0].ID, S)
 		hosts = stagingNodes[1:ctl]
 	}
 	rt.shardPrimary = make([]*GlobalManager, S)
@@ -348,6 +349,7 @@ func Build(cfg Config) (*Runtime, error) {
 	for s := 0; s < S && k > 0; s++ {
 		sb := newGlobalManager(rt, hosts[S+s].ID, standbyPolicy, nil)
 		sb.shard = s
+		sb.standbyMode = true
 		sb.peerEpoch = 1 // the primary's starting epoch
 		rt.shardStandby[s] = sb
 		rt.shardMgrs = append(rt.shardMgrs, sb)
@@ -513,7 +515,7 @@ func Build(cfg Config) (*Runtime, error) {
 		}
 		rt.eng.Go(mgrName, rt.shardPrimary[s].run)
 		if sb := rt.shardStandby[s]; sb != nil {
-			rt.eng.Go(sbName, sb.standbyLoop)
+			rt.eng.Go(sbName, sb.run)
 		}
 	}
 	rt.eng.Go("lammps-producer", rt.producer)

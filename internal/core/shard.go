@@ -12,17 +12,17 @@ import (
 // manager into N shard managers under one meta-manager. Containers are
 // assigned to shards at build time by a seeded consistent-hash ring
 // (internal/shardmgr); each shard manager owns the full round machinery —
-// ticks, SLA policy, suspect/heal, resends, fencing — for its scope, with
-// its own per-shard epoch. The meta-manager above them does only
-// slow-path work: shard liveness from ShardBeat heartbeats, brokering
-// cross-shard node steals when a shard's spare pool runs dry, relaying
-// cross-shard GapNotices and crack detection, and promoting a standby
-// shard manager when a primary dies.
+// ticks, SLA policy, suspect/heal, resends, fencing, and its standby's
+// failover — for its scope, with its own per-shard epoch. The
+// meta-manager above them does only slow-path work: tracking each
+// shard's epoch and spare pool from ShardBeats, brokering cross-shard
+// node steals when a shard's spare pool runs dry, and relaying
+// cross-shard GapNotices and crack detection.
 //
 // Every message below carries plain Seq, Epoch and Shard fields and embeds
 // no RoundHdr: shard traffic is pump-to-pump messaging between managers
-// (metaDispatch and shardDispatch), never a container round, so gm.call,
-// managerLoop and the iocheck round rules do not apply to it.
+// (MetaManager.dispatch and shardDispatch), never a container round, so
+// gm.call and managerLoop do not apply to it.
 //
 // Steal fencing: a StealReq carries the requesting shard manager's epoch;
 // the meta-manager drops requests below the highest epoch it has heard
@@ -37,10 +37,9 @@ const (
 	msgStealReq    = "ctl.steal_req"    // shard -> meta: my pool is dry
 	msgStealNotice = "ctl.steal_notice" // meta -> donor shard: release nodes
 	msgStealGrant  = "ctl.steal_grant"  // donor -> beneficiary: released nodes
-	msgShardBeat   = "ctl.shard_beat"   // shard -> meta: liveness + pool size
+	msgShardBeat   = "ctl.shard_beat"   // shard -> meta: epoch + pool size
 	msgGapRelay    = "ctl.gap_relay"    // reader shard -> meta -> writer shard
 	msgCrackRelay  = "ctl.crack_relay"  // shard -> meta -> all shards
-	msgPromote     = "ctl.promote"      // meta -> standby: primary is gone
 )
 
 // StealReq asks the meta-manager for nodes from another shard's pool.
@@ -76,11 +75,11 @@ type StealGrant struct {
 	Nodes []*cluster.Node
 }
 
-// ShardBeat is a shard manager's periodic heartbeat to the meta-manager:
-// liveness, current epoch, advertised spare-pool size, and the inbox
-// cross-shard traffic for this shard should be sent to.
+// ShardBeat is a shard manager's periodic report to the meta-manager:
+// current epoch, advertised spare-pool size, and the inbox cross-shard
+// traffic for this shard should be sent to. It is accounting, not
+// liveness: a shard's standby watches its primary directly.
 type ShardBeat struct {
-	At    sim.Time
 	Seq   int64
 	Epoch int64
 	Shard int
@@ -109,16 +108,6 @@ type CrackRelay struct {
 	Shard int
 	From  string
 	Step  int64
-}
-
-// PromoteNotice tells a standby shard manager its primary stopped
-// beating and it should take over. Epoch is the highest epoch the
-// meta-manager heard from the dead primary, so the standby fences above
-// it even if it never heard a primary heartbeat itself.
-type PromoteNotice struct {
-	Seq   int64
-	Epoch int64
-	Shard int
 }
 
 // managed returns the containers this manager is responsible for: its
@@ -171,13 +160,6 @@ func (gm *GlobalManager) shardDispatch(p *sim.Proc, ev *evpath.Event) bool {
 		// the observing shard's own relay does not echo forever.
 		gm.crackSeen = true
 		gm.crackRelayed = true
-	case *PromoteNotice:
-		if gm.standbyMode && !gm.deposed {
-			if data.Epoch > gm.peerEpoch {
-				gm.peerEpoch = data.Epoch
-			}
-			gm.promoteNow = true
-		}
 	default:
 		return false
 	}
@@ -291,10 +273,10 @@ func (gm *GlobalManager) bridgeTo(inbox *evpath.Stone) *evpath.Stone {
 	return b
 }
 
-// beatMeta sends the periodic ShardBeat liveness heartbeat.
-func (gm *GlobalManager) beatMeta(p *sim.Proc) {
+// beatMeta sends the periodic ShardBeat.
+func (gm *GlobalManager) beatMeta() {
 	gm.shardSeq++
 	gm.toMeta.Submit(&evpath.Event{Type: msgShardBeat, Size: ctlMsgBytes,
-		Data: &ShardBeat{At: p.Now(), Seq: gm.shardSeq, Epoch: gm.epoch,
+		Data: &ShardBeat{Seq: gm.shardSeq, Epoch: gm.epoch,
 			Shard: gm.shard, Spare: len(gm.spare), Inbox: gm.root}})
 }

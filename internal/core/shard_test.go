@@ -224,9 +224,11 @@ func TestCrossShardStealOnDryHeal(t *testing.T) {
 	}
 }
 
-// Killing a shard primary's node promotes that shard's standby via the
-// meta-manager's PromoteNotice; the other shard is untouched.
-func TestMetaPromotesShardStandby(t *testing.T) {
+// Killing a shard primary's node lets that shard's standby, watching its
+// primary's heartbeats, promote itself after three silent intervals; the
+// other shard is untouched. The failover action names "global-manager" on
+// every shard, so the shards are told apart by their acting managers.
+func TestShardStandbyPromotesItself(t *testing.T) {
 	cfg := shardedConfig(2, 1, 24)
 	cfg.ShardSeed = splitSeed(t, 2)
 	probe, err := Build(cfg)
@@ -234,7 +236,6 @@ func TestMetaPromotesShardStandby(t *testing.T) {
 		t.Fatal(err)
 	}
 	primaryNode := probe.ShardManager(0).node
-	standby := probe.shardStandby[0]
 	probe.Shutdown()
 
 	cfg.Faults = &fault.Config{Crashes: []fault.Crash{{Node: primaryNode, At: 60 * sim.Second}}}
@@ -246,28 +247,68 @@ func TestMetaPromotesShardStandby(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hasAction(res, "promote", "shard-0") {
-		t.Fatalf("meta never promoted shard 0's standby: %v", res.Actions)
-	}
-	if !hasAction(res, "failover", "global-manager") {
-		t.Fatalf("standby never took over: %v", res.Actions)
-	}
-	if rt.ShardManager(0) == rt.shardMgrs[0] {
-		t.Fatal("shard 0's acting manager is still the dead primary")
-	}
-	if rt.ShardManager(0).InStandby() {
-		t.Fatal("promoted standby still marked standby")
-	}
-	if rt.ShardManager(0).Epoch() <= 1 {
-		t.Fatalf("takeover did not fence above the primary: epoch %d", rt.ShardManager(0).Epoch())
-	}
-	// Shard 1's primary was never disturbed.
+	var failovers []Action
 	for _, a := range res.Actions {
-		if a.Kind == "promote" && a.Target == "shard-1" {
-			t.Fatalf("healthy shard 1 promoted: %v", res.Actions)
+		switch a.Kind {
+		case "failover":
+			failovers = append(failovers, a)
+		case "promote":
+			t.Fatalf("promote action on a run with one failover detector: %+v", a)
 		}
 	}
-	_ = standby
+	// The last heartbeat left at 45s, so 105s is the first interval check
+	// with more than three 15s intervals of silence; the action lands once
+	// the rehome rounds finish.
+	if len(failovers) != 1 || failovers[0].T < 105*sim.Second || failovers[0].T >= 106*sim.Second {
+		t.Fatalf("want one failover at 105s, got %+v", failovers)
+	}
+	acting := rt.ShardManager(0)
+	if acting != rt.shardStandby[0] {
+		t.Fatal("shard 0's acting manager is not its standby")
+	}
+	if acting.InStandby() {
+		t.Fatal("promoted standby still marked standby")
+	}
+	if acting.Epoch() <= 1 {
+		t.Fatalf("takeover did not fence above the primary: epoch %d", acting.Epoch())
+	}
+	if m := rt.ShardManager(1); m != rt.shardMgrs[1] || m.Epoch() != 1 {
+		t.Fatalf("healthy shard 1 disturbed: acting node %d epoch %d", m.Node(), m.Epoch())
+	}
+}
+
+// Cutting the meta-manager off from every shard must not promote anyone:
+// shard liveness is each standby's own watch over its primary, and the
+// meta's silence is not a shard's.
+func TestMetaPartitionPromotesNoStandby(t *testing.T) {
+	cfg := shardedConfig(3, 1, 24)
+	probe, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metaNode := probe.Meta().Node()
+	probe.Shutdown()
+
+	cfg.Faults = &fault.Config{Partitions: []fault.Partition{{
+		From: 60 * sim.Second, Until: 250 * sim.Second, Nodes: []int{metaNode}}}}
+	rt, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rt.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range res.Actions {
+		if a.Kind == "promote" || a.Kind == "failover" {
+			t.Fatalf("meta partition caused a takeover: %+v", a)
+		}
+	}
+	for s := 0; s < 3; s++ {
+		if m := rt.ShardManager(s); m != rt.shardMgrs[s] || m.Epoch() != 1 {
+			t.Fatalf("shard %d moved: acting node %d epoch %d", s, m.Node(), m.Epoch())
+		}
+	}
 }
 
 // TestControlPlaneLayout pins the node arithmetic of the one build: with
