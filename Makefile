@@ -105,7 +105,8 @@ race-smoke:
 # replays those): about 10 s of coverage-guided fuzzing each for the
 # subscriber-cursor fuzzer, the kernel event-order fuzzer, the kernel
 # FIFO model fuzzer, the poll-tick equivalence fuzzer, the BP stream
-# reader fuzzer and the scenario loader fuzzer. A failing input is written under the package's
+# reader fuzzer, the scenario loader fuzzer and the flight-recorder model
+# fuzzer. A failing input is written under the package's
 # testdata/fuzz/ for replay. -fuzzminimizetime 1s caps the
 # minimisation of each new interesting input: at Go's default of 60 s a
 # single minimisation can eat the rest of a 10 s run, and fuzzing stops
@@ -117,3 +118,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPollEquivalence$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzBPReader$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/bp
 	$(GO) test -run '^$$' -fuzz '^FuzzScenarioLoad$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz '^FuzzRecorder$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trace

@@ -3,10 +3,12 @@ package iocontainer
 import (
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/datatap"
 	"repro/internal/fault"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/smartpointer"
 )
@@ -313,4 +315,40 @@ func BenchmarkAblationPlacement(b *testing.B) {
 	}
 	b.Run("co-located", func(b *testing.B) { run(b, false) })
 	b.Run("scattered", func(b *testing.B) { run(b, true) })
+}
+
+// BenchmarkChaosSchedules is the traced path's ledger row: one op runs
+// chaos seeds 1-8 of the failover, at-least-once delivery and sharded
+// scenarios, each with the flight recorder on, then checks every oracle
+// against the run. The schedules are generated before the timer starts,
+// so allocs/op counts the runs, the recorder and the oracles.
+func BenchmarkChaosSchedules(b *testing.B) {
+	type schedule struct {
+		base   *scenario.File
+		faults *scenario.Faults
+	}
+	var corpus []schedule
+	for _, path := range []string{
+		"scenarios/chaos-failover.json",
+		"scenarios/delivery.json",
+		"scenarios/chaos-shards.json",
+	} {
+		base, err := scenario.ReadFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for seed := int64(1); seed <= 8; seed++ {
+			corpus = append(corpus, schedule{base, chaos.Generate(seed, base, chaos.GenConfig{})})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range corpus {
+			info := chaos.RunSchedule(s.base, s.faults)
+			if v := chaos.CheckOracles(info, chaos.DefaultOracles()); len(v) > 0 {
+				b.Fatalf("%d violation(s), first %s", len(v), v[0])
+			}
+		}
+	}
 }

@@ -24,7 +24,9 @@ import (
 
 // chaosRingCap sizes the flight-recorder ring for chaos runs: large
 // enough that typical schedules drop nothing, so the trace-DAG oracle
-// can audit parent links over the complete span set.
+// can audit parent links over the complete span set. The ring grows in
+// chunks as records arrive, so the cap costs nothing until it is
+// filled: a chaos run keeps about 800 records, roughly 100 KB of slots.
 const chaosRingCap = 1 << 18
 
 // RunInfo bundles everything one completed (or failed) run exposes to

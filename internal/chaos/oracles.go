@@ -365,20 +365,10 @@ func checkTraceDAG(info *RunInfo) []string {
 	if tr == nil || tr.Dropped() > 0 {
 		return nil
 	}
-	recs := tr.Records()
-	ids := make(map[uint64]bool, len(recs))
-	for _, r := range recs {
-		ids[uint64(r.ID)] = true
-	}
 	var out []string
-	for _, r := range recs {
-		if r.Parent != 0 && !ids[uint64(r.Parent)] {
-			out = append(out, fmt.Sprintf(
-				"span %d (%s/%s) references missing parent %d", r.ID, r.Cat, r.Name, r.Parent))
-			if len(out) >= 5 {
-				break // enough to localize; the ring can hold thousands
-			}
-		}
+	for _, r := range tr.MissingParents(5) { // enough to localize; the ring can hold thousands
+		out = append(out, fmt.Sprintf(
+			"span %d (%s/%s) references missing parent %d", r.ID, r.Cat, r.Name, r.Parent))
 	}
 	return out
 }

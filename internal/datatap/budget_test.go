@@ -25,8 +25,8 @@ func TestStepAllocBudget(t *testing.T) {
 	}{
 		{"best-effort", Config{HomeNode: 1}, false, 1,
 			"the descriptor, retained in the queue by design"},
-		{"best-effort full queue traced", Config{HomeNode: 1, QueueCap: 1}, true, 3,
-			"the descriptor; the two bytes attrs"},
+		{"best-effort full queue traced", Config{HomeNode: 1, QueueCap: 1}, true, 1,
+			"the descriptor; the spans' bytes attrs are stored as int64s in ring storage"},
 		{"at-least-once", Config{HomeNode: 1, Delivery: DeliveryAtLeastOnce}, false, 2,
 			"the descriptor and its ledger entry, retained until the ack by design"},
 	} {

@@ -25,14 +25,14 @@ func (k *Kernel) Event(at sim.Time, what string) {
 	if k == nil {
 		return
 	}
-	k.r.commit(Record{
-		ID:      0, // kernel instants are not causally addressable
-		Cat:     "sim",
-		Name:    what,
-		Node:    -1,
-		Step:    -1,
-		Start:   at,
-		End:     at,
-		Instant: true,
+	k.r.commit(&entry{
+		id:      0, // kernel instants are not causally addressable
+		cat:     "sim",
+		name:    what,
+		node:    -1,
+		step:    -1,
+		start:   at,
+		end:     at,
+		instant: true,
 	})
 }

@@ -58,7 +58,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if _, ok := r.Triggered(); ok {
 		t.Fatal("nil recorder triggered")
 	}
-	if r.Records() != nil || r.Len() != 0 || r.Dropped() != 0 {
+	if r.Records() != nil || r.MissingParents(5) != nil || r.Len() != 0 || r.Dropped() != 0 {
 		t.Fatal("nil recorder holds records")
 	}
 	r.OnTrigger(func(string) {})
