@@ -77,12 +77,13 @@ bench:
 
 # bench-smoke proves every benchmark still runs and parses, without
 # touching the checked-in baseline (CI runs this). -assert-allocs guards
-# the harness itself: the ablation benchmarks emit ReportMetric columns
-# between ns/op and B/op, and a parser regression there once zeroed
-# every ablation's allocs/op in the baseline.
+# the harness itself: the ablation benchmarks and ShardControlRound
+# (its sweep-ratio) emit ReportMetric columns between ns/op and B/op,
+# and a parser regression there once zeroed every ablation's allocs/op
+# in the baseline.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . > bench.out || { cat bench.out; rm -f bench.out; exit 1; }
-	$(GO) run ./cmd/benchjson -assert-allocs 'Ablation,Fig5,Fig10,IocheckModule,StreamingFanout' < bench.out > /dev/null
+	$(GO) run ./cmd/benchjson -assert-allocs 'Ablation,Fig5,Fig10,IocheckModule,StreamingFanout,ShardControlRound,ChaosSchedules' < bench.out > /dev/null
 	rm -f bench.out
 
 # trace-smoke runs one traced fig7 scenario and fails unless the exported

@@ -44,12 +44,12 @@ func TestControlRoundAllocBudget(t *testing.T) {
 	if rt.eng.Now() < 300*sim.Second+2*cfg.Policy.CallTimeout {
 		t.Fatalf("warm-up ended at %v, before the first deadlines fired", rt.eng.Now())
 	}
-	// 6: the request and its event; the response and its event; and the
-	// two copies the GM's inbox makes fanning the response out to its two
-	// routes. The four queues on the way (the container-bound bridge, the
+	// 4: the request and its event; the response and its event. The GM's
+	// inbox hands the response event itself to the response mailbox, with
+	// no copy. The four queues on the way (the container-bound bridge, the
 	// container's mailbox, the GM-bound bridge, the GM's response mailbox)
 	// reuse their FIFOs' arrays.
-	const budget = 6
+	const budget = 4
 	if got := testing.AllocsPerRun(100, round); got != budget {
 		t.Errorf("%v allocations per query round, budget %d", got, budget)
 	}

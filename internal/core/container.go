@@ -218,7 +218,7 @@ func (rt *Runtime) newContainer(spec ComponentSpec, nodes []*cluster.Node,
 	}
 	c.mgrEV = evpath.NewManager(rt.eng, rt.mach, nodes[0].ID)
 	c.mgrEV.SetTracer(rt.tracer)
-	c.mailbox = evpath.NewMailbox(c.mgrEV, 0)
+	c.mailbox = evpath.NewMailbox(c.mgrEV)
 	c.nodes = append(c.nodes, nodes...)
 	return c, nil
 }
@@ -227,7 +227,7 @@ func (rt *Runtime) newContainer(spec ComponentSpec, nodes []*cluster.Node,
 // initial replicas (without aprun cost: the initial deployment happens
 // inside the batch job's startup, as in the paper's experiments).
 func (c *Container) start() {
-	c.toGM = c.mgrEV.NewBridge(c.rt.shardPrimary[c.shard].inbox(), 0)
+	c.toGM = c.mgrEV.NewBridge(c.rt.shardPrimary[c.shard].inbox())
 	c.probe = monitor.NewProbe(c.toGM)
 	c.probe.Every = c.rt.cfg.MonitorSampleEvery
 	c.probe.AggregateN = c.rt.cfg.MonitorAggregateN

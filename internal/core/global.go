@@ -129,10 +129,10 @@ type GlobalManager struct {
 	rt   *Runtime
 	node int
 	ev   *evpath.Manager
-	// root receives all container traffic; an evpath split routes
-	// protocol responses to rsp and everything else (monitoring samples,
-	// crack notices) to ctl, so the policy pump and an in-flight
-	// synchronous call never compete for the same mailbox.
+	// root receives all container traffic; its handler routes protocol
+	// responses to rsp and everything else (monitoring samples, crack
+	// notices) to ctl, so the policy pump and an in-flight synchronous
+	// call never compete for the same mailbox.
 	root   *evpath.Stone
 	ctl    *evpath.Mailbox
 	rsp    *evpath.Mailbox
@@ -248,23 +248,22 @@ func newGlobalManager(rt *Runtime, node int, policy PolicyConfig, spare []*clust
 	}
 	gm.ev = evpath.NewManager(rt.eng, rt.mach, node)
 	gm.ev.SetTracer(rt.tracer)
-	gm.ctl = evpath.NewMailbox(gm.ev, 0)
-	gm.rsp = evpath.NewMailbox(gm.ev, 0)
-	respRoute := gm.ev.NewStone(evpath.TypeFilter(msgResp))
-	respRoute.Link(gm.rsp.Stone)
-	otherRoute := gm.ev.NewStone(evpath.Filter(func(ev *evpath.Event) bool {
-		return ev.Type != msgResp
-	}))
-	otherRoute.Link(gm.ctl.Stone)
-	gm.root = gm.ev.NewStone(nil)
-	gm.root.Link(respRoute).Link(otherRoute)
+	gm.ctl = evpath.NewMailbox(gm.ev)
+	gm.rsp = evpath.NewMailbox(gm.ev)
+	gm.root = gm.ev.NewStone(func(ev *evpath.Event) {
+		if ev.Type == msgResp {
+			gm.rsp.Stone.Submit(ev)
+		} else {
+			gm.ctl.Stone.Submit(ev)
+		}
+	})
 	gm.agg = monitor.NewAggregator(windowIntervals * rt.cfg.OutputPeriod)
 	return gm
 }
 
 // connect builds the control bridge to a container's mailbox.
 func (gm *GlobalManager) connect(c *Container) {
-	gm.toContainer[c.Name()] = gm.ev.NewBridge(c.mailbox.Stone, 0)
+	gm.toContainer[c.Name()] = gm.ev.NewBridge(c.mailbox.Stone)
 }
 
 // inbox returns the stone containers bridge their upward traffic to.
@@ -407,7 +406,7 @@ func (gm *GlobalManager) dispatch(p *sim.Proc, ev *evpath.Event) {
 			// A stale peer — a primary that outlived its own failover —
 			// is still beating. Tell it to stand down.
 			if gm.toDeposed == nil {
-				gm.toDeposed = gm.ev.NewBridge(data.Inbox, 0)
+				gm.toDeposed = gm.ev.NewBridge(data.Inbox)
 			}
 			gm.toDeposed.Submit(&evpath.Event{Type: msgDemote,
 				Size: ctlMsgBytes, Data: &DemoteNotice{Epoch: gm.epoch}})

@@ -31,9 +31,8 @@ type MetaManager struct {
 	shardInbox   map[int]*evpath.Stone // acting manager, from the last beat
 	standbyInbox map[int]*evpath.Stone // wired at build time
 
-	crackSeen      bool
-	stealsBrokered int
-	relays         int
+	crackSeen bool
+	relays    int
 
 	bridges     map[*evpath.Stone]*evpath.Stone
 	bridgeOrder []*evpath.Stone
@@ -55,7 +54,7 @@ func newMetaManager(rt *Runtime, node, shards int) *MetaManager {
 	}
 	mm.ev = evpath.NewManager(rt.eng, rt.mach, node)
 	mm.ev.SetTracer(rt.tracer)
-	mm.ctl = evpath.NewMailbox(mm.ev, 0)
+	mm.ctl = evpath.NewMailbox(mm.ev)
 	return mm
 }
 
@@ -71,10 +70,6 @@ func (mm *MetaManager) Dead() bool { return mm.dead }
 // Actions returns the meta-manager's slow-path decisions (brokered
 // steals).
 func (mm *MetaManager) Actions() []Action { return append([]Action(nil), mm.actions...) }
-
-// StealsBrokered returns how many cross-shard steals the meta-manager
-// has brokered.
-func (mm *MetaManager) StealsBrokered() int { return mm.stealsBrokered }
 
 // run is the meta-manager process: pump beats and relays until the
 // mailbox closes or the node dies.
@@ -136,7 +131,6 @@ func (mm *MetaManager) brokerSteal(req *StealReq) {
 	if mm.shardSpare[donor] < 0 {
 		mm.shardSpare[donor] = 0
 	}
-	mm.stealsBrokered++
 	mm.record(Action{T: mm.rt.eng.Now(), Kind: "steal-broker",
 		Target: fmt.Sprintf("shard-%d", req.Shard), N: req.N,
 		Detail: fmt.Sprintf("donor shard %d", donor)})
@@ -192,7 +186,7 @@ func (mm *MetaManager) bridgeTo(inbox *evpath.Stone) *evpath.Stone {
 	if b, ok := mm.bridges[inbox]; ok {
 		return b
 	}
-	b := mm.ev.NewBridge(inbox, 0)
+	b := mm.ev.NewBridge(inbox)
 	mm.bridges[inbox] = b
 	mm.bridgeOrder = append(mm.bridgeOrder, b)
 	return b

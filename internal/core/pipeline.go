@@ -354,7 +354,7 @@ func Build(cfg Config) (*Runtime, error) {
 		rt.shardStandby[s] = sb
 		rt.shardMgrs = append(rt.shardMgrs, sb)
 		primary := rt.shardPrimary[s]
-		primary.toStandby = primary.ev.NewBridge(sb.inbox(), 0)
+		primary.toStandby = primary.ev.NewBridge(sb.inbox())
 		if rt.meta != nil {
 			rt.meta.standbyInbox[s] = sb.inbox()
 		}
@@ -363,7 +363,7 @@ func Build(cfg Config) (*Runtime, error) {
 	// inherits the beat/steal duties — gets an upward bridge to the meta.
 	for _, gm := range rt.shardMgrs {
 		if rt.meta != nil {
-			gm.toMeta = gm.ev.NewBridge(rt.meta.inbox(), 0)
+			gm.toMeta = gm.ev.NewBridge(rt.meta.inbox())
 		}
 	}
 

@@ -335,7 +335,7 @@ func (c *Container) managerLoop(p *sim.Proc) {
 				c.staleGM.CloseBridge()
 			}
 			c.staleGM = c.toGM
-			c.toGM = c.mgrEV.NewBridge(req.Inbox, 0)
+			c.toGM = c.mgrEV.NewBridge(req.Inbox)
 			c.probe.Out = c.toGM // the probe must follow the new upward path
 			resp = &RehomeResp{}
 		default:

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/bp"
+	"repro/internal/evpath"
+	"repro/internal/monitor"
 	"repro/internal/sim"
 	"repro/internal/smartpointer"
 )
@@ -94,6 +96,59 @@ func protoConfig(bondsNodes int, model smartpointer.ComputeModel) Config {
 		Seed:         11,
 		Specs:        SpecsWithBondsModel(model),
 		Policy:       PolicyConfig{DisableManagement: true},
+	}
+}
+
+// TestManagerInboxRoutes pins the global manager's inbox routing: a
+// protocol response lands in the response mailbox only, and each pump
+// message (a monitoring sample, a crack notice, a gap notice, a standby
+// heartbeat) in the control mailbox only, exactly once, as the very event
+// that was submitted.
+func TestManagerInboxRoutes(t *testing.T) {
+	rt, err := Build(protoConfig(2, smartpointer.ModelRR))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A manager that is never started, so nothing else drains its mailboxes.
+	gm := newGlobalManager(rt, rt.shardPrimary[0].node, rt.cfg.Policy, nil)
+	rsp := &evpath.Event{Type: msgResp, Data: &QueryResp{}}
+	ctl := []*evpath.Event{
+		monitor.Event(monitor.Sample{Container: "bonds"}),
+		{Type: msgCrackDetected, Data: &CrackNotice{From: "bonds"}},
+		{Type: msgGap, Data: &GapNotice{From: "csym", Channel: "bonds", Missing: 1}},
+		{Type: msgGMHeartbeat, Data: &GMHeartbeat{Epoch: 1}},
+	}
+	gm.inbox().Submit(ctl[0])
+	gm.inbox().Submit(rsp)
+	for _, ev := range ctl[1:] {
+		gm.inbox().Submit(ev)
+	}
+	var gotRsp, gotCtl []*evpath.Event
+	rt.eng.Go("drain", func(p *sim.Proc) {
+		for _, d := range []struct {
+			mb  *evpath.Mailbox
+			got *[]*evpath.Event
+		}{{gm.rsp, &gotRsp}, {gm.ctl, &gotCtl}} {
+			for {
+				ev, ok := d.mb.RecvTimeout(p, 0)
+				if !ok {
+					break
+				}
+				*d.got = append(*d.got, ev)
+			}
+		}
+	})
+	rt.eng.RunUntil(sim.Millisecond)
+	if len(gotRsp) != 1 || gotRsp[0] != rsp {
+		t.Errorf("response mailbox got %v, want exactly the submitted response %p", gotRsp, rsp)
+	}
+	if len(gotCtl) != len(ctl) {
+		t.Fatalf("control mailbox got %d events, want %d", len(gotCtl), len(ctl))
+	}
+	for i, ev := range ctl {
+		if gotCtl[i] != ev {
+			t.Errorf("control event %d (%s): got %p, want the submitted %p", i, ev.Type, gotCtl[i], ev)
+		}
 	}
 }
 

@@ -267,7 +267,7 @@ func (gm *GlobalManager) bridgeTo(inbox *evpath.Stone) *evpath.Stone {
 	if gm.peerBridges == nil {
 		gm.peerBridges = make(map[*evpath.Stone]*evpath.Stone)
 	}
-	b := gm.ev.NewBridge(inbox, 0)
+	b := gm.ev.NewBridge(inbox)
 	gm.peerBridges[inbox] = b
 	gm.peerOrder = append(gm.peerOrder, b)
 	return b

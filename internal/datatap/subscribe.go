@@ -145,9 +145,6 @@ func (c *Channel) AttachHub(cfg SubConfig) *SubHub {
 	return c.hub
 }
 
-// Hub returns the attached subscriber hub (nil if none).
-func (c *Channel) Hub() *SubHub { return c.hub }
-
 // Stats returns a snapshot of the hub counters.
 func (h *SubHub) Stats() SubHubStats {
 	if h == nil {

@@ -35,29 +35,26 @@ type BridgeStats struct {
 const descriptorBytes = 64
 
 // NewBridge returns a stone that forwards submitted events to target,
-// which lives on (possibly) another node. queueCap bounds the bridge's
-// backlog; 0 means unbounded. Events that arrive when a bounded queue is
-// full are dropped (and counted), mirroring lossy monitoring channels.
-func (m *Manager) NewBridge(target *Stone, queueCap int) *Stone {
-	m.nextID++
+// which lives on (possibly) another node. The backlog is unbounded; once
+// the bridge is closed, later submits are dropped (and counted).
+func (m *Manager) NewBridge(target *Stone) *Stone {
 	b := &bridge{
 		owner:  m,
 		target: target,
-		q:      sim.NewQueue[*Event](m.eng, queueCap),
+		q:      sim.NewQueue[*Event](m.eng, 0),
 	}
 	b.drainFn = b.drain
 	if m.machine != nil {
 		b.xfer = m.machine.NewTransfer(b.transferred)
 	}
-	s := &Stone{id: m.nextID, mgr: m, bridge: b}
-	m.stones[s.id] = s
-	return s
+	return &Stone{mgr: m, bridge: b}
 }
 
 func (b *bridge) forward(ev *Event) {
 	if !b.q.TryPut(ev) {
 		b.stats.Dropped++
-		b.dropInstant(ev, "queue-full")
+		b.owner.tracer.Instant(ev.Span, "evpath", "drop").
+			Node(b.owner.node).Attr("type", ev.Type).Attr("why", "closed").End()
 		return
 	}
 	if !b.busy {
@@ -125,13 +122,7 @@ func (b *bridge) deliver(ev *Event, sp *trace.Span) {
 		ev.Span = sp.ID()
 	}
 	sp.End()
-	b.target.handle(ev)
-}
-
-// dropInstant records an enqueue-side drop (nothing was sent).
-func (b *bridge) dropInstant(ev *Event, why string) {
-	b.owner.tracer.Instant(ev.Span, "evpath", "drop").
-		Node(b.owner.node).Attr("type", ev.Type).Attr("why", why).End()
+	b.target.Submit(ev)
 }
 
 // CloseBridge closes a bridge stone: the backlog still drains, and later
@@ -150,15 +141,7 @@ func (s *Stone) BridgeStats() BridgeStats {
 	return s.bridge.stats
 }
 
-// BridgeBacklog returns the number of events awaiting transfer.
-func (s *Stone) BridgeBacklog() int {
-	if s.bridge == nil {
-		return 0
-	}
-	return s.bridge.q.Len()
-}
-
-// Mailbox is a terminal stone plus a queue, the usual way a simulated
+// Mailbox is a handler stone plus a queue, the usual way a simulated
 // process receives events from an overlay: remote stones bridge into the
 // mailbox's stone, and the owning process blocks on Recv.
 type Mailbox struct {
@@ -166,11 +149,11 @@ type Mailbox struct {
 	q     *sim.Queue[*Event]
 }
 
-// NewMailbox returns a mailbox on m with the given queue capacity
-// (0 = unbounded).
-func NewMailbox(m *Manager, queueCap int) *Mailbox {
-	q := sim.NewQueue[*Event](m.eng, queueCap)
-	return &Mailbox{Stone: m.NewStone(QueueTerminal(q)), q: q}
+// NewMailbox returns an unbounded mailbox on m. Events that arrive after
+// Close are dropped.
+func NewMailbox(m *Manager) *Mailbox {
+	q := sim.NewQueue[*Event](m.eng, 0)
+	return &Mailbox{Stone: m.NewStone(func(ev *Event) { q.TryPut(ev) }), q: q}
 }
 
 // Recv blocks until an event arrives; ok is false if the mailbox closed.
@@ -182,12 +165,6 @@ func (mb *Mailbox) Recv(p *sim.Proc) (*Event, bool) {
 func (mb *Mailbox) RecvTimeout(p *sim.Proc, d sim.Time) (*Event, bool) {
 	return mb.q.GetTimeout(p, d)
 }
-
-// TryRecv returns an event if one is queued.
-func (mb *Mailbox) TryRecv() (*Event, bool) { return mb.q.TryGet() }
-
-// Len returns the number of queued events.
-func (mb *Mailbox) Len() int { return mb.q.Len() }
 
 // Close closes the mailbox queue.
 func (mb *Mailbox) Close() { mb.q.Close() }

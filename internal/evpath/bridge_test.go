@@ -21,15 +21,15 @@ func faultyManagers(t *testing.T, cfg fault.Config) (*sim.Engine, *fault.Schedul
 	return eng, s, m0, m1
 }
 
-// collect returns a terminal stone on m recording each event's Data.
+// collect returns a handler stone on m recording each event's Data.
 func collect(m *Manager, got *[]any) *Stone {
-	return m.NewStone(Terminal(func(ev *Event) { *got = append(*got, ev.Data) }))
+	return m.NewStone(func(ev *Event) { *got = append(*got, ev.Data) })
 }
 
 func TestBridgeFIFOAcrossBursts(t *testing.T) {
 	eng, _, m0, m1 := bridgedManagers(t)
 	var got []any
-	br := m0.NewBridge(collect(m1, &got), 0)
+	br := m0.NewBridge(collect(m1, &got))
 	// Three bursts: the second lands while the first is still on the
 	// wire, the third after the bridge has gone idle.
 	for burst, at := range []sim.Time{0, sim.Millisecond, 10 * sim.Second} {
@@ -67,7 +67,7 @@ func TestBridgeFaultDropsCountedOnce(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, s, m0, m1 := faultyManagers(t, tc.cfg)
 			var got []any
-			br := m0.NewBridge(collect(m1, &got), 0)
+			br := m0.NewBridge(collect(m1, &got))
 			if tc.crash >= 0 {
 				s.Crash(tc.crash)
 			}
@@ -99,9 +99,9 @@ func TestBridgeRestampsSpanPerHop(t *testing.T) {
 		ms = append(ms, m)
 	}
 	var final trace.SpanID
-	sink := ms[2].NewStone(Terminal(func(ev *Event) { final = ev.Span }))
-	hop2 := ms[1].NewBridge(sink, 0)
-	hop1 := ms[0].NewBridge(hop2, 0)
+	sink := ms[2].NewStone(func(ev *Event) { final = ev.Span })
+	hop2 := ms[1].NewBridge(sink)
+	hop1 := ms[0].NewBridge(hop2)
 	root := rec.Begin(0, "test", "root")
 	rootID := root.ID() // before End: spans recycle once ended
 	root.End()
@@ -125,11 +125,11 @@ func TestNilMachineBridgeDeliversInStep(t *testing.T) {
 	eng, m := localManager()
 	var got []any
 	var at []sim.Time
-	sink := m.NewStone(Terminal(func(ev *Event) {
+	sink := m.NewStone(func(ev *Event) {
 		got = append(got, ev.Data)
 		at = append(at, eng.Now())
-	}))
-	br := m.NewBridge(sink, 0)
+	})
+	br := m.NewBridge(sink)
 	eng.At(sim.Second, func() {
 		br.Submit(&Event{Type: "m", Data: 0})
 		br.Submit(&Event{Type: "m", Data: 1})
@@ -154,7 +154,7 @@ func TestNewBridgeSpawnsNoProcess(t *testing.T) {
 	var got []any
 	sink := collect(m1, &got)
 	for i := 0; i < 8; i++ {
-		m0.NewBridge(sink, 0).Submit(&Event{Type: "m", Size: 100, Data: i})
+		m0.NewBridge(sink).Submit(&Event{Type: "m", Size: 100, Data: i})
 	}
 	eng.Run()
 	if len(got) != 8 {
@@ -162,5 +162,33 @@ func TestNewBridgeSpawnsNoProcess(t *testing.T) {
 	}
 	if st := eng.Stats(); st.Spawns != 0 || st.Wakes != 0 {
 		t.Fatalf("kernel stats %+v: bridges must spawn and wake no process", st)
+	}
+}
+
+// TestClosedBridgeDropTraced: a submit after CloseBridge is dropped,
+// counted once, and traced as a drop instant whose why is "closed".
+func TestClosedBridgeDropTraced(t *testing.T) {
+	eng, _, m0, m1 := bridgedManagers(t)
+	rec := trace.New(eng, trace.Config{})
+	m0.SetTracer(rec)
+	var got []any
+	br := m0.NewBridge(collect(m1, &got))
+	br.CloseBridge()
+	br.Submit(&Event{Type: "m", Size: 100})
+	eng.Run()
+	if st := br.BridgeStats(); st.Dropped != 1 || st.Sent != 0 {
+		t.Fatalf("stats %+v, want exactly one drop", st)
+	}
+	if len(got) != 0 {
+		t.Fatalf("delivered %v", got)
+	}
+	var whys []string
+	for _, r := range rec.Records() {
+		if r.Cat == "evpath" && r.Name == "drop" && r.Instant {
+			whys = append(whys, r.Attr("why"))
+		}
+	}
+	if len(whys) != 1 || whys[0] != "closed" {
+		t.Fatalf("drop instants' why %q, want one \"closed\"", whys)
 	}
 }

@@ -8,10 +8,9 @@ import (
 
 // TestBridgeHopAllocBudget pins the steady-state allocations of one
 // bridge hop: Submit on node 0, the queued drain, the wire transfer, and
-// the delivery into a filter stone on node 1 whose output reaches a
-// terminal. The caller's Event is reused, so the count is what the
-// overlay itself allocates per hop; a new allocation fails the test, and
-// so does an unrecorded saving.
+// the delivery into a handler stone on node 1. The caller's Event is
+// reused, so the count is what the overlay itself allocates per hop; a
+// new allocation fails the test, and so does an unrecorded saving.
 func TestBridgeHopAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -30,12 +29,11 @@ func TestBridgeHopAllocBudget(t *testing.T) {
 				m1.SetTracer(rec)
 			}
 			var got int
-			sink := m1.NewStone(Terminal(func(*Event) { got++ }))
-			filter := m1.NewStone(Filter(func(*Event) bool { return true })).Link(sink)
-			br := m0.NewBridge(filter, 0)
+			sink := m1.NewStone(func(*Event) { got++ })
+			br := m0.NewBridge(sink)
 			ev := &Event{Type: "ctl.query", Size: 256, Data: 1}
 			hop := func() {
-				ev.Span, ev.Submitted = 1, 0
+				ev.Span = 1
 				br.Submit(ev)
 				eng.Run()
 			}

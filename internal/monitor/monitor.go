@@ -100,8 +100,8 @@ func (w *Window) QueueTrend() float64 {
 	return float64(last.QueueLen-first.QueueLen) / steps
 }
 
-// Aggregator maintains per-container windows, fed either directly or from
-// an evpath overlay terminal.
+// Aggregator maintains per-container windows, fed one sample at a time
+// by Ingest.
 type Aggregator struct {
 	Span    sim.Time
 	windows map[string]*Window
@@ -125,16 +125,6 @@ func (a *Aggregator) Ingest(s Sample) {
 	}
 	w.Add(s)
 	a.total++
-}
-
-// Terminal returns an evpath action that feeds the aggregator, so it can
-// sit at the root of a monitoring overlay.
-func (a *Aggregator) Terminal() evpath.Action {
-	return evpath.Terminal(func(ev *evpath.Event) {
-		if s, ok := ev.Data.(Sample); ok && ev.Type == SampleEventType {
-			a.Ingest(s)
-		}
-	})
 }
 
 // Window returns the named container's window (nil if unseen).

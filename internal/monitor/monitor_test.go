@@ -86,18 +86,23 @@ func TestAggregatorBottleneck(t *testing.T) {
 	}
 }
 
+// ingest returns a handler feeding each sample event into agg.
+func ingest(agg *Aggregator) func(*evpath.Event) {
+	return func(ev *evpath.Event) { agg.Ingest(ev.Data.(Sample)) }
+}
+
 func TestOverlayFeedsAggregator(t *testing.T) {
-	// Samples flow replica -> bridge -> aggregator terminal, across the
-	// simulated network.
+	// Samples flow replica -> bridge -> a handler stone feeding the
+	// aggregator, across the simulated network.
 	eng := sim.NewEngine(3)
 	cfg := cluster.Franklin()
 	cfg.Nodes = 4
 	mach := cluster.New(eng, cfg)
 	gmMgr := evpath.NewManager(eng, mach, 0)
 	agg := NewAggregator(sim.Minute)
-	root := gmMgr.NewStone(agg.Terminal())
+	root := gmMgr.NewStone(ingest(agg))
 	replicaMgr := evpath.NewManager(eng, mach, 2)
-	br := replicaMgr.NewBridge(root, 0)
+	br := replicaMgr.NewBridge(root)
 	eng.Go("replica", func(p *sim.Proc) {
 		for i := int64(0); i < 4; i++ {
 			p.Sleep(15 * sim.Second)
@@ -111,21 +116,6 @@ func TestOverlayFeedsAggregator(t *testing.T) {
 	name, avg, ok := agg.Bottleneck(nil)
 	if !ok || name != "bonds" || avg != 20*sim.Second {
 		t.Fatalf("bottleneck %q %v", name, avg)
-	}
-}
-
-func TestTerminalIgnoresForeignEvents(t *testing.T) {
-	eng := sim.NewEngine(3)
-	mgr := evpath.NewManager(eng, nil, 0)
-	agg := NewAggregator(0)
-	root := mgr.NewStone(agg.Terminal())
-	eng.Go("p", func(p *sim.Proc) {
-		root.Submit(&evpath.Event{Type: "other", Data: "not a sample"})
-		root.Submit(&evpath.Event{Type: SampleEventType, Data: "wrong payload"})
-	})
-	eng.Run()
-	if agg.TotalSamples() != 0 {
-		t.Fatal("foreign events should be ignored")
 	}
 }
 
@@ -155,7 +145,7 @@ func TestProbeRateLimiting(t *testing.T) {
 	eng := sim.NewEngine(3)
 	mgr := evpath.NewManager(eng, nil, 0)
 	agg := NewAggregator(0)
-	out := mgr.NewStone(agg.Terminal())
+	out := mgr.NewStone(ingest(agg))
 	pr := NewProbe(out)
 	pr.Every = 10 * sim.Second
 	eng.Go("src", func(p *sim.Proc) {
@@ -181,9 +171,9 @@ func TestProbeAggregation(t *testing.T) {
 	eng := sim.NewEngine(3)
 	mgr := evpath.NewManager(eng, nil, 0)
 	var got []Sample
-	out := mgr.NewStone(evpath.Terminal(func(ev *evpath.Event) {
+	out := mgr.NewStone(func(ev *evpath.Event) {
 		got = append(got, ev.Data.(Sample))
-	}))
+	})
 	pr := NewProbe(out)
 	pr.AggregateN = 4
 	eng.Go("src", func(p *sim.Proc) {
@@ -212,9 +202,9 @@ func TestProbePassThrough(t *testing.T) {
 	eng := sim.NewEngine(3)
 	mgr := evpath.NewManager(eng, nil, 0)
 	var got []Sample
-	out := mgr.NewStone(evpath.Terminal(func(ev *evpath.Event) {
+	out := mgr.NewStone(func(ev *evpath.Event) {
 		got = append(got, ev.Data.(Sample))
-	}))
+	})
 	pr := NewProbe(out)
 	pr.AggregateN = 1
 	var want []Sample

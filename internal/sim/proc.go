@@ -298,9 +298,6 @@ func (r *Resource) Capacity() int { return r.capacity }
 // InUse returns the currently acquired units.
 func (r *Resource) InUse() int { return r.inUse }
 
-// Available returns capacity minus in-use units.
-func (r *Resource) Available() int { return r.capacity - r.inUse }
-
 // TryAcquire acquires n units if immediately available, reporting success.
 func (r *Resource) TryAcquire(n int) bool {
 	if r.waiters.len() == 0 && r.inUse+n <= r.capacity {

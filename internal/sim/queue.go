@@ -27,9 +27,6 @@ func NewQueue[T any](e *Engine, capacity int) *Queue[T] {
 // Len returns the number of buffered items.
 func (q *Queue[T]) Len() int { return q.items.len() }
 
-// Cap returns the capacity (0 = unbounded).
-func (q *Queue[T]) Cap() int { return q.cap }
-
 // Closed reports whether Close has been called.
 func (q *Queue[T]) Closed() bool { return q.closed }
 
