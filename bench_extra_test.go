@@ -135,7 +135,7 @@ func BenchmarkAblationPullScheduling(b *testing.B) {
 				rd := ch.NewReader(1 + r%8)
 				eng.Go("reader", func(p *sim.Proc) {
 					for {
-						if _, ok := rd.FetchTimeout(p, 10*sim.Second); !ok {
+						if _, ok := rd.FetchPoll(p, 10*sim.Second, nil); !ok {
 							return
 						}
 					}
@@ -234,7 +234,7 @@ func BenchmarkAblationDeliveryGuarantee(b *testing.B) {
 			eng.Go("reader", func(p *sim.Proc) {
 				p.Sleep(2 * sim.Second)
 				for got < steps {
-					m, ok := r.FetchTimeout(p, 60*sim.Second)
+					m, ok := r.FetchPoll(p, 60*sim.Second, nil)
 					if !ok {
 						break
 					}

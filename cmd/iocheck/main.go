@@ -4,8 +4,7 @@
 //
 // Usage:
 //
-//	iocheck [-v] [-json] [-rules simtime,maprange,...]
-//	        [-baseline lint-baseline.json] [-write-baseline FILE] [pattern]
+//	iocheck [-v] [-baseline lint-baseline.json] [-write-baseline FILE] [pattern]
 //
 // The pattern is a directory tree suffixed with /... (default "./..."):
 // the module containing it is loaded and type-checked in full, and
@@ -15,11 +14,9 @@
 // modules.
 //
 // Diagnostics print as file:line:col: [rule] message, sorted by position
-// so two runs over the same tree produce byte-identical output. -json
-// prints every diagnostic (suppressed included) as a sorted JSON array
-// instead. Audited exceptions are suppressed with `//iocheck:allow <rule>
-// <reason>` on the flagged line or the line above; -v prints suppressed
-// findings too.
+// so two runs over the same tree produce byte-identical output. Audited
+// exceptions are suppressed with `//iocheck:allow <rule> <reason>` on the
+// flagged line or the line above; -v prints suppressed findings too.
 //
 // -baseline compares the tree against a checked-in per-rule ratchet file
 // with two maps: "findings" (unsuppressed diagnostics each rule is
@@ -58,8 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("iocheck", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	verbose := fs.Bool("v", false, "also print suppressed diagnostics")
-	rules := fs.String("rules", "", "comma-separated analyzer names to run (default: all)")
-	jsonOut := fs.Bool("json", false, "print all diagnostics (suppressed included) as a JSON array")
 	baseline := fs.String("baseline", "", "per-rule ratchet file; finding growth fails, finding shrinkage demands regeneration")
 	writeBaseline := fs.String("write-baseline", "", "write current per-rule finding and suppression counts to this file")
 	if err := fs.Parse(args); err != nil {
@@ -89,11 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "iocheck: pattern root %q is not a directory\n", dir)
 		return 2
 	}
-	analyzers, err := selectAnalyzers(*rules)
-	if err != nil {
-		fmt.Fprintf(stderr, "iocheck: %v\n", err)
-		return 2
-	}
 	root, err := analysis.ModuleRoot(dir)
 	if err != nil {
 		fmt.Fprintf(stderr, "iocheck: %v\n", err)
@@ -105,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	pkgs = underDir(pkgs, dir)
-	diags := analysis.Run(pkgs, analyzers)
+	diags := analysis.Run(pkgs, analysis.Analyzers())
 	if *writeBaseline != "" {
 		if err := writeBaselineFile(*writeBaseline, diags); err != nil {
 			fmt.Fprintf(stderr, "iocheck: %v\n", err)
@@ -113,25 +103,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	failures := 0
-	if *jsonOut {
-		if err := printJSON(stdout, diags); err != nil {
-			fmt.Fprintf(stderr, "iocheck: %v\n", err)
-			return 2
-		}
-		for _, d := range diags {
-			if !d.Suppressed {
-				failures++
-			}
-		}
-	} else {
-		for _, d := range diags {
-			switch {
-			case !d.Suppressed:
-				failures++
-				fmt.Fprintln(stdout, d.String())
-			case *verbose:
-				fmt.Fprintf(stdout, "%s (suppressed: %s)\n", d.String(), d.SuppressReason)
-			}
+	for _, d := range diags {
+		switch {
+		case !d.Suppressed:
+			failures++
+			fmt.Fprintln(stdout, d.String())
+		case *verbose:
+			fmt.Fprintf(stdout, "%s (suppressed: %s)\n", d.String(), d.SuppressReason)
 		}
 	}
 	if *baseline != "" {
@@ -248,58 +226,6 @@ func ruleUnion(a, b map[string]int) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// jsonDiag is the -json wire form of one diagnostic. Fields marshal in
-// declaration order and the input is already position-sorted, so the
-// output is byte-stable across runs.
-type jsonDiag struct {
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Col        int    `json:"col"`
-	Rule       string `json:"rule"`
-	Message    string `json:"message"`
-	Suppressed bool   `json:"suppressed,omitempty"`
-	Reason     string `json:"reason,omitempty"`
-}
-
-func printJSON(w io.Writer, diags []analysis.Diagnostic) error {
-	out := make([]jsonDiag, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiag{
-			File:       d.Pos.Filename,
-			Line:       d.Pos.Line,
-			Col:        d.Pos.Column,
-			Rule:       d.Rule,
-			Message:    d.Message,
-			Suppressed: d.Suppressed,
-			Reason:     d.SuppressReason,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// selectAnalyzers resolves the -rules filter against the full suite.
-func selectAnalyzers(filter string) ([]*analysis.Analyzer, error) {
-	all := analysis.Analyzers()
-	if filter == "" {
-		return all, nil
-	}
-	byName := make(map[string]*analysis.Analyzer, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	var out []*analysis.Analyzer
-	for _, name := range strings.Split(filter, ",") {
-		a, ok := byName[strings.TrimSpace(name)]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q", name)
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }
 
 // underDir keeps the packages rooted under dir (the pattern's subtree).

@@ -1,12 +1,12 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/analysis"
 )
 
 // writeModule lays out a throwaway module for the CLI to analyze.
@@ -83,32 +83,14 @@ func TestBadUsage(t *testing.T) {
 	if code := run([]string{"no-dots"}, &out, &errOut); code != 2 {
 		t.Errorf("pattern without /...: exit = %d, want 2", code)
 	}
-	if code := run([]string{"-rules", "nosuch", "./..."}, &out, &errOut); code != 2 {
-		t.Errorf("unknown rule: exit = %d, want 2", code)
-	}
-}
-
-// TestRulesFilter pins that -rules narrows the suite: the seeded simtime
-// violation is invisible to a maprange-only run.
-func TestRulesFilter(t *testing.T) {
-	root := writeModule(t, map[string]string{
-		"go.mod": "module filtered\n\ngo 1.22\n",
-		"internal/clock/clock.go": `package clock
-
-import "time"
-
-func Stamp() int64 { return time.Now().UnixNano() }
-`,
-	})
-	var out, errOut strings.Builder
-	if code := run([]string{"-rules", "maprange", root + "/..."}, &out, &errOut); code != 0 {
-		t.Fatalf("exit = %d, want 0; stdout=%q", code, out.String())
+	if code := run([]string{"./...", "./..."}, &out, &errOut); code != 2 {
+		t.Errorf("two patterns: exit = %d, want 2", code)
 	}
 }
 
 // TestExitCodeSplit pins the contract: 1 means findings, 2 means the run
-// itself could not proceed (usage or load errors), and the unknown-rule
-// message lands on stderr.
+// itself could not proceed (usage or load errors), and the usage error
+// lands on stderr.
 func TestExitCodeSplit(t *testing.T) {
 	root := writeModule(t, map[string]string{
 		"go.mod": "module split\n\ngo 1.22\n",
@@ -125,11 +107,11 @@ func Stamp() int64 { return time.Now().UnixNano() }
 	}
 	out.Reset()
 	errOut.Reset()
-	if code := run([]string{"-rules", "nosuch", root + "/..."}, &out, &errOut); code != 2 {
-		t.Errorf("unknown rule: exit = %d, want 2", code)
+	if code := run([]string{"-nosuch", root + "/..."}, &out, &errOut); code != 2 {
+		t.Errorf("unknown flag: exit = %d, want 2", code)
 	}
-	if !strings.Contains(errOut.String(), `unknown analyzer "nosuch"`) {
-		t.Errorf("unknown-rule message missing from stderr: %q", errOut.String())
+	if !strings.Contains(errOut.String(), "flag provided but not defined: -nosuch") {
+		t.Errorf("unknown-flag message missing from stderr: %q", errOut.String())
 	}
 	errOut.Reset()
 	if code := run([]string{filepath.Join(root, "nope") + "/..."}, &out, &errOut); code != 2 {
@@ -214,69 +196,13 @@ import "time"
 func C() int64 { return time.Now().UnixNano() }
 `,
 	})
-	render := func(extra ...string) string {
+	render := func() string {
 		var out, errOut strings.Builder
-		run(append(extra, root+"/..."), &out, &errOut)
+		run([]string{root + "/..."}, &out, &errOut)
 		return out.String()
 	}
 	if first, second := render(), render(); first != second || first == "" {
 		t.Errorf("text output not byte-identical across runs:\n%q\n%q", first, second)
-	}
-	if first, second := render("-json"), render("-json"); first != second {
-		t.Errorf("json output not byte-identical across runs:\n%q\n%q", first, second)
-	}
-}
-
-// TestJSONOutput checks shape and sortedness of -json mode, including a
-// suppressed entry with its audit reason.
-func TestJSONOutput(t *testing.T) {
-	root := writeModule(t, map[string]string{
-		"go.mod": "module jsonmod\n\ngo 1.22\n",
-		"internal/clock/clock.go": `package clock
-
-import "time"
-
-//iocheck:allow simtime boot stamp only, audited
-func Stamp() int64 { return time.Now().UnixNano() }
-
-func Bad() int64 { return time.Now().UnixNano() }
-`,
-	})
-	var out, errOut strings.Builder
-	if code := run([]string{"-json", root + "/..."}, &out, &errOut); code != 1 {
-		t.Fatalf("exit = %d, want 1 (one unsuppressed finding); stderr=%q", code, errOut.String())
-	}
-	var diags []jsonDiag
-	if err := json.Unmarshal([]byte(out.String()), &diags); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, out.String())
-	}
-	if len(diags) != 2 {
-		t.Fatalf("got %d diagnostics, want 2 (one suppressed, one not): %+v", len(diags), diags)
-	}
-	if !sort.SliceIsSorted(diags, func(i, j int) bool {
-		if diags[i].File != diags[j].File {
-			return diags[i].File < diags[j].File
-		}
-		if diags[i].Line != diags[j].Line {
-			return diags[i].Line < diags[j].Line
-		}
-		return diags[i].Col < diags[j].Col
-	}) {
-		t.Errorf("json diagnostics not sorted by position: %+v", diags)
-	}
-	var suppressed, unsuppressed int
-	for _, d := range diags {
-		if d.Suppressed {
-			suppressed++
-			if !strings.Contains(d.Reason, "boot stamp only") {
-				t.Errorf("suppressed entry lost its reason: %+v", d)
-			}
-		} else {
-			unsuppressed++
-		}
-	}
-	if suppressed != 1 || unsuppressed != 1 {
-		t.Errorf("suppressed/unsuppressed = %d/%d, want 1/1", suppressed, unsuppressed)
 	}
 }
 
@@ -426,14 +352,11 @@ func Stamp() int64 { return time.Now().UnixNano() }
 	}
 }
 
-// TestRosterThreeRules pins the CLI side of the roster: all three rule
-// names resolve through -rules.
+// TestRosterThreeRules pins the roster the CLI runs: the three rules,
+// in order.
 func TestRosterThreeRules(t *testing.T) {
 	names := []string{"simtime", "maprange", "dropresult"}
-	got, err := selectAnalyzers(strings.Join(names, ","))
-	if err != nil {
-		t.Fatalf("selectAnalyzers rejected the full roster: %v", err)
-	}
+	got := analysis.Analyzers()
 	if len(got) != 3 {
 		t.Fatalf("roster has %d analyzers, want 3", len(got))
 	}

@@ -8,7 +8,7 @@
 //	               [-crack -1] [-seed 42] [-parallel-bonds]
 //	               [-no-management] [-no-offline] [-no-steal]
 //	               [-crash-node -1] [-crash-at 60] [-no-self-heal]
-//	               [-trace out.json] [-flight flight.txt]
+//	               [-trace out.json]
 package main
 
 import (
@@ -29,8 +29,8 @@ import (
 // showCharts toggles ASCII chart output (-chart).
 var showCharts bool
 
-// tracePath / flightPath hold the -trace and -flight output files.
-var tracePath, flightPath string
+// tracePath holds the -trace output file.
+var tracePath string
 
 func main() {
 	simNodes := flag.Int("sim", 256, "simulation partition size (nodes)")
@@ -52,11 +52,9 @@ func main() {
 	crashAt := flag.Float64("crash-at", 60, "virtual second at which -crash-node dies")
 	noHeal := flag.Bool("no-self-heal", false, "disable the replica-restart protocol")
 	traceFile := flag.String("trace", "", "export a Chrome trace_event JSON of the run to this file")
-	flightFile := flag.String("flight", "", "on SLA violation, queue overflow, or crash, dump the flight recorder to this file")
 	flag.Parse()
 	showCharts = *chart
 	tracePath = *traceFile
-	flightPath = *flightFile
 
 	if *configPath != "" {
 		cfg, err := scenario.LoadFile(*configPath)
@@ -105,24 +103,13 @@ func main() {
 }
 
 func runAndReport(cfg core.Config) {
-	if (tracePath != "" || flightPath != "") && cfg.Trace == nil {
+	if tracePath != "" && cfg.Trace == nil {
 		cfg.Trace = &trace.Config{}
 	}
 	rt, err := core.Build(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "iocontainersim:", err)
 		os.Exit(1)
-	}
-	if flightPath != "" {
-		rec := rt.Tracer()
-		rec.OnTrigger(func(reason string) {
-			if err := dumpFlight(flightPath, reason, rec.Records()); err != nil {
-				fmt.Fprintln(os.Stderr, "iocontainersim: flight dump:", err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "iocontainersim: flight recorder dumped to %s (trigger: %s)\n",
-				flightPath, reason)
-		})
 	}
 	res, err := rt.Run()
 	if err != nil {
@@ -191,10 +178,6 @@ func runAndReport(cfg core.Config) {
 	printShards(res)
 	printDelivery(res)
 	printSubscribers(res)
-
-	if trig, ok := rt.Tracer().Triggered(); ok && flightPath != "" {
-		fmt.Printf("flight recorder: triggered (%s), dump in %s\n", trig, flightPath)
-	}
 
 	if showCharts {
 		for _, name := range names {
@@ -287,21 +270,6 @@ func exportChrome(path string, recs []trace.Record) error {
 		return err
 	}
 	if err := trace.WriteChrome(f, recs); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// dumpFlight writes a flight-recorder snapshot: a header naming the trigger,
-// then the plain-text timeline of everything still in the ring.
-func dumpFlight(path, reason string, recs []trace.Record) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(f, "# flight recorder dump  trigger=%s  records=%d\n", reason, len(recs))
-	if err := trace.WriteText(f, recs); err != nil {
 		f.Close()
 		return err
 	}

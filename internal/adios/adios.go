@@ -1,8 +1,10 @@
-// Package adios provides the componentized I/O API the paper's analytics
-// actions are written against: applications declare output groups, write
-// named/typed variables each output step, and the transport behind the
-// interface is swappable — the DataTap staged transport for in-transit
-// pipelines, a BP file method for disk output, or a null method.
+// Package adios provides the write path of the componentized I/O API the
+// paper's analytics actions are written against: applications declare
+// output groups, write named/typed variables each output step, and the
+// transport behind the interface is swappable — the DataTap staged
+// transport for in-transit pipelines, a BP file method for disk output,
+// or a null method. Consumers read their input from the datatap channel
+// directly.
 //
 // The capability the container runtime depends on (paper §III-D) is
 // switching a group's method *mid-run*: when a downstream container goes
@@ -16,7 +18,6 @@ import (
 	"fmt"
 
 	"repro/internal/bp"
-	"repro/internal/cluster"
 	"repro/internal/datatap"
 	"repro/internal/sim"
 )
@@ -59,18 +60,13 @@ func (d DiskModel) writeTime(size int64) sim.Time {
 
 // IO is the per-process ADIOS context.
 type IO struct {
-	eng        *sim.Engine
-	mach       *cluster.Machine
-	disk       DiskModel
-	groups     map[string]*Group
-	readGroups map[string]*ReadGroup
+	disk   DiskModel
+	groups map[string]*Group
 }
 
-// NewIO returns an I/O context. mach may be nil for cost-free tests.
-func NewIO(eng *sim.Engine, mach *cluster.Machine, disk DiskModel) *IO {
-	return &IO{eng: eng, mach: mach, disk: disk,
-		groups:     make(map[string]*Group),
-		readGroups: make(map[string]*ReadGroup)}
+// NewIO returns an I/O context whose file method charges disk.
+func NewIO(disk DiskModel) *IO {
+	return &IO{disk: disk, groups: make(map[string]*Group)}
 }
 
 // DeclareGroup creates (or returns) the named output group, initially
@@ -84,9 +80,6 @@ func (io *IO) DeclareGroup(name string) *Group {
 	return g
 }
 
-// Group returns a previously declared group, or nil.
-func (io *IO) Group(name string) *Group { return io.groups[name] }
-
 // Group is one named output stream with a current transport method.
 type Group struct {
 	io     *IO
@@ -96,29 +89,11 @@ type Group struct {
 
 	tap  *datatap.Writer
 	sink *FileSink
-
-	stepsWritten int64
-	bytesWritten int64
 }
-
-// Name returns the group name.
-func (g *Group) Name() string { return g.name }
-
-// Method returns the currently bound transport method.
-func (g *Group) Method() Method { return g.method }
-
-// StepsWritten returns the number of completed output steps.
-func (g *Group) StepsWritten() int64 { return g.stepsWritten }
-
-// BytesWritten returns the cumulative payload bytes written.
-func (g *Group) BytesWritten() int64 { return g.bytesWritten }
 
 // SetAttr sets a group attribute, copied into every subsequent step's
 // process group (the provenance mechanism).
 func (g *Group) SetAttr(key, value string) { g.attrs[key] = value }
-
-// Attr returns a group attribute.
-func (g *Group) Attr(key string) string { return g.attrs[key] }
 
 // UseDataTap binds the group to a staged-transport writer.
 func (g *Group) UseDataTap(w *datatap.Writer) {
@@ -128,11 +103,6 @@ func (g *Group) UseDataTap(w *datatap.Writer) {
 // UseFile binds the group to a BP file sink.
 func (g *Group) UseFile(sink *FileSink) {
 	g.method, g.tap, g.sink = MethodFile, nil, sink
-}
-
-// UseNull binds the group to the discarding method.
-func (g *Group) UseNull() {
-	g.method, g.tap, g.sink = MethodNull, nil, nil
 }
 
 // StepWriter accumulates one output step.
@@ -165,11 +135,6 @@ func (w *StepWriter) Write(v bp.Var) error {
 	}
 	w.pg.Vars = append(w.pg.Vars, v)
 	return nil
-}
-
-// WriteFloat64s is a convenience wrapper for 1-D float64 variables.
-func (w *StepWriter) WriteFloat64s(name string, data []float64) error {
-	return w.Write(bp.Var{Name: name, Type: bp.TFloat64, Dims: []int{len(data)}, Data: data})
 }
 
 // WriteInt64s is a convenience wrapper for 1-D int64 variables.
@@ -226,7 +191,5 @@ func (w *StepWriter) Close(p *sim.Proc) (bool, error) {
 	default:
 		return false, fmt.Errorf("adios: group %q has unknown method %q", g.name, g.method)
 	}
-	g.stepsWritten++
-	g.bytesWritten += size
 	return true, nil
 }

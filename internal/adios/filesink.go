@@ -3,7 +3,6 @@ package adios
 import (
 	"bytes"
 	"fmt"
-	"os"
 
 	"repro/internal/bp"
 	"repro/internal/sim"
@@ -18,8 +17,6 @@ type FileSink struct {
 	name   string
 	buf    bytes.Buffer
 	w      *bp.Writer
-	steps  int
-	bytes  int64
 	closed bool
 }
 
@@ -34,15 +31,6 @@ func NewFileSink(name string) (*FileSink, error) {
 	return fs, nil
 }
 
-// Name returns the sink's name.
-func (fs *FileSink) Name() string { return fs.name }
-
-// Steps returns the number of appended process groups.
-func (fs *FileSink) Steps() int { return fs.steps }
-
-// Bytes returns the cumulative payload bytes appended.
-func (fs *FileSink) Bytes() int64 { return fs.bytes }
-
 func (fs *FileSink) append(p *sim.Proc, disk DiskModel, pg *bp.ProcessGroup) error {
 	if fs.closed {
 		return fmt.Errorf("adios: file sink %q already finished", fs.name)
@@ -50,12 +38,9 @@ func (fs *FileSink) append(p *sim.Proc, disk DiskModel, pg *bp.ProcessGroup) err
 	if err := fs.w.Append(pg); err != nil {
 		return err
 	}
-	size := pg.DataBytes()
 	if p != nil {
-		p.Sleep(disk.writeTime(size))
+		p.Sleep(disk.writeTime(pg.DataBytes()))
 	}
-	fs.steps++
-	fs.bytes += size
 	return nil
 }
 
@@ -68,15 +53,4 @@ func (fs *FileSink) Finish() (*bp.Reader, error) {
 		fs.closed = true
 	}
 	return bp.NewReader(bytes.NewReader(fs.buf.Bytes()))
-}
-
-// SaveTo writes the finished stream to a real file (finishing it first if
-// needed), so external tools like cmd/bpdump can inspect it.
-func (fs *FileSink) SaveTo(path string) error {
-	if !fs.closed {
-		if _, err := fs.Finish(); err != nil {
-			return err
-		}
-	}
-	return os.WriteFile(path, fs.buf.Bytes(), 0o644)
 }

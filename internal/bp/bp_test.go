@@ -115,12 +115,6 @@ func TestMultiStepIndexAndFind(t *testing.T) {
 			t.Fatalf("step %d data wrong", i)
 		}
 	}
-	if got := r.FindSteps("checkpoint"); len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("FindSteps = %v", got)
-	}
-	if got := r.FindSteps(""); len(got) != 5 {
-		t.Fatalf("FindSteps all = %v", got)
-	}
 }
 
 func TestRandomAccessOutOfOrder(t *testing.T) {
@@ -234,11 +228,11 @@ func TestDataBytesAndSteps(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf)
-	if w.Steps() != 0 {
+	if len(w.index) != 0 {
 		t.Fatal("fresh writer should have 0 steps")
 	}
 	w.Append(pg)
-	if w.Steps() != 1 {
+	if len(w.index) != 1 {
 		t.Fatal("steps should be 1")
 	}
 }

@@ -65,9 +65,6 @@ func (w *Writer) Append(pg *ProcessGroup) error {
 	return nil
 }
 
-// Steps returns the number of process groups appended so far.
-func (w *Writer) Steps() int { return len(w.index) }
-
 // Close writes the footer index; the stream is complete afterwards.
 func (w *Writer) Close() error {
 	if w.err != nil {
@@ -214,16 +211,4 @@ func (r *Reader) ReadStep(i int) (*ProcessGroup, error) {
 		return nil, fmt.Errorf("bp: step %d body of %d bytes overruns the stream", i, bodyLen)
 	}
 	return decodePG(&io.LimitedReader{R: r.r, N: int64(bodyLen)})
-}
-
-// FindSteps returns the step indices whose group matches (all groups if
-// group is empty).
-func (r *Reader) FindSteps(group string) []int {
-	var out []int
-	for i, e := range r.index {
-		if group == "" || e.Group == group {
-			out = append(out, i)
-		}
-	}
-	return out
 }

@@ -32,22 +32,3 @@ func BenchmarkTorusHops(b *testing.B) {
 	}
 	_ = sum
 }
-
-// BenchmarkAllocateFree measures batch allocation churn.
-func BenchmarkAllocateFree(b *testing.B) {
-	eng := sim.NewEngine(1)
-	cfg := Franklin()
-	cfg.Nodes = 1024
-	m := New(eng, cfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a, err := m.Allocate(64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := a.Free(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -60,8 +60,3 @@ func (l *Launcher) Launch(p *sim.Proc, name string, nodes []*Node) (*Job, error)
 		LaunchCost: cost,
 	}, nil
 }
-
-// EstimateLaunch returns the midpoint launch cost, for planning.
-func (l *Launcher) EstimateLaunch() sim.Time {
-	return (l.m.cfg.LaunchMin + l.m.cfg.LaunchMax) / 2
-}

@@ -54,9 +54,6 @@ func New(eng *sim.Engine, cfg Config) *Machine {
 	return m
 }
 
-// Engine returns the driving simulation engine.
-func (m *Machine) Engine() *sim.Engine { return m.eng }
-
 // Config returns the machine configuration (after default filling).
 func (m *Machine) Config() Config { return m.cfg }
 
@@ -64,9 +61,6 @@ func (m *Machine) Config() Config { return m.cfg }
 func (m *Machine) Node(id int) *Node {
 	return &m.nodes[id]
 }
-
-// FreeNodes returns the number of unallocated nodes.
-func (m *Machine) FreeNodes() int { return m.nfree }
 
 // SetFaults attaches a fault schedule. The machine registers its own crash
 // handler first, so when a crash fires the node is already marked down (and
@@ -101,9 +95,7 @@ func (n *Node) Up() bool { return !n.down }
 // grant for a job. The paper's setting allocates once for the entire run
 // and the user partitions the nodes between simulation and staging.
 type Allocation struct {
-	m     *Machine
 	nodes []*Node
-	freed bool
 }
 
 // Allocate reserves n nodes (lowest-numbered free nodes first, mirroring
@@ -116,7 +108,7 @@ func (m *Machine) Allocate(n int) (*Allocation, error) {
 	if n > m.nfree {
 		return nil, fmt.Errorf("cluster: requested %d nodes, only %d free", n, m.nfree)
 	}
-	a := &Allocation{m: m, nodes: make([]*Node, 0, n)}
+	a := &Allocation{nodes: make([]*Node, 0, n)}
 	for i := 0; i < len(m.nodes) && len(a.nodes) < n; i++ {
 		if m.free[i] {
 			m.free[i] = false
@@ -127,37 +119,17 @@ func (m *Machine) Allocate(n int) (*Allocation, error) {
 	return a, nil
 }
 
-// Size returns the number of nodes in the allocation.
-func (a *Allocation) Size() int { return len(a.nodes) }
-
 // Nodes returns the allocated nodes (shared slice; do not mutate).
 func (a *Allocation) Nodes() []*Node { return a.nodes }
 
-// Node returns the i'th node of the allocation.
-func (a *Allocation) Node(i int) *Node { return a.nodes[i] }
-
-// Free returns all nodes to the machine. Freeing twice is an error.
-func (a *Allocation) Free() error {
-	if a.freed {
-		return fmt.Errorf("cluster: allocation already freed")
-	}
-	a.freed = true
-	for _, n := range a.nodes {
-		a.m.free[n.ID] = true
-	}
-	a.m.nfree += len(a.nodes)
-	return nil
-}
-
-// Split carves the allocation into two disjoint sub-allocations of sizes
-// n and Size()-n, used to partition a job's nodes into simulation and
-// staging areas. The sub-allocations share the parent's lifetime (freeing
-// the parent frees all nodes; sub-allocations must not be freed).
+// Split carves the allocation into two disjoint sub-allocations, the
+// first n nodes and the rest, used to partition a job's nodes into
+// simulation and staging areas. Both view the parent's nodes.
 func (a *Allocation) Split(n int) (*Allocation, *Allocation, error) {
 	if n < 0 || n > len(a.nodes) {
 		return nil, nil, fmt.Errorf("cluster: split %d out of range 0..%d", n, len(a.nodes))
 	}
-	first := &Allocation{m: a.m, nodes: a.nodes[:n:n], freed: true}
-	second := &Allocation{m: a.m, nodes: a.nodes[n:], freed: true}
+	first := &Allocation{nodes: a.nodes[:n:n]}
+	second := &Allocation{nodes: a.nodes[n:]}
 	return first, second, nil
 }

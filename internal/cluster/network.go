@@ -141,15 +141,6 @@ func (m *Machine) arrives(from, to int, size int64, start sim.Time) bool {
 	return false
 }
 
-// EstimateSend returns the uncontended time a Send of size bytes between
-// the two nodes would take; managers use it for decision making.
-func (m *Machine) EstimateSend(from, to int, size int64) sim.Time {
-	if from == to {
-		return m.transferTime(size) / 10
-	}
-	return 2*m.transferTime(size) + m.latencyBetween(from, to)
-}
-
 func (m *Machine) account(bytes int64, d sim.Time) {
 	m.stats.Messages++
 	m.stats.Bytes += bytes

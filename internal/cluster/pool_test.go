@@ -19,7 +19,7 @@ func TestSplitPoolRoundRobin(t *testing.T) {
 			t.Fatalf("pool %d has %d nodes, want %d", i, len(pool), wantSizes[i])
 		}
 		for j, n := range pool {
-			if want := a.Node(i + j*3); n != want {
+			if want := a.Nodes()[i+j*3]; n != want {
 				t.Fatalf("pool %d slot %d: node %d, want %d", i, j, n.ID, want.ID)
 			}
 		}

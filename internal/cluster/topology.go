@@ -1,29 +1,13 @@
 package cluster
 
-// Topology maps node IDs to interconnect distance. The paper's future-work
-// section calls out topology-aware container placement; we provide the
-// models needed to experiment with it.
+// Topology maps node IDs to interconnect distance. RedSky's fabric is a
+// Torus3D; a nil Config.Topology is the flat network, one hop between any
+// two distinct nodes.
 type Topology interface {
 	// Hops returns the number of interconnect hops between two nodes.
 	// It must be symmetric and return 0 for a == b.
 	Hops(a, b int) int
-	// Name identifies the topology in experiment output.
-	Name() string
 }
-
-// Uniform is the flat model: every distinct pair of nodes is one hop apart.
-type Uniform struct{}
-
-// Hops implements Topology.
-func (Uniform) Hops(a, b int) int {
-	if a == b {
-		return 0
-	}
-	return 1
-}
-
-// Name implements Topology.
-func (Uniform) Name() string { return "uniform" }
 
 // Torus3D is a 3-D toroidal mesh (RedSky's fabric). Node IDs map to
 // coordinates in row-major order; distance is the Manhattan metric with
@@ -62,9 +46,6 @@ func (t *Torus3D) Hops(a, b int) int {
 	return torusDist(ax, bx, t.X) + torusDist(ay, by, t.Y) + torusDist(az, bz, t.Z)
 }
 
-// Name implements Topology.
-func (t *Torus3D) Name() string { return "torus3d" }
-
 func torusDist(a, b, n int) int {
 	d := a - b
 	if d < 0 {
@@ -75,32 +56,3 @@ func torusDist(a, b, n int) int {
 	}
 	return d
 }
-
-// FatTree is a two-level fat tree: nodes are grouped into pods of PodSize;
-// intra-pod distance is 2 hops (leaf switch), inter-pod distance is 4 hops
-// (through the core).
-type FatTree struct {
-	PodSize int
-}
-
-// NewFatTree returns a fat tree with the given pod size (≥ 1).
-func NewFatTree(podSize int) *FatTree {
-	if podSize < 1 {
-		panic("cluster: fat tree pod size must be >= 1")
-	}
-	return &FatTree{PodSize: podSize}
-}
-
-// Hops implements Topology.
-func (f *FatTree) Hops(a, b int) int {
-	if a == b {
-		return 0
-	}
-	if a/f.PodSize == b/f.PodSize {
-		return 2
-	}
-	return 4
-}
-
-// Name implements Topology.
-func (f *FatTree) Name() string { return "fattree" }

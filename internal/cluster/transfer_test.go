@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -66,7 +67,7 @@ func runXfers(t *testing.T, jobs []xferJob, faults fault.Config, blocking bool) 
 
 // randomJobs draws n messages between nodes 0..5 (intra-node ones
 // included) starting within 20ms, sized up to 4 MiB.
-func randomJobs(r *sim.Rand, n int) []xferJob {
+func randomJobs(r *rand.Rand, n int) []xferJob {
 	jobs := make([]xferJob, n)
 	for i := range jobs {
 		jobs[i] = xferJob{
@@ -87,11 +88,11 @@ func TestTransferMatchesSend(t *testing.T) {
 	ms := sim.Millisecond
 	cases := []struct {
 		name   string
-		jobs   func(r *sim.Rand) []xferJob
+		jobs   func(r *rand.Rand) []xferJob
 		faults fault.Config
 	}{
-		{"random", func(r *sim.Rand) []xferJob { return randomJobs(r, 40) }, fault.Config{}},
-		{"shared-nic", func(r *sim.Rand) []xferJob {
+		{"random", func(r *rand.Rand) []xferJob { return randomJobs(r, 40) }, fault.Config{}},
+		{"shared-nic", func(r *rand.Rand) []xferJob {
 			var jobs []xferJob
 			for i := 0; i < 12; i++ {
 				jobs = append(jobs, xferJob{at: sim.Time(i%3) * ms, from: 0, to: 1 + i%3, size: 1 << 20})
@@ -99,27 +100,27 @@ func TestTransferMatchesSend(t *testing.T) {
 			}
 			return jobs
 		}, fault.Config{}},
-		{"degraded-links", func(r *sim.Rand) []xferJob { return randomJobs(r, 40) }, fault.Config{
+		{"degraded-links", func(r *rand.Rand) []xferJob { return randomJobs(r, 40) }, fault.Config{
 			Links: []fault.LinkFault{{From: 5 * ms, Until: 12 * ms, LatencyFactor: 40, SlowdownFactor: 3}},
 		}},
-		{"receiver-crash", func(r *sim.Rand) []xferJob {
+		{"receiver-crash", func(r *rand.Rand) []xferJob {
 			jobs := randomJobs(r, 30)
 			for i := 0; i < 6; i++ {
 				jobs = append(jobs, xferJob{at: sim.Time(i) * ms, from: i % 2, to: 2, size: 2 << 20})
 			}
 			return jobs
 		}, fault.Config{Crashes: []fault.Crash{{Node: 2, At: 4*ms + 300*sim.Microsecond}}}},
-		{"partition", func(r *sim.Rand) []xferJob { return randomJobs(r, 40) }, fault.Config{
+		{"partition", func(r *rand.Rand) []xferJob { return randomJobs(r, 40) }, fault.Config{
 			Partitions: []fault.Partition{{From: 3 * ms, Until: 11 * ms, Nodes: []int{3, 4}}},
 		}},
-		{"dead-sender", func(r *sim.Rand) []xferJob {
+		{"dead-sender", func(r *rand.Rand) []xferJob {
 			return append(randomJobs(r, 30), xferJob{at: 0, from: 1, to: 4, size: 1 << 20},
 				xferJob{at: 15 * ms, from: 1, to: 1, size: 1 << 10})
 		}, fault.Config{Crashes: []fault.Crash{{Node: 1, At: 0}, {Node: 5, At: 9 * ms}}}},
 	}
 	for _, c := range cases {
 		for seed := int64(1); seed <= 16; seed++ {
-			jobs := c.jobs(sim.NewRand(seed))
+			jobs := c.jobs(rand.New(rand.NewSource(seed)))
 			want := runXfers(t, jobs, c.faults, true)
 			got := runXfers(t, jobs, c.faults, false)
 			if !reflect.DeepEqual(got, want) {

@@ -161,9 +161,6 @@ func (c *Container) Size() int { return len(c.nodes) }
 // Nodes returns the owned nodes (shared slice; do not mutate).
 func (c *Container) Nodes() []*cluster.Node { return c.nodes }
 
-// Input returns the container's input channel.
-func (c *Container) Input() *datatap.Channel { return c.input }
-
 // StepsProcessed returns the number of steps the container completed.
 func (c *Container) StepsProcessed() int64 { return c.stepsProcessed }
 

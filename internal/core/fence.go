@@ -128,10 +128,6 @@ type TradeRecord struct {
 	Outcomes map[int]txn.Outcome
 }
 
-// FencedEpoch returns the highest manager epoch that has contacted this
-// container (rounds below it are refused).
-func (c *Container) FencedEpoch() int64 { return c.fencedEpoch }
-
 // ManagerNode returns the machine node hosting the container's local
 // manager (the chaos heal-completeness oracle excuses containers whose
 // manager node died).

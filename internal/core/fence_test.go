@@ -227,6 +227,8 @@ func TestContainerRefusesStaleEpochRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resp *QueryResp
+	var reason string
+	rt.Tracer().OnTrigger(func(r string) { reason = r })
 	rt.Engine().GoAt(50*sim.Second, "driver", func(p *sim.Proc) {
 		rt.shardStandby[0].takeOver(p)
 		resp = rt.shardMgrs[0].Query(p, "bonds", cfg.StagingNodes)
@@ -240,12 +242,11 @@ func TestContainerRefusesStaleEpochRound(t *testing.T) {
 	if !rt.shardMgrs[0].Deposed() {
 		t.Fatal("FenceResp did not depose the stale primary")
 	}
-	if got := rt.Container("bonds").FencedEpoch(); got < 2 {
+	if got := rt.Container("bonds").fencedEpoch; got < 2 {
 		t.Fatalf("container fenced epoch %d, want >= 2", got)
 	}
-	reason, ok := rt.Tracer().Triggered()
-	if !ok || reason != "fence:bonds" {
-		t.Fatalf("expected fence:bonds trigger, got %q (ok=%v)", reason, ok)
+	if reason != "fence:bonds" {
+		t.Fatalf("expected fence:bonds trigger, got %q", reason)
 	}
 }
 

@@ -75,11 +75,3 @@ func DecodeFrame(pg *bp.ProcessGroup) (FrameInfo, error) {
 	}
 	return fi, nil
 }
-
-// StampBirth records the frame's emission time.
-func StampBirth(pg *bp.ProcessGroup, t sim.Time) {
-	if pg.Attrs == nil {
-		pg.Attrs = map[string]string{}
-	}
-	pg.Attrs[AttrBirth] = strconv.FormatInt(int64(t), 10)
-}

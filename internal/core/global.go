@@ -223,9 +223,6 @@ func (gm *GlobalManager) Spare() int { return len(gm.spare) }
 // SpareNodes returns the spare pool (shared slice; do not mutate).
 func (gm *GlobalManager) SpareNodes() []*cluster.Node { return gm.spare }
 
-// Aggregator exposes the monitoring state (for tests and experiments).
-func (gm *GlobalManager) Aggregator() *monitor.Aggregator { return gm.agg }
-
 func newGlobalManager(rt *Runtime, node int, policy PolicyConfig, spare []*cluster.Node) *GlobalManager {
 	gm := &GlobalManager{
 		rt:            rt,

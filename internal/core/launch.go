@@ -85,6 +85,3 @@ func (gm *GlobalManager) LaunchContainer(p *sim.Proc, spec ComponentSpec, nodes 
 		Detail: fmt.Sprintf("mid-run, tapping %s (aprun %s)", upstream, job.LaunchCost)})
 	return c, nil
 }
-
-// Taps returns the container's observer channels (for tests).
-func (c *Container) Taps() []*datatap.Channel { return c.taps }

@@ -63,7 +63,7 @@ func TestMidRunLaunchTapsUpstream(t *testing.T) {
 	if !hasAction(res, "launch", "viz") {
 		t.Fatalf("no launch action: %v", res.Actions)
 	}
-	if len(rt.Container("helper").Taps()) != 1 {
+	if len(rt.Container("helper").taps) != 1 {
 		t.Fatal("helper has no tap")
 	}
 }
@@ -261,7 +261,7 @@ func TestHeartbeatReportsPressureDuringLongCompute(t *testing.T) {
 	}
 	// And the GM's aggregator saw them even though no step completed in
 	// the measurement window.
-	if w := rt.ShardManager(0).Aggregator().Window("bonds"); w == nil || w.Len() == 0 {
+	if w := rt.ShardManager(0).agg.Window("bonds"); w == nil || w.Len() == 0 {
 		t.Fatal("aggregator blind to bonds")
 	}
 }

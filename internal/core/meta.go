@@ -61,9 +61,6 @@ func newMetaManager(rt *Runtime, node, shards int) *MetaManager {
 // inbox is the stone shard managers bridge their upward traffic to.
 func (mm *MetaManager) inbox() *evpath.Stone { return mm.ctl.Stone }
 
-// Node returns the staging node hosting the meta-manager.
-func (mm *MetaManager) Node() int { return mm.node }
-
 // Dead reports whether the meta-manager's node crashed.
 func (mm *MetaManager) Dead() bool { return mm.dead }
 

@@ -270,7 +270,7 @@ func Build(cfg Config) (*Runtime, error) {
 		sched.OnCrash(rt.onNodeCrash)
 	}
 	rt.launcher = cluster.NewLauncher(rt.mach)
-	rt.io = adios.NewIO(rt.eng, rt.mach, adios.DefaultDisk())
+	rt.io = adios.NewIO(adios.DefaultDisk())
 
 	all, err := rt.mach.Allocate(cfg.SimNodes + cfg.StagingNodes)
 	if err != nil {
@@ -665,9 +665,6 @@ func (rt *Runtime) onNodeCrash(id int) {
 	}
 }
 
-// Faults returns the armed fault schedule (nil on fault-free runs).
-func (rt *Runtime) Faults() *fault.Schedule { return rt.faults }
-
 // LostStep records one step the data plane knowingly failed to deliver: a
 // refused write on a live channel. Shutdown-refused writes are not
 // recorded — they are drain truncation, not loss.
@@ -990,9 +987,6 @@ func (rt *Runtime) Engine() *sim.Engine { return rt.eng }
 
 // Machine returns the machine model.
 func (rt *Runtime) Machine() *cluster.Machine { return rt.mach }
-
-// Recorder returns the metrics recorder.
-func (rt *Runtime) Recorder() *metrics.Recorder { return rt.rec }
 
 // Tracer returns the trace recorder (nil when Config.Trace is unset).
 func (rt *Runtime) Tracer() *trace.Recorder { return rt.tracer }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strconv"
 	"testing"
 
 	"repro/internal/bp"
@@ -17,8 +18,7 @@ func (t *testPG) toBP() *bp.ProcessGroup {
 }
 
 func TestStampBirth(t *testing.T) {
-	pg := &bp.ProcessGroup{Group: "g"}
-	StampBirth(pg, 42*sim.Second)
+	pg := &bp.ProcessGroup{Group: "g", Attrs: map[string]string{AttrBirth: strconv.FormatInt(int64(42*sim.Second), 10)}}
 	fi, err := DecodeFrame(pg)
 	if err != nil {
 		t.Fatal(err)
@@ -249,9 +249,9 @@ func TestParallelIncreaseTearsDownAndRelaunches(t *testing.T) {
 	// The aborted in-flight step must have been requeued, not lost:
 	// eventually every emitted step is processed or still queued.
 	c := rt.Container("bonds")
-	if c.StepsProcessed()+int64(c.Input().QueueLen())+int64(rt.dropped) < int64(rt.emitted) {
+	if c.StepsProcessed()+int64(c.input.QueueLen())+int64(rt.dropped) < int64(rt.emitted) {
 		t.Fatalf("steps unaccounted: processed=%d queued=%d dropped=%d emitted=%d",
-			c.StepsProcessed(), c.Input().QueueLen(), rt.dropped, rt.emitted)
+			c.StepsProcessed(), c.input.QueueLen(), rt.dropped, rt.emitted)
 	}
 }
 
@@ -279,10 +279,22 @@ func TestOfflineDirectCall(t *testing.T) {
 	}
 	rt.shutdown()
 	rt.eng.Run()
-	sink := rt.Container("helper").DiskSink()
-	if sink == nil || sink.Steps() == 0 {
+	if diskSteps(t, rt.Container("helper")) == 0 {
 		t.Fatal("helper wrote nothing to disk after offline")
 	}
+}
+
+// diskSteps finishes c's disk sink and counts the steps it holds.
+func diskSteps(t *testing.T, c *Container) int {
+	t.Helper()
+	if c.DiskSink() == nil {
+		return 0
+	}
+	r, err := c.DiskSink().Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.Steps()
 }
 
 func TestQueryRound(t *testing.T) {

@@ -89,7 +89,7 @@ func TestRoundServeContract(t *testing.T) {
 				}
 			}
 			seq := rt.ctlSeq
-			fenced := rt.Container(target).FencedEpoch()
+			fenced := rt.Container(target).fencedEpoch
 			if fenced != epoch {
 				t.Errorf("container fenced epoch %d, want %d", fenced, epoch)
 			}

@@ -503,9 +503,8 @@ func TestCheckpointContainerRelaxedSLA(t *testing.T) {
 		t.Fatalf("checkpoints processed %d, want 5", got)
 	}
 	// Checkpoint output is on stable storage.
-	sink := ckpt.DiskSink()
-	if sink == nil || sink.Steps() != 5 {
-		t.Fatalf("checkpoint disk steps: %v", sink)
+	if got := diskSteps(t, ckpt); got != 5 {
+		t.Fatalf("checkpoint disk steps %d, want 5", got)
 	}
 	// The relaxed SLA: each flush completes within the checkpoint
 	// interval, and the checkpoint stream never drew management actions.

@@ -286,7 +286,7 @@ func TestMetaPartitionPromotesNoStandby(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metaNode := probe.Meta().Node()
+	metaNode := probe.Meta().node
 	probe.Shutdown()
 
 	cfg.Faults = &fault.Config{Partitions: []fault.Partition{{

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/datatap"
 	"repro/internal/evpath"
-	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -189,9 +188,6 @@ type SubscribersConfig struct {
 	Stage int
 	// BufCap / TailCap tune the hub (see datatap.SubConfig).
 	BufCap, TailCap int
-	// DisableSpill turns the degrade tier off: lagging subscribers take
-	// knowing drops instead of spill reads.
-	DisableSpill bool
 	// ZipfS is the Zipf exponent of the read-rate distribution:
 	// subscriber i reads every BaseInterval·(i+1)^ZipfS (default 1.0), so
 	// a handful keep up and a long tail lags into spill.
@@ -221,7 +217,7 @@ func (rt *Runtime) buildSubscribers(cfg Config) error {
 	}
 	ch := rt.channels[stage]
 	hub := ch.AttachHub(datatap.SubConfig{BufCap: sc.BufCap, TailCap: sc.TailCap,
-		DisableSpill: sc.DisableSpill, InjectCursorSkip: sc.InjectCursorSkip})
+		InjectCursorSkip: sc.InjectCursorSkip})
 	rt.subHub = hub
 	// The hub is served by the container consuming the stage channel: its
 	// local manager owns the hub for control rounds.
@@ -308,13 +304,4 @@ func (rt *Runtime) reconnect(s *datatap.Subscriber, at sim.Time) {
 		backoff *= 2
 	}
 	rt.eng.At(at, try)
-}
-
-// SubCrashes exposes the armed subscriber-crash schedule (nil without
-// faults), for tests.
-func (rt *Runtime) SubCrashes() []fault.SubCrash {
-	if rt.cfg.Faults == nil {
-		return nil
-	}
-	return rt.cfg.Faults.SubCrashes
 }

@@ -248,9 +248,6 @@ func (c *Channel) QueuedBytes() int64 {
 	return n
 }
 
-// QueueCap returns the metadata queue bound (0 = unbounded).
-func (c *Channel) QueueCap() int { return c.cfg.QueueCap }
-
 // HomeNode returns the node hosting the metadata queue (the reader side);
 // subscriber hubs live there too.
 func (c *Channel) HomeNode() int { return c.cfg.HomeNode }
@@ -263,9 +260,6 @@ func (c *Channel) Full() bool {
 
 // Stats returns a snapshot of the channel counters.
 func (c *Channel) Stats() Stats { return c.stats }
-
-// Paused reports whether writers are currently paused.
-func (c *Channel) Paused() bool { return c.paused }
 
 // Writers returns the attached writer endpoints (shared slice; do not
 // mutate). Resize protocols use it to enumerate the upstream endpoints a
@@ -395,9 +389,6 @@ func (c *Channel) NewWriter(node int) *Writer {
 // Node returns the writer's node ID.
 func (w *Writer) Node() int { return w.node }
 
-// BufferedBytes returns the bytes currently held in the writer's buffer.
-func (w *Writer) BufferedBytes() int64 { return int64(w.buf.InUse()) }
-
 // Write makes one timestep's payload available: it buffers the payload,
 // pushes the descriptor to the channel's home node, and returns. It blocks
 // if the writer is paused, its buffer is full, or the metadata queue is
@@ -507,9 +498,6 @@ func (c *Channel) NewReader(node int) *Reader {
 	return &Reader{ch: c, node: node}
 }
 
-// Node returns the reader's node ID.
-func (r *Reader) Node() int { return r.node }
-
 // Fetch takes the next available descriptor and pulls its payload
 // (RDMA get from the writer's buffer), blocking until data arrives.
 // ok is false once the channel is closed and drained. A descriptor whose
@@ -528,20 +516,16 @@ func (r *Reader) Fetch(p *sim.Proc) (*Meta, bool) {
 	}
 }
 
-// FetchTimeout is Fetch with a deadline for the descriptor wait. The
-// deadline covers the whole attempt: descriptors invalidated by a dead
-// writer consume budget but do not restart it.
-func (r *Reader) FetchTimeout(p *sim.Proc, d sim.Time) (*Meta, bool) {
-	return r.FetchPoll(p, d, nil)
-}
-
-// FetchPoll is FetchTimeout in the polling form of [sim.Queue.GetPoll]:
-// when the deadline passes on an open, empty channel and keep (if
-// non-nil) holds, the descriptor wait re-arms for another d without
-// resuming p, exactly as if p had timed out, checked keep and called
-// FetchTimeout(p, d) again. A retry after an invalidated descriptor keeps
-// to the deadline in force, re-armed or not. keep runs in the event loop
-// and must not block.
+// FetchPoll is Fetch with a deadline d for the descriptor wait, in the
+// polling form of [sim.Queue.GetPoll]. The deadline covers the whole
+// attempt: descriptors invalidated by a dead writer consume budget but do
+// not restart it. When the deadline passes on an open, empty channel and
+// keep (if non-nil) holds, the descriptor wait re-arms for another d
+// without resuming p, exactly as if p had timed out, checked keep and
+// called FetchPoll(p, d, keep) again. A retry after an invalidated
+// descriptor keeps to the deadline in force, re-armed or not. keep runs
+// in the event loop and must not block. With a nil keep it is a plain
+// timed fetch.
 func (r *Reader) FetchPoll(p *sim.Proc, d sim.Time, keep func() bool) (*Meta, bool) {
 	deadline := r.ch.eng.Now() + d
 	for {

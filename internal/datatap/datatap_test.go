@@ -80,8 +80,8 @@ func TestWriteIsAsyncUntilBufferFills(t *testing.T) {
 			t.Fatalf("write %d finished at %v; should be async", i, s)
 		}
 	}
-	if w.BufferedBytes() != 4<<20 {
-		t.Fatalf("buffered %d", w.BufferedBytes())
+	if w.buf.InUse() != 4<<20 {
+		t.Fatalf("buffered %d", w.buf.InUse())
 	}
 }
 
@@ -168,7 +168,7 @@ func TestPausedWriterWaitsForResume(t *testing.T) {
 	var wroteAt sim.Time
 	eng.Go("manager", func(p *sim.Proc) {
 		ch.Pause(p)
-		if !ch.Paused() {
+		if !ch.paused {
 			t.Error("channel should be paused")
 		}
 	})
@@ -182,7 +182,7 @@ func TestPausedWriterWaitsForResume(t *testing.T) {
 	if wroteAt < 20*sim.Second {
 		t.Fatalf("write completed at %v while paused", wroteAt)
 	}
-	if ch.Paused() {
+	if ch.paused {
 		t.Fatal("channel should be resumed")
 	}
 }
@@ -190,7 +190,7 @@ func TestPausedWriterWaitsForResume(t *testing.T) {
 func TestResumeWithoutPauseIsNoop(t *testing.T) {
 	_, _, ch := newTestChannel(0, 0)
 	ch.Resume() // must not panic
-	if ch.Paused() {
+	if ch.paused {
 		t.Fatal("not paused")
 	}
 }
@@ -230,7 +230,7 @@ func TestFetchTimeout(t *testing.T) {
 	r := ch.NewReader(1)
 	var timedOut bool
 	eng.Go("reader", func(p *sim.Proc) {
-		_, ok := r.FetchTimeout(p, 2*sim.Second)
+		_, ok := r.FetchPoll(p, 2*sim.Second, nil)
 		timedOut = !ok
 	})
 	eng.Run()
@@ -382,7 +382,7 @@ func TestConservationProperty(t *testing.T) {
 			}
 		}
 		// All buffer space returned.
-		return w.BufferedBytes() == 0
+		return w.buf.InUse() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -514,7 +514,7 @@ func TestFaultScheduleConservationProperty(t *testing.T) {
 			return false
 		}
 		// Every buffer reservation was returned, pulled or invalidated.
-		return w.BufferedBytes() == 0
+		return w.buf.InUse() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -684,7 +684,7 @@ func TestPullTokensSerializePulls(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		rd := ch.NewReader(1 + r)
 		eng.Go("reader", func(p *sim.Proc) {
-			if _, ok := rd.FetchTimeout(p, sim.Minute); ok {
+			if _, ok := rd.FetchPoll(p, sim.Minute, nil); ok {
 				finishes = append(finishes, p.Now())
 			}
 		})

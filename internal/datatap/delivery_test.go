@@ -42,7 +42,7 @@ func TestAckReleasesRetention(t *testing.T) {
 				return
 			}
 			if i == 0 {
-				beforeAck = w.BufferedBytes()
+				beforeAck = int64(w.buf.InUse())
 			}
 			r.Ack(p, m)
 			last = m
@@ -53,8 +53,8 @@ func TestAckReleasesRetention(t *testing.T) {
 	if beforeAck != 3<<20 {
 		t.Fatalf("buffered %d before the first ack; retention must hold space until acked", beforeAck)
 	}
-	if w.BufferedBytes() != 0 {
-		t.Fatalf("buffered %d after acks, want 0", w.BufferedBytes())
+	if w.buf.InUse() != 0 {
+		t.Fatalf("buffered %d after acks, want 0", w.buf.InUse())
 	}
 	d := ch.DeliverySnapshot()
 	if d.StepsWritten != 3 || d.StepsAcked != 3 || d.Retained != 0 {
@@ -203,7 +203,7 @@ func TestReplayedStepAppliedExactlyOnce(t *testing.T) {
 			t.Error("requeue failed")
 			return
 		}
-		if _, ok := r.FetchTimeout(p, 5*sim.Second); ok {
+		if _, ok := r.FetchPoll(p, 5*sim.Second, nil); ok {
 			t.Error("replay of an acked step must not be re-applied")
 		}
 		ch.Close()
@@ -289,8 +289,8 @@ func TestDoubleInvalidateNodeALO(t *testing.T) {
 	if d.Retained != 0 || d.Unaccounted() != 0 {
 		t.Fatalf("snapshot %+v: ledger does not balance", d)
 	}
-	if w.BufferedBytes() != 0 {
-		t.Fatalf("buffered %d after forfeit, want 0", w.BufferedBytes())
+	if w.buf.InUse() != 0 {
+		t.Fatalf("buffered %d after forfeit, want 0", w.buf.InUse())
 	}
 }
 

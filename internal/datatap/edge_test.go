@@ -34,7 +34,7 @@ func TestFetchTimeoutExpiredDeadline(t *testing.T) {
 	ok := true
 	var at sim.Time = -1
 	eng.Go("reader", func(p *sim.Proc) {
-		_, ok = r.FetchTimeout(p, 0)
+		_, ok = r.FetchPoll(p, 0, nil)
 		at = p.Now()
 	})
 	eng.Run()
@@ -46,7 +46,7 @@ func TestFetchTimeoutExpiredDeadline(t *testing.T) {
 	}
 }
 
-// The FetchTimeout deadline covers the whole attempt: descriptors
+// The FetchPoll deadline covers the whole attempt: descriptors
 // invalidated by a dead writer consume budget but do not restart it. A
 // valid descriptor arriving after the original deadline must NOT be
 // claimed — if it is, the per-descriptor loop restarted the clock.
@@ -74,7 +74,7 @@ func TestFetchTimeoutInvalidatedConsumesBudget(t *testing.T) {
 	eng.Go("reader", func(p *sim.Proc) {
 		p.Sleep(10 * sim.Second)
 		start := p.Now()
-		_, ok = r.FetchTimeout(p, 5*sim.Second)
+		_, ok = r.FetchPoll(p, 5*sim.Second, nil)
 		elapsed = p.Now() - start
 	})
 	eng.Run()
@@ -113,8 +113,8 @@ func TestDoubleInvalidateNode(t *testing.T) {
 	if st.Invalidated != 3 || st.BytesInvalidated != 3<<20 {
 		t.Fatalf("stats %+v; double purge must not double-charge", st)
 	}
-	if w.BufferedBytes() != 0 {
-		t.Fatalf("buffered %d after purge, want 0", w.BufferedBytes())
+	if w.buf.InUse() != 0 {
+		t.Fatalf("buffered %d after purge, want 0", w.buf.InUse())
 	}
 }
 

@@ -49,9 +49,6 @@ type SubConfig struct {
 	// descriptors (default 64). Entries evicted past a subscriber's
 	// cursor degrade to the spill store.
 	TailCap int
-	// DisableSpill turns the degrade tier off: evicted entries a
-	// subscriber still needs are counted as knowing drops instead.
-	DisableSpill bool
 	// InjectCursorSkip, when n > 0, makes every n-th spill catch-up read
 	// advance the cursor without delivering — a deliberately seeded
 	// conservation bug the chaos smoke test uses to prove the
@@ -153,9 +150,6 @@ func (h *SubHub) Stats() SubHubStats {
 	return h.stats
 }
 
-// Closed reports whether the hub's channel has closed.
-func (h *SubHub) Closed() bool { return h == nil || h.closed }
-
 // Subscriber is one streaming consumer with an independent cursor.
 type Subscriber struct {
 	hub  *SubHub
@@ -230,14 +224,6 @@ func (h *SubHub) Subscribe(id string, node int) *Subscriber {
 		h.nLow++
 	}
 	return s
-}
-
-// Sub returns the subscriber with the given id (nil if unknown).
-func (h *SubHub) Sub(id string) *Subscriber {
-	if h == nil {
-		return nil
-	}
-	return h.subs[id]
 }
 
 // ID returns the subscriber's identifier.
@@ -334,9 +320,7 @@ func (s *Subscriber) advance() {
 // evict trims the tail to its bound. An evicted sequence some subscriber
 // may still need (sequence >= the cursor watermark — crashed subscribers
 // count, so their cleared buffers stay recoverable) degrades to the spill
-// store with a provenance record; with spill disabled, every subscriber
-// that still needs it takes a knowing drop instead, counted here at evict
-// time.
+// store with a provenance record.
 func (h *SubHub) evict() {
 	for len(h.tail) > h.cfg.TailCap {
 		seq, m := h.baseSeq, h.tail[0]
@@ -345,16 +329,6 @@ func (h *SubHub) evict() {
 		h.baseSeq++
 		if seq < h.minCursor() {
 			continue // everyone consumed or passed it
-		}
-		if h.cfg.DisableSpill {
-			for _, s := range h.order {
-				// Needed = past the cursor and not already staged in buf.
-				if seq >= s.cursor+int64(s.bufLen) {
-					s.dropped++
-					h.stats.Dropped++
-				}
-			}
-			continue
 		}
 		h.spillToStore(seq, m)
 	}
@@ -521,7 +495,7 @@ func (s *Subscriber) step() {
 				eng.At(eng.Now()+spillTime(m.Size), s.stepFn)
 				return
 			}
-			// Evicted without spill: already counted dropped at evict time.
+			// Not spill-resident: nothing to deliver for this sequence.
 			s.advance()
 			continue
 		}
@@ -557,19 +531,6 @@ func (h *SubHub) Crash(id string) bool {
 	}
 	s.crashed = true
 	s.gen++
-	// Cleared buffer entries already evicted from the tail can only come
-	// back through the spill store; with spill disabled they are gone —
-	// count the loss now.
-	if h.cfg.DisableSpill {
-		for i := 0; i < s.bufLen; i++ {
-			if seq := s.cursor + int64(i); seq < h.baseSeq {
-				if _, ok := h.spillRes[seq]; !ok {
-					s.dropped++
-					h.stats.Dropped++
-				}
-			}
-		}
-	}
 	for i := range s.buf {
 		s.buf[i] = nil
 	}
@@ -676,8 +637,7 @@ func (s *Subscriber) Snapshot() SubSnapshot {
 		Crashed:    s.crashed,
 	}
 	// Sequences past the staged buffer split at baseSeq: at or above it
-	// they sit in the shared tail; below it they are spill-resident (or
-	// already counted dropped at evict time).
+	// they sit in the shared tail; below it they are spill-resident.
 	start := s.cursor + int64(s.bufLen)
 	if tailFrom := max64(start, h.baseSeq); tailFrom <= h.pubSeq {
 		snap.TailPending = h.pubSeq - tailFrom + 1

@@ -38,7 +38,7 @@ const fuzzMaxSubs = 8
 // every subscriber's conservation ledger balances. The teardown then
 // drains every subscriber and checks that each ends at the live edge.
 //
-// Config byte: bits 0-1 BufCap-1, bits 2-4 TailCap-1, bit 7 DisableSpill.
+// Config byte: bits 0-1 BufCap-1, bits 2-4 TailCap-1.
 // The seed corpus lives in testdata/fuzz/FuzzSubHubCursors.
 func FuzzSubHubCursors(f *testing.F) {
 	f.Fuzz(runSubHubOps)
@@ -50,9 +50,8 @@ func runSubHubOps(t *testing.T, data []byte) {
 		return
 	}
 	cfg := SubConfig{
-		BufCap:       1 + int(data[0]&3),
-		TailCap:      1 + int(data[0]>>2&7),
-		DisableSpill: data[0]&0x80 != 0,
+		BufCap:  1 + int(data[0]&3),
+		TailCap: 1 + int(data[0]>>2&7),
 	}
 	eng := sim.NewEngine(1)
 	ch := NewChannel(eng, nil, "fuzz", Config{})

@@ -27,9 +27,9 @@ func microRuntime(seed int64, bondsReplicas, staging int) (*core.Runtime, error)
 
 // resizeSweep holds one microbenchmark point.
 type resizeSweep struct {
-	n                          int
-	total, launch, intra, mgr  sim.Time
-	pauseWait, drain, released sim.Time
+	n                         int
+	total, launch, intra, mgr sim.Time
+	pauseWait, drain          sim.Time
 }
 
 // Fig3 traces the increase protocol's message rounds, the structure the

@@ -347,11 +347,6 @@ func (s *Schedule) DropData() bool {
 	return false
 }
 
-// Stalled reports whether node is frozen right now.
-func (s *Schedule) Stalled(node int) bool {
-	return s.StallRemaining(node) > 0
-}
-
 // StallRemaining returns how much longer node stays frozen (0 when it is
 // not stalled). Processes on a stalled node sleep this long before
 // continuing, modelling an OS-level freeze rather than death.

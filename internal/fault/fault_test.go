@@ -43,7 +43,7 @@ func TestNilScheduleIsFaultFree(t *testing.T) {
 	if s.LatencyFactor() != 1 || s.SlowdownFactor() != 1 {
 		t.Fatal("nil schedule should not degrade links")
 	}
-	if s.Partitioned(0, 1) || s.DropCtl() || s.Stalled(0) {
+	if s.Partitioned(0, 1) || s.DropCtl() {
 		t.Fatal("nil schedule should inject nothing")
 	}
 	if s.StallRemaining(0) != 0 {
@@ -202,12 +202,12 @@ func TestStallWindow(t *testing.T) {
 	s, _ := NewSchedule(eng, Config{
 		Stalls: []Stall{{Node: 4, From: 10 * sim.Second, Until: 25 * sim.Second}},
 	})
-	if s.Stalled(4) {
+	if s.StallRemaining(4) != 0 {
 		t.Fatal("stalled before the window")
 	}
 	eng.At(15*sim.Second, func() {})
 	eng.RunUntil(15 * sim.Second)
-	if !s.Stalled(4) || s.Stalled(3) {
+	if s.StallRemaining(4) == 0 || s.StallRemaining(3) != 0 {
 		t.Fatal("stall targeting wrong")
 	}
 	if rem := s.StallRemaining(4); rem != 10*sim.Second {

@@ -69,14 +69,13 @@ func runWorkload(t *testing.T, w Workload, withCkpt bool) (*datatap.Channel, []*
 	cfg := cluster.Franklin()
 	cfg.Nodes = 8
 	mach := cluster.New(eng, cfg)
-	io := adios.NewIO(eng, mach, adios.DefaultDisk())
+	io := adios.NewIO(adios.DefaultDisk())
 	ch := datatap.NewChannel(eng, mach, "out", datatap.Config{HomeNode: 1})
 	out := io.DeclareGroup("bonds")
 	out.UseDataTap(ch.NewWriter(0))
 	var ckpt *adios.Group
 	if withCkpt {
 		ckpt = io.DeclareGroup("checkpoint")
-		ckpt.UseNull()
 	}
 	var frames []*bp.ProcessGroup
 	emitted := 0
@@ -141,30 +140,43 @@ func TestWorkloadCrackFlag(t *testing.T) {
 
 func TestWorkloadCheckpointCadence(t *testing.T) {
 	eng := sim.NewEngine(13)
-	io := adios.NewIO(eng, nil, adios.DefaultDisk())
+	io := adios.NewIO(adios.DefaultDisk())
 	out := io.DeclareGroup("bonds")
-	out.UseNull()
+	ch := datatap.NewChannel(eng, nil, "ckpt", datatap.Config{})
 	ckpt := io.DeclareGroup("ckpt")
-	ckpt.UseNull()
+	ckpt.UseDataTap(ch.NewWriter(0))
 	w := DefaultWorkload(256, 6)
 	w.CheckpointEvery = 2
 	eng.Go("lammps", func(p *sim.Proc) {
 		if _, err := w.Run(p, out, ckpt); err != nil {
 			t.Error(err)
 		}
+		ch.Close()
+	})
+	var steps, bytes int64
+	eng.Go("drain", func(p *sim.Proc) {
+		r := ch.NewReader(0)
+		for {
+			m, ok := r.Fetch(p)
+			if !ok {
+				return
+			}
+			steps++
+			bytes += m.Size
+		}
 	})
 	eng.Run()
-	if ckpt.StepsWritten() != 3 {
-		t.Fatalf("checkpoints %d, want 3", ckpt.StepsWritten())
+	if steps != 3 {
+		t.Fatalf("checkpoints %d, want 3", steps)
 	}
-	if ckpt.BytesWritten() != 3*ScaleForNodes(256).CheckpointBytes() {
-		t.Fatalf("checkpoint bytes %d", ckpt.BytesWritten())
+	if bytes != 3*ScaleForNodes(256).CheckpointBytes() {
+		t.Fatalf("checkpoint bytes %d", bytes)
 	}
 }
 
 func TestWorkloadStopsWhenTransportCloses(t *testing.T) {
 	eng := sim.NewEngine(13)
-	io := adios.NewIO(eng, nil, adios.DefaultDisk())
+	io := adios.NewIO(adios.DefaultDisk())
 	ch := datatap.NewChannel(eng, nil, "out", datatap.Config{})
 	out := io.DeclareGroup("bonds")
 	out.UseDataTap(ch.NewWriter(0))

@@ -49,17 +49,6 @@ func (s *Series) Values() []float64 {
 	return out
 }
 
-// Window returns the points with T in [from, to).
-func (s *Series) Window(from, to sim.Time) []Point {
-	var out []Point
-	for _, p := range s.Points {
-		if p.T >= from && p.T < to {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Marker is an annotated instant (e.g. "increase bonds +2").
 type Marker struct {
 	T     sim.Time
@@ -69,7 +58,6 @@ type Marker struct {
 // Recorder collects named series and markers for one experiment run.
 type Recorder struct {
 	series  map[string]*Series
-	order   []string
 	Markers []Marker
 }
 
@@ -84,19 +72,9 @@ func (r *Recorder) Series(name string) *Series {
 	if !ok {
 		s = &Series{Name: name}
 		r.series[name] = s
-		r.order = append(r.order, name)
 	}
 	return s
 }
-
-// Has reports whether the named series exists (without creating it).
-func (r *Recorder) Has(name string) bool {
-	_, ok := r.series[name]
-	return ok
-}
-
-// Names returns series names in creation order.
-func (r *Recorder) Names() []string { return append([]string(nil), r.order...) }
 
 // Mark records an annotated instant.
 func (r *Recorder) Mark(t sim.Time, label string) {

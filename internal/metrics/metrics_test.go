@@ -27,19 +27,8 @@ func TestSeriesBasics(t *testing.T) {
 	if got := s.Mean(); got != 2.0 {
 		t.Fatalf("mean %g", got)
 	}
-	if !r.Has("latency") || r.Has("other") {
-		t.Fatal("Has broken")
-	}
-}
-
-func TestSeriesWindow(t *testing.T) {
-	var s Series
-	for i := 0; i < 10; i++ {
-		s.Add(sim.Time(i)*sim.Second, float64(i))
-	}
-	w := s.Window(3*sim.Second, 6*sim.Second)
-	if len(w) != 3 || w[0].V != 3 || w[2].V != 5 {
-		t.Fatalf("window %v", w)
+	if _, ok := r.series["other"]; ok || len(r.series) != 1 {
+		t.Fatalf("series %v", r.series)
 	}
 }
 
@@ -48,9 +37,8 @@ func TestRecorderOrderAndMarkers(t *testing.T) {
 	r.Series("b")
 	r.Series("a")
 	r.Series("b")
-	names := r.Names()
-	if len(names) != 2 || names[0] != "b" || names[1] != "a" {
-		t.Fatalf("names %v", names)
+	if len(r.series) != 2 || r.series["b"].Name != "b" {
+		t.Fatalf("series %v", r.series)
 	}
 	r.Mark(5*sim.Second, "increase bonds +2")
 	if len(r.Markers) != 1 || r.Markers[0].Label != "increase bonds +2" {

@@ -65,9 +65,6 @@ func (w *Window) Add(s Sample) {
 // Len returns the number of retained samples.
 func (w *Window) Len() int { return len(w.buf) }
 
-// Samples returns the retained samples (shared slice; do not mutate).
-func (w *Window) Samples() []Sample { return w.buf }
-
 // AvgLatency returns the mean latency over the window (0 if empty).
 func (w *Window) AvgLatency() sim.Time {
 	if len(w.buf) == 0 {
@@ -106,7 +103,6 @@ type Aggregator struct {
 	Span    sim.Time
 	windows map[string]*Window
 	order   []string
-	total   int64
 }
 
 // NewAggregator returns an aggregator with the given window span
@@ -124,28 +120,10 @@ func (a *Aggregator) Ingest(s Sample) {
 		a.order = append(a.order, s.Container)
 	}
 	w.Add(s)
-	a.total++
 }
 
 // Window returns the named container's window (nil if unseen).
 func (a *Aggregator) Window(container string) *Window { return a.windows[container] }
-
-// Containers returns the seen container names in first-seen order.
-func (a *Aggregator) Containers() []string { return append([]string(nil), a.order...) }
-
-// TotalSamples returns the ingested sample count.
-func (a *Aggregator) TotalSamples() int64 { return a.total }
-
-// Bottleneck returns the container with the longest average latency over
-// its window, among the given candidates (all seen containers if nil).
-// ok is false when no candidate has samples.
-func (a *Aggregator) Bottleneck(candidates []string) (name string, avg sim.Time, ok bool) {
-	ranked := a.Ranked(candidates)
-	if len(ranked) == 0 {
-		return "", 0, false
-	}
-	return ranked[0], a.windows[ranked[0]].AvgLatency(), true
-}
 
 // Ranked returns the candidates (all seen containers if nil) that have
 // samples, ordered by descending average latency — the global manager

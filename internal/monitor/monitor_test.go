@@ -22,8 +22,8 @@ func TestWindowEviction(t *testing.T) {
 	if w.Len() != 3 {
 		t.Fatalf("retained %d, want 3", w.Len())
 	}
-	if w.Samples()[0].Step != 2 {
-		t.Fatalf("oldest retained step %d", w.Samples()[0].Step)
+	if w.buf[0].Step != 2 {
+		t.Fatalf("oldest retained step %d", w.buf[0].Step)
 	}
 	// Unbounded window keeps everything.
 	u := &Window{}
@@ -54,32 +54,29 @@ func TestWindowStats(t *testing.T) {
 	}
 }
 
+// The bottleneck the GM acts on first is the head of Ranked.
 func TestAggregatorBottleneck(t *testing.T) {
 	a := NewAggregator(0)
-	if _, _, ok := a.Bottleneck(nil); ok {
-		t.Fatal("empty aggregator should have no bottleneck")
+	if got := a.Ranked(nil); len(got) != 0 {
+		t.Fatalf("empty aggregator ranked %v", got)
 	}
 	a.Ingest(sample("helper", 0, 2*sim.Second, 0, 0))
 	a.Ingest(sample("bonds", 0, 40*sim.Second, 3, 0))
 	a.Ingest(sample("csym", 0, 8*sim.Second, 1, 0))
-	name, avg, ok := a.Bottleneck(nil)
-	if !ok || name != "bonds" || avg != 40*sim.Second {
-		t.Fatalf("bottleneck %q %v %v", name, avg, ok)
+	if got := a.Ranked(nil); len(got) != 3 || got[0] != "bonds" ||
+		a.Window(got[0]).AvgLatency() != 40*sim.Second {
+		t.Fatalf("ranked %v", got)
 	}
 	// Candidate filtering.
-	name, _, ok = a.Bottleneck([]string{"helper", "csym"})
-	if !ok || name != "csym" {
-		t.Fatalf("filtered bottleneck %q", name)
+	if got := a.Ranked([]string{"helper", "csym"}); len(got) != 2 || got[0] != "csym" {
+		t.Fatalf("filtered ranked %v", got)
 	}
 	// Unknown candidates are skipped.
-	if _, _, ok := a.Bottleneck([]string{"nope"}); ok {
-		t.Fatal("unknown candidate should not be a bottleneck")
+	if got := a.Ranked([]string{"nope"}); len(got) != 0 {
+		t.Fatalf("unknown candidate ranked %v", got)
 	}
-	if a.TotalSamples() != 3 {
-		t.Fatalf("total %d", a.TotalSamples())
-	}
-	if got := a.Containers(); len(got) != 3 || got[0] != "helper" {
-		t.Fatalf("containers %v", got)
+	if !reflect.DeepEqual(a.order, []string{"helper", "bonds", "csym"}) {
+		t.Fatalf("first-seen order %v", a.order)
 	}
 	if a.Window("bonds") == nil || a.Window("nope") != nil {
 		t.Fatal("window lookup broken")
@@ -110,12 +107,12 @@ func TestOverlayFeedsAggregator(t *testing.T) {
 		}
 	})
 	eng.Run()
-	if agg.TotalSamples() != 4 {
-		t.Fatalf("aggregated %d samples", agg.TotalSamples())
+	w := agg.Window("bonds")
+	if w == nil || w.Len() != 4 {
+		t.Fatalf("aggregated %v", w)
 	}
-	name, avg, ok := agg.Bottleneck(nil)
-	if !ok || name != "bonds" || avg != 20*sim.Second {
-		t.Fatalf("bottleneck %q %v", name, avg)
+	if w.AvgLatency() != 20*sim.Second {
+		t.Fatalf("bonds average latency %v", w.AvgLatency())
 	}
 }
 
@@ -162,7 +159,7 @@ func TestProbeRateLimiting(t *testing.T) {
 	if pr.Sent() > 3 || pr.Sent() < 2 {
 		t.Fatalf("sent %d, want 2-3", pr.Sent())
 	}
-	if agg.TotalSamples() != pr.Sent() {
+	if int64(agg.Window("c").Len()) != pr.Sent() {
 		t.Fatal("aggregator mismatch")
 	}
 }

@@ -96,9 +96,6 @@ type SubscribersSpec struct {
 	// BufCap / TailCap tune the hub buffers (0 = package defaults).
 	BufCap  int `json:"bufCap,omitempty"`
 	TailCap int `json:"tailCap,omitempty"`
-	// DisableSpill turns the degrade tier off: lagging subscribers take
-	// knowing drops instead of spill reads.
-	DisableSpill bool `json:"disableSpill,omitempty"`
 	// ZipfS is the read-rate Zipf exponent (0 = default 1.0): subscriber i
 	// reads every baseInterval·(i+1)^zipfS.
 	ZipfS float64 `json:"zipfS,omitempty"`
@@ -139,7 +136,6 @@ func (s *SubscribersSpec) toConfig() (*core.SubscribersConfig, error) {
 		Stage:            s.Stage,
 		BufCap:           s.BufCap,
 		TailCap:          s.TailCap,
-		DisableSpill:     s.DisableSpill,
 		ZipfS:            s.ZipfS,
 		BaseInterval:     sim.Time(s.BaseIntervalSec * float64(sim.Second)),
 		InjectCursorSkip: s.InjectCursorSkip,

@@ -338,8 +338,8 @@ func TestLoadFileErrorNamesFile(t *testing.T) {
 // file that still sets one must fail to load and name the key, rather than
 // run quietly with tuning other than the one it asks for.
 func TestRetiredKeysFailLoudly(t *testing.T) {
-	// doc places the member kv (if any) in the top level, the policy or
-	// the delivery section.
+	// doc places the member kv (if any) in the top level, the policy,
+	// the delivery or the subscribers section.
 	doc := func(section, kv string) string {
 		in := map[string]string{}
 		if kv != "" {
@@ -347,7 +347,8 @@ func TestRetiredKeysFailLoudly(t *testing.T) {
 		}
 		return `{"simNodes": 64, "stagingNodes": 14` + in[""] +
 			`, "policy": {"offlinePatience": 4` + in["policy"] +
-			`}, "delivery": {"mode": "at-least-once"` + in["delivery"] + `}}`
+			`}, "delivery": {"mode": "at-least-once"` + in["delivery"] +
+			`}, "subscribers": {"count": 1` + in["subscribers"] + `}}`
 	}
 	if _, err := Load(strings.NewReader(doc("", ""))); err != nil {
 		t.Fatalf("base document rejected: %v", err)
@@ -366,6 +367,7 @@ func TestRetiredKeysFailLoudly(t *testing.T) {
 		{"delivery", "retainCap", "16"},
 		{"delivery", "drainIntervalSec", "3"},
 		{"delivery", "drainBurst", "2"},
+		{"subscribers", "disableSpill", "true"},
 	} {
 		_, err := Load(strings.NewReader(doc(c.section, `"`+c.key+`": `+c.value)))
 		if err == nil {

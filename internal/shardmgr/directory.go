@@ -15,7 +15,6 @@ type Directory struct {
 	nodeShard      map[int]int
 	stolenIn       map[int]int
 	stolenOut      map[int]int
-	shards         []int // ascending
 }
 
 // NewDirectory snapshots the ring's assignment for the given container
@@ -26,7 +25,6 @@ func NewDirectory(ring *Ring, containers []string) *Directory {
 		nodeShard:      make(map[int]int),
 		stolenIn:       make(map[int]int),
 		stolenOut:      make(map[int]int),
-		shards:         ring.Shards(),
 	}
 	for _, name := range containers {
 		d.containerShard[name] = ring.Assign(name)
@@ -72,24 +70,6 @@ func (d *Directory) RecordSteal(donor, beneficiary, n int) {
 // Steals returns how many nodes a shard has received and donated.
 func (d *Directory) Steals(shard int) (in, out int) {
 	return d.stolenIn[shard], d.stolenOut[shard]
-}
-
-// Shards returns the shard IDs the directory was built with, ascending.
-func (d *Directory) Shards() []int {
-	return append([]int(nil), d.shards...)
-}
-
-// Containers returns the container names owned by a shard, sorted, so
-// callers iterate deterministically.
-func (d *Directory) Containers(shard int) []string {
-	var out []string
-	for name, s := range d.containerShard {
-		if s == shard {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // PickDonor chooses the shard to steal from: the largest advertised

@@ -4,8 +4,8 @@
 // container and which staging node, including cross-shard steal
 // accounting. Nothing here touches the simulator or the runtime — the
 // package is deliberately dependency-free so the placement properties
-// (same seed → same assignment, minimal movement on shard add/remove)
-// are testable in isolation.
+// (same seed → same assignment, every shard owns some containers) are
+// testable in isolation.
 package shardmgr
 
 import (
@@ -14,17 +14,14 @@ import (
 )
 
 // vnodesPerShard is the number of virtual points each shard contributes
-// to the ring. More vnodes smooth the distribution and tighten the
-// bound on how many containers move when a shard is added.
+// to the ring. More vnodes smooth the distribution.
 const vnodesPerShard = 128
 
 // Ring is a seeded consistent-hash ring mapping container names to
-// shard IDs. The same (seed, shard set) always produces the same
-// assignment; adding or removing a shard only moves the containers
-// whose arc changed hands.
+// shard IDs. The same (seed, shard count) always produces the same
+// assignment.
 type Ring struct {
 	seed   int64
-	shards map[int]bool
 	points []point // sorted by hash
 }
 
@@ -35,10 +32,9 @@ type point struct {
 
 // NewRing builds a ring with shards 0..shards-1.
 func NewRing(seed int64, shards int) *Ring {
-	r := &Ring{seed: seed, shards: make(map[int]bool, shards)}
+	r := &Ring{seed: seed}
 	for i := 0; i < shards; i++ {
 		r.addPoints(i)
-		r.shards[i] = true
 	}
 	r.sortPoints()
 	return r
@@ -91,43 +87,6 @@ func (r *Ring) sortPoints() {
 	})
 }
 
-// AddShard inserts a shard's vnodes into the ring. Adding an existing
-// shard is a no-op.
-func (r *Ring) AddShard(shard int) {
-	if r.shards[shard] {
-		return
-	}
-	r.shards[shard] = true
-	r.addPoints(shard)
-	r.sortPoints()
-}
-
-// RemoveShard deletes a shard's vnodes. Containers that hashed to its
-// arcs fall through to the next point; everyone else keeps their shard.
-func (r *Ring) RemoveShard(shard int) {
-	if !r.shards[shard] {
-		return
-	}
-	delete(r.shards, shard)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.shard != shard {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
-// Shards returns the live shard IDs in ascending order.
-func (r *Ring) Shards() []int {
-	out := make([]int, 0, len(r.shards))
-	for id := range r.shards {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Assign maps a container name to its shard. Panics on an empty ring.
 func (r *Ring) Assign(name string) int {
 	if len(r.points) == 0 {
@@ -139,13 +98,4 @@ func (r *Ring) Assign(name string) int {
 		i = 0 // wrap
 	}
 	return r.points[i].shard
-}
-
-// AssignAll maps every name and returns the assignment in input order.
-func (r *Ring) AssignAll(names []string) []int {
-	out := make([]int, len(names))
-	for i, n := range names {
-		out[i] = r.Assign(n)
-	}
-	return out
 }

@@ -5,6 +5,14 @@ import (
 	"testing"
 )
 
+func assignAll(r *Ring, names []string) []int {
+	out := make([]int, len(names))
+	for i, n := range names {
+		out[i] = r.Assign(n)
+	}
+	return out
+}
+
 func containerNames(n int) []string {
 	names := make([]string, n)
 	for i := range names {
@@ -13,31 +21,19 @@ func containerNames(n int) []string {
 	return names
 }
 
-// Same seed, same shard set → same assignment, independently of how the
-// ring was constructed.
+// Same seed, same shard count → same assignment.
 func TestRingDeterministic(t *testing.T) {
 	names := containerNames(500)
-	a := NewRing(42, 8).AssignAll(names)
-	b := NewRing(42, 8).AssignAll(names)
+	a := assignAll(NewRing(42, 8), names)
+	b := assignAll(NewRing(42, 8), names)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("seed 42: %s assigned to %d then %d", names[i], a[i], b[i])
 		}
 	}
-	// A ring grown incrementally to the same shard set agrees too.
-	inc := NewRing(42, 1)
-	for s := 1; s < 8; s++ {
-		inc.AddShard(s)
-	}
-	c := inc.AssignAll(names)
-	for i := range a {
-		if a[i] != c[i] {
-			t.Fatalf("incremental ring diverged at %s: %d vs %d", names[i], a[i], c[i])
-		}
-	}
 	// Different seed → different assignment (sanity, not a guarantee per
 	// name; assert at least one container moves).
-	d := NewRing(43, 8).AssignAll(names)
+	d := assignAll(NewRing(43, 8), names)
 	moved := 0
 	for i := range a {
 		if a[i] != d[i] {
@@ -49,67 +45,13 @@ func TestRingDeterministic(t *testing.T) {
 	}
 }
 
-// Adding one shard moves at most ceil(containers/shards) containers
-// (shards = count before the add), and every mover lands on the new
-// shard.
-func TestRingAddMovesFew(t *testing.T) {
-	names := containerNames(1000)
-	for _, shards := range []int{4, 8, 16, 100} {
-		before := NewRing(7, shards).AssignAll(names)
-		grown := NewRing(7, shards)
-		grown.AddShard(shards)
-		after := grown.AssignAll(names)
-		moved := 0
-		for i := range names {
-			if before[i] != after[i] {
-				moved++
-				if after[i] != shards {
-					t.Fatalf("shards=%d: %s moved %d→%d, not to the new shard %d",
-						shards, names[i], before[i], after[i], shards)
-				}
-			}
-		}
-		bound := (len(names) + shards - 1) / shards // ceil(n/s)
-		if moved > bound {
-			t.Fatalf("shards=%d: add moved %d containers, bound %d", shards, moved, bound)
-		}
-		if moved == 0 {
-			t.Fatalf("shards=%d: add moved nothing — new shard got no load", shards)
-		}
-	}
-}
-
-// Removing a shard rehomes only that shard's containers: everyone else
-// keeps their assignment.
-func TestRingRemoveRehomesOnlyDead(t *testing.T) {
-	names := containerNames(1000)
-	for _, dead := range []int{0, 3, 7} {
-		r := NewRing(11, 8)
-		before := r.AssignAll(names)
-		r.RemoveShard(dead)
-		after := r.AssignAll(names)
-		for i := range names {
-			if before[i] == dead {
-				if after[i] == dead {
-					t.Fatalf("%s still on removed shard %d", names[i], dead)
-				}
-				continue
-			}
-			if before[i] != after[i] {
-				t.Fatalf("%s moved %d→%d though shard %d was removed",
-					names[i], before[i], after[i], dead)
-			}
-		}
-	}
-}
-
 // Every shard gets a nonempty arc at realistic sizes, so no manager
 // idles while others are overloaded.
 func TestRingCoverage(t *testing.T) {
 	names := containerNames(1000)
 	r := NewRing(7, 100)
 	got := make(map[int]int)
-	for _, s := range r.AssignAll(names) {
+	for _, s := range assignAll(r, names) {
 		got[s]++
 	}
 	for shard := 0; shard < 100; shard++ {

@@ -208,9 +208,6 @@ type Event struct {
 // NewEvent returns an unfired event.
 func NewEvent(e *Engine) *Event { return &Event{eng: e} }
 
-// Fired reports whether Fire has been called.
-func (ev *Event) Fired() bool { return ev.fired }
-
 // Fire marks the event fired and wakes all waiters. Subsequent Waits do not
 // block. Firing twice is a no-op.
 func (ev *Event) Fire() {
@@ -291,9 +288,6 @@ func NewResource(e *Engine, capacity int) *Resource {
 func MakeResource(e *Engine, capacity int) Resource {
 	return Resource{eng: e, capacity: capacity}
 }
-
-// Capacity returns the total units.
-func (r *Resource) Capacity() int { return r.capacity }
 
 // InUse returns the currently acquired units.
 func (r *Resource) InUse() int { return r.inUse }

@@ -3,8 +3,7 @@ package sim
 import "math/rand"
 
 // Rand is the engine's deterministic random source. It wraps math/rand with
-// helpers for the duration distributions the machine and cost models use
-// (uniform ranges, exponential inter-arrivals, truncated normals).
+// the uniform duration ranges the machine and cost models use.
 type Rand struct {
 	r *rand.Rand
 }
@@ -20,9 +19,6 @@ func (r *Rand) Float64() float64 { return r.r.Float64() }
 // Intn returns a uniform int in [0,n).
 func (r *Rand) Intn(n int) int { return r.r.Intn(n) }
 
-// Int63n returns a uniform int64 in [0,n).
-func (r *Rand) Int63n(n int64) int64 { return r.r.Int63n(n) }
-
 // Perm returns a random permutation of [0,n).
 func (r *Rand) Perm(n int) []int { return r.r.Perm(n) }
 
@@ -32,31 +28,4 @@ func (r *Rand) Uniform(lo, hi Time) Time {
 		return lo
 	}
 	return lo + Time(r.r.Int63n(int64(hi-lo)+1))
-}
-
-// Jitter returns d perturbed by a uniform factor in [1-frac, 1+frac].
-// frac is clamped to [0,1].
-func (r *Rand) Jitter(d Time, frac float64) Time {
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	f := 1 + frac*(2*r.r.Float64()-1)
-	return Time(float64(d) * f)
-}
-
-// Exp returns an exponentially distributed duration with the given mean.
-func (r *Rand) Exp(mean Time) Time {
-	return Time(r.r.ExpFloat64() * float64(mean))
-}
-
-// Normal returns a normally distributed duration truncated at zero.
-func (r *Rand) Normal(mean, stddev Time) Time {
-	v := float64(mean) + r.r.NormFloat64()*float64(stddev)
-	if v < 0 {
-		v = 0
-	}
-	return Time(v)
 }

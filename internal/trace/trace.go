@@ -116,7 +116,6 @@ type Recorder struct {
 
 	trigger   func(reason string)
 	triggered bool
-	reason    string
 
 	spanFree  *Span  // recycled spans, chained through Span.next
 	attrSpare []attr // the uncarved tail of the newest attr chunk
@@ -170,9 +169,6 @@ func New(eng *sim.Engine, cfg Config) *Recorder {
 	}
 	return &Recorder{eng: eng, cfg: cfg}
 }
-
-// Enabled reports whether the recorder is live (false for nil).
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // Span is an open (not yet committed) span. Setter methods chain and are
 // nil-safe (a nil *Recorder begins nil spans), so instrumentation reads as
@@ -470,16 +466,7 @@ func (r *Recorder) Trigger(reason string) {
 		return
 	}
 	r.triggered = true
-	r.reason = reason
 	if r.trigger != nil {
 		r.trigger(reason)
 	}
-}
-
-// Triggered reports whether a flight dump fired, and the first reason.
-func (r *Recorder) Triggered() (reason string, ok bool) {
-	if r == nil {
-		return "", false
-	}
-	return r.reason, r.triggered
 }

@@ -42,9 +42,6 @@ func newEngine(t *testing.T) *sim.Engine {
 
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
-	if r.Enabled() {
-		t.Fatal("nil recorder reports enabled")
-	}
 	sp := r.Begin(0, "core", "compute")
 	if sp != nil {
 		t.Fatal("nil recorder returned non-nil span")
@@ -55,9 +52,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	}
 	r.Instant(0, "a", "b").End()
 	r.Trigger("sla")
-	if _, ok := r.Triggered(); ok {
-		t.Fatal("nil recorder triggered")
-	}
 	if r.Records() != nil || r.MissingParents(5) != nil || r.Len() != 0 || r.Dropped() != 0 {
 		t.Fatal("nil recorder holds records")
 	}
@@ -143,10 +137,6 @@ func TestTriggerFiresOnce(t *testing.T) {
 	eng.Run()
 	if len(fired) != 1 || fired[0] != "sla:bonds" {
 		t.Fatalf("hook calls = %v, want [sla:bonds]", fired)
-	}
-	reason, ok := r.Triggered()
-	if !ok || reason != "sla:bonds" {
-		t.Fatalf("Triggered = %q,%v", reason, ok)
 	}
 	// Both triggers still leave instants in the trace.
 	n := 0
