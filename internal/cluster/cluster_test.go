@@ -222,7 +222,7 @@ func TestLauncherRejectsBadNodeLists(t *testing.T) {
 		if _, err := l.Launch(p, "x", nil); err == nil {
 			t.Error("empty node list should fail")
 		}
-		n := m.Node(0)
+		n := &m.nodes[0]
 		if _, err := l.Launch(p, "x", []*Node{n, n}); err == nil {
 			t.Error("duplicate node should fail")
 		}

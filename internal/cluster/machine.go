@@ -57,11 +57,6 @@ func New(eng *sim.Engine, cfg Config) *Machine {
 // Config returns the machine configuration (after default filling).
 func (m *Machine) Config() Config { return m.cfg }
 
-// Node returns the node with the given ID.
-func (m *Machine) Node(id int) *Node {
-	return &m.nodes[id]
-}
-
 // SetFaults attaches a fault schedule. The machine registers its own crash
 // handler first, so when a crash fires the node is already marked down (and
 // its NIC ports drained) before higher-layer handlers run.

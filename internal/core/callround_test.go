@@ -212,7 +212,6 @@ func TestFailedRoundsAreNilChecked(t *testing.T) {
 		check("Decrease", gm.Decrease(p, "bonds", 1) == nil)
 		check("Offline", gm.Offline(p, "bonds") == nil)
 		check("Query", gm.Query(p, "bonds", 4) == nil)
-		check("Resend", gm.Resend(p, "bonds") == nil)
 		check("AddTap", !gm.AddTap(p, "csym", nil))
 		check("SubResume", gm.SubResume(p, "bonds", "sub-0") == nil)
 		check("SubReplay", gm.SubReplay(p, "bonds", "sub-0", 0) == nil)
@@ -236,10 +235,9 @@ func TestFailedRoundsAreNilChecked(t *testing.T) {
 }
 
 // TestDeferredRoundsIssueSorted pins the repair rounds a tick issues from
-// a map: the ResendReq rounds for the flagged upstreams and the SubResume
-// rounds for the reconnecting subscribers go out in sorted order, the
-// first one the moment the tick starts. Go randomizes map order on every
-// range, so each case runs several times.
+// a map: the SubResume rounds for the reconnecting subscribers go out in
+// sorted order, the first one the moment the tick starts. Go randomizes
+// map order on every range, so each case runs several times.
 func TestDeferredRoundsIssueSorted(t *testing.T) {
 	cases := []struct {
 		kind  string // the round kind, also the subtest name
@@ -247,11 +245,6 @@ func TestDeferredRoundsIssueSorted(t *testing.T) {
 		issue func(gm *GlobalManager, p *sim.Proc)
 		want  []string // round targets, in order
 	}{
-		{"resend", func(gm *GlobalManager) {
-			for _, up := range []string{"helper", "bonds", "csym", "cna"} {
-				gm.pendingResend[up] = true
-			}
-		}, (*GlobalManager).issueResends, []string{"bonds", "cna", "csym", "helper"}},
 		{"sub_resume", func(gm *GlobalManager) {
 			for id, from := range map[string]string{"s1": "helper", "s2": "bonds", "s3": "csym", "s4": "cna"} {
 				gm.pendingSubs[id] = &SubNotice{Gen: 1, SubID: id, From: from}

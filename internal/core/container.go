@@ -560,15 +560,3 @@ func (c *Container) notifyCrack() {
 	c.toGM.Submit(&evpath.Event{Type: msgCrackDetected, Size: ctlMsgBytes,
 		Data: &CrackNotice{From: c.spec.Name, Step: c.stepsProcessed}})
 }
-
-// noteGap reports a detected input-sequence gap to the global manager,
-// which answers with a ResendReq round to the upstream container. It is
-// installed as the input channel's gap handler under at-least-once
-// delivery; the channel rate-limits invocations.
-func (c *Container) noteGap(missing int64) {
-	if c.state == StateOffline || c.toGM == nil {
-		return
-	}
-	c.toGM.Submit(&evpath.Event{Type: msgGap, Size: ctlMsgBytes,
-		Data: &GapNotice{From: c.spec.Name, Channel: c.input.Name(), Missing: missing}})
-}

@@ -154,12 +154,6 @@ type GlobalManager struct {
 	// container — a monitoring sample, an upward notice, or an answered
 	// control round. The silence probe reads it.
 	lastHeard map[string]sim.Time
-	// resendRoute maps a consumer container's name to the upstream
-	// container feeding it; a GapNotice from the consumer turns into a
-	// ResendReq round to that upstream at the next policy tick.
-	resendRoute map[string]string
-	// pendingResend marks upstream containers owed a ResendReq round.
-	pendingResend map[string]bool
 	// pendingSubs dedupes reconnect notices per subscriber (keeping the
 	// highest generation); each owes a SubResume round at the next tick.
 	pendingSubs map[string]*SubNotice
@@ -233,8 +227,6 @@ func newGlobalManager(rt *Runtime, node int, policy PolicyConfig, spare []*clust
 		overflowTicks: make(map[string]int),
 		suspect:       make(map[string]bool),
 		lastHeard:     make(map[string]sim.Time),
-		resendRoute:   make(map[string]string),
-		pendingResend: make(map[string]bool),
 		pendingSubs:   make(map[string]*SubNotice),
 	}
 	if policy.KillGMAt > 0 {
@@ -342,9 +334,8 @@ func (gm *GlobalManager) run(p *sim.Proc) {
 		if gm.deposed {
 			continue // the loop top demotes to the passive pump
 		}
-		// Data-plane repair is not a policy decision: gap-triggered resends
-		// and subscriber reconnects run even when management is disabled.
-		gm.issueResends(p)
+		// Data-plane repair is not a policy decision: subscriber
+		// reconnects run even when management is disabled.
 		gm.issueSubResumes(p)
 		if gm.policy.DisableManagement {
 			continue
@@ -379,20 +370,6 @@ func (gm *GlobalManager) dispatch(p *sim.Proc, ev *evpath.Event) {
 		gm.crackSeen = true
 		gm.lastHeard[data.From] = p.Now()
 		gm.relayCrack(data)
-	case *GapNotice:
-		gm.lastHeard[data.From] = p.Now()
-		if up, ok := gm.resendRoute[data.From]; ok {
-			if _, local := gm.toContainer[up]; !local && gm.toMeta != nil {
-				// Cross-shard gap: the upstream container belongs to
-				// another shard, so the writer-side manager must issue the
-				// ResendReq round. Relay through the meta-manager.
-				gm.relayGap(up)
-			} else {
-				// Defer the round to the tick: dispatch must not park, and
-				// a synchronous round does.
-				gm.pendingResend[up] = true
-			}
-		}
 	case *GMHeartbeat:
 		gm.lastPrimaryBeat = data.At
 		if data.Epoch > gm.peerEpoch {
@@ -635,37 +612,6 @@ func (gm *GlobalManager) SetOutput(p *sim.Proc, target, provenance string) {
 func (gm *GlobalManager) Query(p *sim.Proc, target string, max int) *QueryResp {
 	resp, _ := gm.call(p, target, &QueryReq{Max: max}).(*QueryResp)
 	return resp
-}
-
-// Resend asks a container to immediately re-emit every retained output
-// step whose descriptor was lost in flight (the at-least-once data
-// plane's control leg, issued in response to a consumer's GapNotice).
-func (gm *GlobalManager) Resend(p *sim.Proc, target string) *ResendResp {
-	resp, _ := gm.call(p, target, &ResendReq{}).(*ResendResp)
-	if resp != nil && resp.Redelivered > 0 {
-		gm.record(p, Action{T: p.Now(), Kind: "resend", Target: target,
-			N: resp.Redelivered, Detail: "gap-triggered redelivery"})
-	}
-	return resp
-}
-
-// issueResends serves the GapNotices accumulated since the last tick:
-// one ResendReq round per flagged upstream container, in sorted order for
-// determinism. Entries are cleared before calling so a notice arriving
-// during the round is not lost.
-func (gm *GlobalManager) issueResends(p *sim.Proc) {
-	if len(gm.pendingResend) == 0 {
-		return
-	}
-	names := make([]string, 0, len(gm.pendingResend))
-	for name := range gm.pendingResend {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		delete(gm.pendingResend, name)
-		gm.Resend(p, name)
-	}
 }
 
 // Activate toggles a container's consumption.

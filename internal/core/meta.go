@@ -11,8 +11,8 @@ import (
 // MetaManager is the thin top of the sharded control plane. It owns no
 // containers and issues no synchronous rounds; everything it does is
 // slow-path: track each shard's epoch, spare pool and inbox from
-// ShardBeats, broker cross-shard node steals, and route cross-shard gap
-// and crack relays. Failover is not its job: each shard's standby
+// ShardBeats, broker cross-shard node steals, and broadcast crack
+// relays. Failover is not its job: each shard's standby
 // watches its own primary. All of its sends are pump-side bridge
 // submissions, so the meta-manager can never wedge the control plane
 // it supervises.
@@ -32,7 +32,6 @@ type MetaManager struct {
 	standbyInbox map[int]*evpath.Stone // wired at build time
 
 	crackSeen bool
-	relays    int
 
 	bridges     map[*evpath.Stone]*evpath.Stone
 	bridgeOrder []*evpath.Stone
@@ -97,8 +96,6 @@ func (mm *MetaManager) dispatch(ev *evpath.Event) {
 		}
 	case *StealReq:
 		mm.brokerSteal(data)
-	case *GapRelay:
-		mm.routeGap(data)
 	case *CrackRelay:
 		mm.broadcastCrack(data)
 	}
@@ -138,20 +135,6 @@ func (mm *MetaManager) brokerSteal(req *StealReq) {
 		Type: msgStealNotice, Size: ctlMsgBytes,
 		Data: &StealNotice{Seq: req.Seq, Epoch: req.Epoch, Shard: req.Shard,
 			N: req.N, Inbox: req.Inbox}})
-}
-
-// routeGap forwards a cross-shard GapRelay to the shard managing the
-// upstream container. An unknown upstream (or a shard that has never
-// beaten) drops the relay; the consumer channel's gap detector will
-// notice again. Runs from dispatch; must not park.
-func (mm *MetaManager) routeGap(data *GapRelay) {
-	s := mm.rt.dir.ShardOf(data.Upstream)
-	if s < 0 || mm.shardInbox[s] == nil {
-		return
-	}
-	mm.relays++
-	mm.bridgeTo(mm.shardInbox[s]).Submit(&evpath.Event{Type: msgGapRelay,
-		Size: ctlMsgBytes, Data: data})
 }
 
 // broadcastCrack fans the first crack relay out to every shard (acting

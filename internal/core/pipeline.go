@@ -76,8 +76,8 @@ type Config struct {
 	// Containers are assigned to shard managers by a seeded
 	// consistent-hash ring. One shard is the paper's single global
 	// manager, on the first staging node; more add a meta-manager above
-	// the shard managers for cross-shard steals and relays (see shard.go
-	// / meta.go), on ControlNodes dedicated staging nodes.
+	// the shard managers for cross-shard steals and crack relays (see
+	// shard.go / meta.go), on ControlNodes dedicated staging nodes.
 	Shards int
 	// ShardSeed seeds the assignment ring (default: Seed), so placement
 	// can be varied independently of the run's randomness.
@@ -228,7 +228,7 @@ func ControlNodes(shards, standbys int) int {
 // round-robin into per-shard pools, and each shard manager runs the full
 // round machinery over its scope. With S > 1, staging node 0 hosts a
 // meta-manager for the slow-path work — cross-shard steal brokering and
-// gap and crack relays (see shard.go / meta.go) — nodes 1..S the shard
+// crack relays (see shard.go / meta.go) — nodes 1..S the shard
 // primaries, the next S·k the standbys (shard-major), and the rest the
 // container region. A single shard is the paper's one global manager,
 // with no meta-manager. At every shard count a standby runs the manager
@@ -472,26 +472,6 @@ func Build(cfg Config) (*Runtime, error) {
 		}
 	}
 
-	// At-least-once wiring: each consumer container reports input-sequence
-	// gaps upward, and the managers learn which upstream container to aim
-	// the answering ResendReq at. Channel 0 has no upstream *container*
-	// (the producer writes it directly), so no route is registered for its
-	// consumer — the channel-local repair loop is the recovery there. Gap
-	// routes live on the READER's shard manager: the GapNotice lands there,
-	// and if the upstream belongs to another shard the manager relays it
-	// through the meta (see relayGap / routeGap).
-	for _, c := range rt.containers {
-		if c.input == nil {
-			continue
-		}
-		c.input.SetGapHandler(c.noteGap)
-		if up := rt.upstreamOf(c); up != nil {
-			rt.shardPrimary[c.shard].resendRoute[c.Name()] = up.Name()
-			if sb := rt.shardStandby[c.shard]; sb != nil {
-				sb.resendRoute[c.Name()] = up.Name()
-			}
-		}
-	}
 	for _, c := range rt.containers {
 		c.start()
 		rt.shardPrimary[c.shard].connect(c)

@@ -19,10 +19,8 @@ const (
 	msgQuery         = "ctl.query"
 	msgActivate      = "ctl.activate"
 	msgAddTap        = "ctl.add_tap"
-	msgResend        = "ctl.resend"
 	msgResp          = "ctl.resp"
 	msgCrackDetected = "ctl.crack"
-	msgGap           = "ctl.gap"
 	// Replica-restart protocol (self-healing under fault injection).
 	msgSpare      = "ctl.spare"       // LM -> GM: request replacement nodes
 	msgSpareGrant = "ctl.spare_grant" // GM -> LM: granted nodes (may be empty)
@@ -137,19 +135,6 @@ type AddTapReq struct {
 // AddTapResp acknowledges the tap.
 type AddTapResp struct{ RoundHdr }
 
-// ResendReq asks a container to re-emit retained output steps whose
-// descriptors were lost in flight (the at-least-once data plane's control
-// leg). The serving container replays every lost-but-retained step onto
-// its output channel immediately, bypassing the channel's own redelivery
-// backoff.
-type ResendReq struct{ RoundHdr }
-
-// ResendResp reports how many steps the container re-emitted.
-type ResendResp struct {
-	RoundHdr
-	Redelivered int
-}
-
 func (*IncreaseReq) kind() string  { return msgIncrease }
 func (*DecreaseReq) kind() string  { return msgDecrease }
 func (*OfflineReq) kind() string   { return msgOffline }
@@ -157,7 +142,6 @@ func (*SetOutputReq) kind() string { return msgSetOutput }
 func (*QueryReq) kind() string     { return msgQuery }
 func (*ActivateReq) kind() string  { return msgActivate }
 func (*AddTapReq) kind() string    { return msgAddTap }
-func (*ResendReq) kind() string    { return msgResend }
 
 // roundSpans holds each round type's two span names as constants — the
 // issuer's "round.*" and the container's "serve.*" — so that no round
@@ -170,7 +154,6 @@ var roundSpans = map[string]struct{ round, serve string }{
 	msgQuery:     {"round.query", "serve.query"},
 	msgActivate:  {"round.activate", "serve.activate"},
 	msgAddTap:    {"round.add_tap", "serve.add_tap"},
-	msgResend:    {"round.resend", "serve.resend"},
 	msgRehome:    {"round.rehome", "serve.rehome"},
 	msgSubResume: {"round.sub_resume", "serve.sub_resume"},
 	msgSubReplay: {"round.sub_replay", "serve.sub_replay"},
@@ -180,16 +163,6 @@ var roundSpans = map[string]struct{ round, serve string }{
 type CrackNotice struct {
 	From string
 	Step int64
-}
-
-// GapNotice is a consumer container's report that its input channel
-// detected missing step sequences. Like CrackNotice it is a pump message,
-// not a synchronous round: the global manager reacts by issuing a
-// ResendReq round to the upstream container at its next tick.
-type GapNotice struct {
-	From    string
-	Channel string
-	Missing int64
 }
 
 // SpareReq is the replica-restart protocol's first leg: a local manager
@@ -315,12 +288,6 @@ func (c *Container) managerLoop(p *sim.Proc) {
 		case *AddTapReq:
 			c.doAddTap(req.Ch)
 			resp = &AddTapResp{}
-		case *ResendReq:
-			n := 0
-			if c.output != nil {
-				n = c.output.RedeliverLost(p)
-			}
-			resp = &ResendResp{Redelivered: n}
 		case *SubResumeReq:
 			cursor, lag, fromSpill, ok := c.serveSubResume(req.SubID)
 			resp = &SubResumeResp{SubID: req.SubID, Cursor: cursor, Lag: lag,

@@ -101,8 +101,8 @@ func protoConfig(bondsNodes int, model smartpointer.ComputeModel) Config {
 
 // TestManagerInboxRoutes pins the global manager's inbox routing: a
 // protocol response lands in the response mailbox only, and each pump
-// message (a monitoring sample, a crack notice, a gap notice, a standby
-// heartbeat) in the control mailbox only, exactly once, as the very event
+// message (a monitoring sample, a crack notice, a standby heartbeat) in
+// the control mailbox only, exactly once, as the very event
 // that was submitted.
 func TestManagerInboxRoutes(t *testing.T) {
 	rt, err := Build(protoConfig(2, smartpointer.ModelRR))
@@ -115,7 +115,6 @@ func TestManagerInboxRoutes(t *testing.T) {
 	ctl := []*evpath.Event{
 		monitor.Event(monitor.Sample{Container: "bonds"}),
 		{Type: msgCrackDetected, Data: &CrackNotice{From: "bonds"}},
-		{Type: msgGap, Data: &GapNotice{From: "csym", Channel: "bonds", Missing: 1}},
 		{Type: msgGMHeartbeat, Data: &GMHeartbeat{Epoch: 1}},
 	}
 	gm.inbox().Submit(ctl[0])

@@ -37,7 +37,6 @@ func TestRoundServeContract(t *testing.T) {
 			return &AddTapReq{Ch: datatap.NewChannel(rt.eng, rt.mach, "ch.tap.test",
 				datatap.Config{HomeNode: rt.shardPrimary[0].spare[0].ID})}
 		}},
-		{"resend", func(*Runtime) roundReq { return &ResendReq{} }},
 		{"rehome", func(rt *Runtime) roundReq { return &RehomeReq{Inbox: rt.shardPrimary[0].inbox()} }},
 		{"sub_resume", func(*Runtime) roundReq { return &SubResumeReq{SubID: "s"} }},
 		{"sub_replay", func(*Runtime) roundReq { return &SubReplayReq{SubID: "s"} }},

@@ -12,12 +12,11 @@ import (
 // manager into N shard managers under one meta-manager. Containers are
 // assigned to shards at build time by a seeded consistent-hash ring
 // (internal/shardmgr); each shard manager owns the full round machinery —
-// ticks, SLA policy, suspect/heal, resends, fencing, and its standby's
-// failover — for its scope, with its own per-shard epoch. The
-// meta-manager above them does only slow-path work: tracking each
-// shard's epoch and spare pool from ShardBeats, brokering cross-shard
-// node steals when a shard's spare pool runs dry, and relaying
-// cross-shard GapNotices and crack detection.
+// ticks, SLA policy, suspect/heal, fencing, and its standby's failover —
+// for its scope, with its own per-shard epoch. The meta-manager above
+// them does only slow-path work: tracking each shard's epoch and spare
+// pool from ShardBeats, brokering cross-shard node steals when a shard's
+// spare pool runs dry, and relaying crack detection.
 //
 // Every message below carries plain Seq, Epoch and Shard fields and embeds
 // no RoundHdr: shard traffic is pump-to-pump messaging between managers
@@ -38,7 +37,6 @@ const (
 	msgStealNotice = "ctl.steal_notice" // meta -> donor shard: release nodes
 	msgStealGrant  = "ctl.steal_grant"  // donor -> beneficiary: released nodes
 	msgShardBeat   = "ctl.shard_beat"   // shard -> meta: epoch + pool size
-	msgGapRelay    = "ctl.gap_relay"    // reader shard -> meta -> writer shard
 	msgCrackRelay  = "ctl.crack_relay"  // shard -> meta -> all shards
 )
 
@@ -85,18 +83,6 @@ type ShardBeat struct {
 	Shard int
 	Spare int
 	Inbox *evpath.Stone
-}
-
-// GapRelay routes a cross-shard GapNotice: the reader-side shard manager
-// saw a gap whose upstream container lives in another shard, so the
-// ResendReq round must be issued by the writer-side manager. Shard is
-// the relaying (reader) shard; Upstream names the container owing the
-// resend.
-type GapRelay struct {
-	Seq      int64
-	Epoch    int64
-	Shard    int
-	Upstream string
 }
 
 // CrackRelay propagates crack detection across shards: the observing
@@ -147,14 +133,6 @@ func (gm *GlobalManager) shardDispatch(p *sim.Proc, ev *evpath.Event) bool {
 		gm.serveSteal(p, data)
 	case *StealGrant:
 		gm.acceptSteal(p, data)
-	case *GapRelay:
-		// A relayed cross-shard gap: the upstream container is ours, so
-		// the next tick issues the ResendReq round. Misrouted relays
-		// (an upstream we do not manage) are dropped rather than turned
-		// into a round that has no bridge.
-		if _, ok := gm.toContainer[data.Upstream]; ok {
-			gm.pendingResend[data.Upstream] = true
-		}
 	case *CrackRelay:
 		// Crack broadcast from the meta-manager. Mark it relayed too so
 		// the observing shard's own relay does not echo forever.
@@ -231,16 +209,6 @@ func (gm *GlobalManager) acceptSteal(p *sim.Proc, g *StealGrant) {
 	gm.record(p, Action{T: p.Now(), Kind: "steal-in",
 		Target: fmt.Sprintf("shard-%d", gm.shard), N: len(g.Nodes),
 		Detail: fmt.Sprintf("adopted %d node(s) from shard %d", len(g.Nodes), g.Shard)})
-}
-
-// relayGap forwards a cross-shard GapNotice to the meta-manager, which
-// routes it to the shard managing the upstream container. Runs from the
-// pump; must not park.
-func (gm *GlobalManager) relayGap(upstream string) {
-	gm.shardSeq++
-	gm.toMeta.Submit(&evpath.Event{Type: msgGapRelay, Size: ctlMsgBytes,
-		Data: &GapRelay{Seq: gm.shardSeq, Epoch: gm.epoch, Shard: gm.shard,
-			Upstream: upstream}})
 }
 
 // relayCrack forwards an observed crack to the meta-manager exactly once

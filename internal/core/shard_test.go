@@ -113,58 +113,6 @@ func TestShardedRunDeterministic(t *testing.T) {
 	}
 }
 
-// A GapNotice lands at the READER's shard manager, but the answering
-// ResendReq round must be issued by the WRITER's shard manager — exactly
-// once, not once per manager that hears about the gap.
-func TestCrossShardGapRoutesToWriterShard(t *testing.T) {
-	cfg := shardedConfig(2, 0, 24)
-	cfg.ShardSeed = splitSeed(t, 2)
-	rt, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Find a consumer whose upstream lives in another shard.
-	var reader, writer *Container
-	for _, c := range rt.Containers() {
-		up := rt.upstreamOf(c)
-		if up != nil && up.shard != c.shard {
-			reader, writer = c, up
-			break
-		}
-	}
-	if reader == nil {
-		t.Fatal("splitSeed produced no cross-shard consumer/upstream pair")
-	}
-	rt.eng.Go("test-gap", func(p *sim.Proc) {
-		p.Sleep(30 * sim.Second)
-		reader.noteGap(1)
-	})
-	res, err := rt.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resends := 0
-	for _, r := range res.Rounds {
-		if r.Kind != "resend" {
-			continue
-		}
-		if r.Target != writer.Name() {
-			t.Fatalf("resend round aimed at %q, want upstream %q", r.Target, writer.Name())
-		}
-		if r.Shard != writer.shard {
-			t.Fatalf("resend issued by shard %d, want writer shard %d (reader shard %d)",
-				r.Shard, writer.shard, reader.shard)
-		}
-		resends++
-	}
-	if resends == 0 {
-		t.Fatalf("gap was never relayed into a resend round: %v", res.Rounds)
-	}
-	if resends > 1 {
-		t.Fatalf("one gap produced %d resend rounds, want exactly 1", resends)
-	}
-}
-
 // A shard whose pool runs dry mid-heal asks the meta-manager for nodes;
 // the donor releases from its pool and the ledger records the transfer.
 func TestCrossShardStealOnDryHeal(t *testing.T) {

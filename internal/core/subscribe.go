@@ -22,7 +22,7 @@ import (
 //	  └─ next tick: SubResumeReq round (epoch-fenced, retried, deduped)
 //	       └─ lag still in the tail? SubReplayReq round restages it
 //
-// SubNotice is a pump message like GapNotice: it carries the subscriber's
+// SubNotice is a pump message like CrackNotice: it carries the subscriber's
 // reconnect generation so a storm of duplicate notices for the same
 // subscriber collapses to one resume round. SubResume/SubReplay are
 // full container rounds: they ride the manager's retry/backoff machinery,
@@ -45,7 +45,7 @@ const (
 )
 
 // SubNotice announces a reconnecting (or late-joining) subscriber to the
-// host container's manager. Like GapNotice it is a pump message, not a
+// host container's manager. Like CrackNotice it is a pump message, not a
 // synchronous round: the manager dedupes notices per subscriber (keeping
 // the highest generation) and issues the SubResume round at its next tick.
 type SubNotice struct {
@@ -114,7 +114,7 @@ func (c *Container) serveSubReplay(id string, from int64) (staged int64, ok bool
 }
 
 // noteSubReconnect reports a reconnecting subscriber up the control
-// bridge, following the GapNotice pattern. The manager answers with a
+// bridge, following the CrackNotice pattern. The manager answers with a
 // SubResume round at its next tick.
 func (c *Container) noteSubReconnect(subID string, gen int64) {
 	if c.state == StateOffline || c.toGM == nil {
@@ -152,8 +152,8 @@ func (gm *GlobalManager) SubReplay(p *sim.Proc, target, subID string, cursor int
 // one SubResume round per reconnecting subscriber (plus the follow-up
 // SubReplay when the lag is still tail-resident), in sorted subscriber
 // order for determinism. Entries are cleared before calling so a notice
-// arriving during the round is not lost. Like issueResends this is data-
-// plane repair, not policy — it runs even under DisableManagement.
+// arriving during the round is not lost. This is data-plane repair, not
+// policy — it runs even under DisableManagement.
 func (gm *GlobalManager) issueSubResumes(p *sim.Proc) {
 	if len(gm.pendingSubs) == 0 {
 		return

@@ -194,14 +194,11 @@ type Channel struct {
 	overflowReason string
 	gapReason      string
 
-	// At-least-once state: the spill store, the repair process flag, the
-	// consumer gap callback (rate-limited by lastGapNote), and writers
-	// detached with steps still retained (kept so the ledger stays whole).
+	// At-least-once state: the spill store, the repair process flag, and
+	// writers detached with steps still retained (kept so the ledger stays
+	// whole).
 	spill          *spillStore
 	repairOn       bool
-	onGap          func(missing int64)
-	gapNoted       bool
-	lastGapNote    sim.Time
 	removedWriters []*Writer
 
 	// hub, when attached, fans every accepted write out to streaming
@@ -583,13 +580,12 @@ func (r *Reader) pull(p *sim.Proc, m *Meta) bool {
 			r.ch.stats.InvalidatedLive++
 		}
 		if r.ch.alo() && m.writer != nil {
-			// The step is not gone: mark it lost so the repair loop (or a
-			// GM-driven resend) re-emits it, and surface the gap.
+			// The step is not gone: mark it lost so the repair loop
+			// re-emits it, and surface the gap.
 			if e := m.writer.retained[m.Seq]; e != nil && e.state == retStaged {
 				r.ch.markLost(e)
 			}
 			r.ch.tracer.Trigger(r.ch.gapReason)
-			r.ch.noteGap(1)
 		}
 		sp.Attr("fail", "invalidated").End()
 		return false

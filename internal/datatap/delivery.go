@@ -59,8 +59,7 @@ const (
 	pushRetries = 3
 	// pushBackoff is the initial push-retry backoff, doubling per attempt.
 	pushBackoff = sim.Second / 4
-	// redeliverDelay is how long a lost step waits before re-emission; it
-	// also rate-limits the consumer's gap notices.
+	// redeliverDelay is how long a lost step waits before re-emission.
 	redeliverDelay = sim.Second / 2
 	// redeliverRetries bounds re-emissions per step before the payload
 	// spills to disk instead.
@@ -129,27 +128,6 @@ func (c *Channel) nearFull() bool {
 	return c.meta.Len() >= thresh
 }
 
-// SetGapHandler installs the consumer-side gap callback: fn runs (from a
-// reader's process) when the channel detects missing sequences, so the
-// consumer container can notify the global manager to request re-emission.
-func (c *Channel) SetGapHandler(fn func(missing int64)) { c.onGap = fn }
-
-// noteGap reports missing sequences to the consumer, rate-limited to one
-// notification per redeliver delay so a burst of losses does not storm
-// the control plane.
-func (c *Channel) noteGap(missing int64) {
-	if c.onGap == nil {
-		return
-	}
-	now := c.eng.Now()
-	if c.gapNoted && now-c.lastGapNote < redeliverDelay {
-		return
-	}
-	c.gapNoted = true
-	c.lastGapNote = now
-	c.onGap(missing)
-}
-
 // --- writer-side retention ---
 
 // retain records m as written-but-unacked.
@@ -161,7 +139,7 @@ func (w *Writer) retain(m *Meta, buffered bool) *retEntry {
 
 // sortedRetained returns the retained sequences in ascending order,
 // filtered by state, so replay and forfeiture are deterministic. It runs
-// on repair ticks, resend rounds, and crash forfeiture — never per event.
+// on repair ticks and crash forfeiture — never per event.
 func (w *Writer) sortedRetained(states ...retState) []int64 {
 	var seqs []int64
 	for seq, e := range w.retained {
@@ -353,7 +331,7 @@ func (c *Channel) markLost(e *retEntry) {
 // are filtered here, which is what turns at-least-once delivery into
 // exactly-once application. Fresh sequences are claimed (staged →
 // pulled), and sequence gaps — steps that were invalidated or spilled out
-// from under the queue — fire the gap trigger and the consumer callback.
+// from under the queue — fire the gap trigger.
 func (r *Reader) admit(p *sim.Proc, m *Meta) bool {
 	if !r.ch.alo() || m.writer == nil || m.Seq == 0 {
 		return true
@@ -371,7 +349,6 @@ func (r *Reader) admit(p *sim.Proc, m *Meta) bool {
 		missing := m.Seq - w.expect
 		r.ch.stats.Gaps += missing
 		r.ch.tracer.Trigger(r.ch.gapReason)
-		r.ch.noteGap(missing)
 	}
 	if m.Seq >= w.expect {
 		w.expect = m.Seq + 1
@@ -550,21 +527,21 @@ func (c *Channel) repairLoop(p *sim.Proc) {
 }
 
 // reemit pushes a lost step's descriptor back to the home node and
-// re-enqueues it. It reports success; on failure the entry stays lost
-// with its backoff clock reset.
-func (c *Channel) reemit(p *sim.Proc, w *Writer, e *retEntry) bool {
+// re-enqueues it. On failure the entry stays lost with its backoff clock
+// reset.
+func (c *Channel) reemit(p *sim.Proc, w *Writer, e *retEntry) {
 	m := e.m
 	if c.mach != nil && w.node != c.cfg.HomeNode {
 		if !c.mach.Send(p, w.node, c.cfg.HomeNode, descriptorBytes) ||
 			c.mach.Faults().DropData() {
 			e.lostAt = c.eng.Now()
-			return false
+			return
 		}
 	}
 	m.Created = c.eng.Now()
 	if !c.meta.TryPut(m) {
 		e.lostAt = c.eng.Now()
-		return false
+		return
 	}
 	e.state = retStaged
 	e.redeliveries++
@@ -573,7 +550,6 @@ func (c *Channel) reemit(p *sim.Proc, w *Writer, e *retEntry) bool {
 	c.tracer.Instant(m.Span, "datatap", "redeliver").
 		Container(c.name).Node(w.node).Step(m.Step).
 		AttrInt("attempt", int64(e.redeliveries)).End()
-	return true
 }
 
 // redeliverDue re-emits lost steps older than the redeliver delay. A step
@@ -602,28 +578,6 @@ func (c *Channel) redeliverDue(p *sim.Proc) {
 			}
 		}
 	}
-}
-
-// RedeliverLost immediately re-emits every lost step whose writer is
-// alive, ignoring the backoff clock and retry budget — the serve path of
-// the global manager's ResendReq control round. It returns how many steps
-// were re-enqueued.
-func (c *Channel) RedeliverLost(p *sim.Proc) int {
-	if !c.alo() || c.closed {
-		return 0
-	}
-	n := 0
-	for _, w := range c.writers {
-		if c.mach != nil && !c.mach.Faults().NodeUp(w.node) {
-			continue
-		}
-		for _, seq := range w.sortedRetained(retLost) {
-			if c.reemit(p, w, w.retained[seq]) {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // drainSpill reinjects spilled steps, oldest first, while the queue has

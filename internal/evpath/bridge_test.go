@@ -60,7 +60,7 @@ func TestBridgeFaultDropsCountedOnce(t *testing.T) {
 		crash  int // node crashed before the submit (-1: none)
 		failed int64
 	}{
-		{"ctl-fault", fault.Config{Drops: []fault.DropWindow{{From: 0, Until: sim.Hour, Prob: 1}}}, -1, 0},
+		{"ctl-fault", fault.Config{Drops: []fault.DropWindow{{From: 0, Until: 60 * sim.Minute, Prob: 1}}}, -1, 0},
 		{"dead-sender", fault.Config{}, 0, 1},
 		{"wire", fault.Config{}, 1, 1},
 	} {

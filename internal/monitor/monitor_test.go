@@ -28,7 +28,7 @@ func TestWindowEviction(t *testing.T) {
 	// Unbounded window keeps everything.
 	u := &Window{}
 	for i := 0; i < 5; i++ {
-		u.Add(sample("c", int64(i), sim.Second, 0, sim.Time(i)*sim.Hour))
+		u.Add(sample("c", int64(i), sim.Second, 0, sim.Time(i)*60*sim.Minute))
 	}
 	if u.Len() != 5 {
 		t.Fatal("unbounded window evicted")

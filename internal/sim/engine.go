@@ -86,7 +86,6 @@ const (
 	Millisecond      = 1000 * Microsecond
 	Second           = 1000 * Millisecond
 	Minute           = 60 * Second
-	Hour             = 60 * Minute
 )
 
 // Seconds reports t as floating-point seconds.

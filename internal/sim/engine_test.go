@@ -275,8 +275,8 @@ func TestParkInNoParkSectionPanics(t *testing.T) {
 	const want = `sim: proc "pump" parked inside a no-park section`
 	cases := map[string]func(p *Proc){
 		"sleep":        func(p *Proc) { p.Sleep(0) },
-		"queue get":    func(p *Proc) { NewQueue[int](p.Engine(), 1).Get(p) },
-		"event wait":   func(p *Proc) { NewEvent(p.Engine()).Wait(p) },
+		"queue get":    func(p *Proc) { NewQueue[int](p.eng, 1).Get(p) },
+		"event wait":   func(p *Proc) { NewEvent(p.eng).Wait(p) },
 		"after nested": func(p *Proc) { p.BeginNoPark(); p.EndNoPark(); p.Sleep(Second) },
 	}
 	for name, wait := range cases {

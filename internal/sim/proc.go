@@ -100,17 +100,11 @@ func (p *Proc) wake(what string) {
 	p.eng.schedule(p.eng.now, what, p.unparkFn)
 }
 
-// Engine returns the engine this process runs under.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Name returns the process name given at creation.
 func (p *Proc) Name() string { return p.name }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
-
-// Done reports whether the process function has returned.
-func (p *Proc) Done() bool { return p.done }
 
 // Sleep suspends the process for d virtual time. Non-positive durations
 // yield the processor (other same-time events run) without advancing time.

@@ -84,7 +84,7 @@ func TestResourceGrowGrantsMixedWaitersInOrder(t *testing.T) {
 	grows := []int{1, 1 << 40}
 	want := []string{"w0@20.000s", "w1@21.000s", "w2@21.000s", "w3@21.000s"}
 	for procs := uint(0); procs < 1<<len(sizes); procs++ {
-		got, _ := mixedWaiters(procs, sizes, 0, Hour, grows)
+		got, _ := mixedWaiters(procs, sizes, 0, 60*Minute, grows)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("procs mask %04b: grants %v, want %v", procs, got, want)
 		}
